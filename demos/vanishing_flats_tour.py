@@ -9,7 +9,6 @@ from vanishingflats import (
     enumerate_flats,
     count_via_spectrum,
     bounds,
-    total_flats,
     closed_form_count,
     family_exponent,
     KNOWN_MONOMIAL_COUNTS,
@@ -25,7 +24,7 @@ def main():
         print(f"  {b}")
     lo, hi = bounds(inverse, is_monomial=True)
     print(f"bounds for a non-APN monomial at n=4: [{lo}, {hi}]"
-          f" (upper = {total_flats(gf)} is the linear-function count)")
+          f" (upper = {hi} is the linear-function count)")
     print()
 
     gf6 = GF(6)

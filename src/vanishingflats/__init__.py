@@ -12,7 +12,6 @@ from .vflats import (
     count_via_spectrum,
     flats_through_pair,
     bounds,
-    total_flats,
     map_blocks,
     isomorphism_witness_check,
     closed_form_count,

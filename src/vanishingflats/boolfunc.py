@@ -3,7 +3,7 @@
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .gf2n import GF
+from .gf2n import GF, require
 
 
 class FunctionTable:
@@ -67,21 +67,25 @@ class FunctionTable:
         """E_f(a), the image set of the derivative along a."""
         return set(self.derivative(a))
 
+    def histogram(self, a):
+        """b -> delta_f(a, b) for each value b the derivative along a takes;
+        every spectral statistic is derived from these histograms."""
+        return Counter(self.derivative(a))
+
     def is_partially_apn(self, a):
         """True iff delta_f(a) = 2, i.e. the derivative along a is 2-to-1."""
-        return max(Counter(self.derivative(a)).values()) == 2
+        return max(self.histogram(a).values()) == 2
 
     def spectrum(self):
-        """Full differential spectrum; one bucketing pass per direction."""
+        """Full differential spectrum; one histogram per direction."""
         n_elems = self.field.order
         counts = Counter()
         per_direction = {}
         for a in range(1, n_elems):
-            hist = Counter(self.derivative(a))
+            hist = self.histogram(a)
             counts[0] += n_elems - len(hist)
+            counts.update(hist.values())
             per_direction[a] = max(hist.values())
-            for m in hist.values():
-                counts[m] += 1
         return DifferentialSpectrum(
             counts=dict(sorted(counts.items())),
             uniformity=max(per_direction.values()),
@@ -90,8 +94,7 @@ class FunctionTable:
 
     def critical_directions(self):
         """D_f = {a != 0 : delta_f(a) >= 4}; empty iff f is APN."""
-        return {a for a in range(1, self.field.order)
-                if max(Counter(self.derivative(a)).values()) >= 4}
+        return {a for a, d in self.spectrum().per_direction.items() if d >= 4}
 
     def is_permutation(self):
         return sorted(self.values) == list(self.field.elements())
@@ -101,7 +104,7 @@ class FunctionTable:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(GF.from_json(obj["field"]), obj["values"])
+        return cls(GF.from_json(require(obj, "field")), require(obj, "values"))
 
 
 @dataclass

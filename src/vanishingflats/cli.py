@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 a verification failed, 2 usage or parameter error.
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -13,10 +12,6 @@ from .gf2n import GF, kloosterman
 from .boolfunc import FunctionTable
 from . import vflats, covers, cycliccode
 from .dopoly import DOPolynomial
-
-
-def _default_threads():
-    return int(os.environ.get("VANISHINGFLATS_THREADS", "1"))
 
 
 def _add_field_args(p):
@@ -38,8 +33,6 @@ def _add_source_args(p):
 
 def _add_common_args(p):
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=_default_threads())
 
 
 _DO_TERM = re.compile(r"(\d+),(\d+):(\d+)")
@@ -110,7 +103,7 @@ def cmd_vflats(args):
         _emit(args, {"n": args.n, "block_count": count}, [str(count)],
               [("block_count", count)])
         return 0
-    pqs = vflats.enumerate_flats(f, threads=args.threads)
+    pqs = vflats.enumerate_flats(f)
     if args.mode == "list":
         _emit(args, pqs.to_json(),
               [f"{len(pqs)} blocks"] + [" ".join(map(str, b)) for b in pqs.blocks],

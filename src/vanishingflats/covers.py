@@ -5,12 +5,11 @@ trivial cover contained in the vanishing flats of a permutation is again a
 cover, and for suitable parameters the result is nonparallel or totally skew.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 import math
 
-from .gf2n import GF
+from .gf2n import GF, echelon, require
 from .boolfunc import FunctionTable
 
 
@@ -19,12 +18,7 @@ def rref_basis(vectors):
 
     Canonical: two subspaces are equal iff their rref bases are equal.
     """
-    basis = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
+    basis = echelon(vectors)
     # back-substitute so each pivot bit appears in exactly one basis vector
     basis.sort(reverse=True)
     for i in range(len(basis)):
@@ -43,8 +37,7 @@ class AffineSubspace:
     basis: tuple
 
     def __post_init__(self):
-        canon = rref_basis(self.basis)
-        if len(canon) != len(self.basis):
+        if len(echelon(self.basis)) != len(self.basis):
             raise ValueError(f"basis vectors are not linearly independent: {self.basis}")
 
     @property
@@ -65,17 +58,14 @@ class AffineSubspace:
         return rref_basis(self.basis)
 
     def __contains__(self, x):
-        v = x ^ self.base
-        for b in rref_basis(self.basis):
-            v = min(v, v ^ b)
-        return v == 0
+        return len(echelon([*self.basis, x ^ self.base])) == len(self.basis)
 
     def to_json(self):
         return {"base": self.base, "basis": list(self.basis)}
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["base"], tuple(obj["basis"]))
+        return cls(require(obj, "base"), tuple(require(obj, "basis")))
 
     @classmethod
     def from_points(cls, pts):
@@ -108,8 +98,8 @@ class Cover:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(GF.from_json(obj["field"]), obj["dimension"],
-                   [AffineSubspace.from_json(f) for f in obj["flats"]])
+        return cls(GF.from_json(require(obj, "field")), require(obj, "dimension"),
+                   [AffineSubspace.from_json(f) for f in require(obj, "flats")])
 
     def describe(self):
         """Human-readable listing of each flat's points (sensible for d <= 3)."""
@@ -139,7 +129,8 @@ def trivial_cover(gf, basis):
 
 
 def verify_cover(cover):
-    """True iff the flats are pairwise disjoint 2^d-point sets covering GF(2^n)."""
+    """True iff the flats are pairwise disjoint 2^d-point sets whose union is
+    exactly GF(2^n)."""
     seen = set()
     for flat in cover.flats:
         pts = flat.points()
@@ -148,7 +139,8 @@ def verify_cover(cover):
         if seen & set(pts):
             return False
         seen.update(pts)
-    return len(seen) == cover.field.order
+    # 2^n distinct points, all in [0, 2^n), are exactly the field
+    return len(seen) == cover.field.order and min(seen) >= 0 and max(seen) < cover.field.order
 
 
 def overlapping_flats(cover):
@@ -268,7 +260,7 @@ def skew_condition_check(f, x, y):
     directions = (x, y, x ^ y)
     images = []
     for a in directions:
-        hist = Counter(f.derivative(a))
+        hist = f.histogram(a)
         if max(hist.values()) != 4:
             return False
         images.append(set(hist))

@@ -37,28 +37,21 @@ class ParityCheckSpec:
     @classmethod
     def cyclic(cls, gf, d):
         """Length 2^n - 1, coordinates alpha^0 .. alpha^(2^n - 2)."""
-        alpha = gf.primitive_element()
-        labels = [1]
-        for _ in range(gf.order - 2):
-            labels.append(gf.mul(labels[-1], alpha))
-        images = [gf.pow(x, d) for x in labels]
-        return cls(gf, labels, images)
+        labels = gf.alpha_powers()
+        return cls(gf, labels, [gf.pow(x, d) for x in labels])
 
     @classmethod
     def generalized(cls, gf, f):
         """Length 2^n: the cyclic coordinates prefixed by the zero column."""
-        alpha = gf.primitive_element()
-        labels = [0, 1]
-        for _ in range(gf.order - 2):
-            labels.append(gf.mul(labels[-1], alpha))
+        labels = [0] + gf.alpha_powers()
         return cls(gf, labels, [f[x] for x in labels])
 
 
-def weight_counts_from_flats(d, gf):
-    """(N3, N4): flats of x^d through 0 and avoiding 0, by enumeration."""
-    pqs = vflats.enumerate_flats(FunctionTable.from_monomial(gf, d))
-    n3 = sum(1 for b in pqs.blocks if b[0] == 0)
-    return n3, len(pqs) - n3
+def weight_counts_from_flats(f):
+    """(N3, N4): the vanishing flats of f through 0 and avoiding 0, without
+    enumerating. A flat through 0 holds three of the pairs (0, a)."""
+    n3 = sum(vflats.flats_through_pair(f, 0, a) for a in range(1, f.field.order)) // 3
+    return n3, vflats.count_via_spectrum(f) - n3
 
 
 def direct_low_weight_counts(spec, max_weight):
@@ -105,14 +98,14 @@ def direct_low_weight_counts(spec, max_weight):
 def generalized_weight4_count(f):
     """Weight-4 codeword count of the generalized (length 2^n) code: equals the
     number of vanishing flats of f."""
-    return len(vflats.enumerate_flats(f))
+    return vflats.count_via_spectrum(f)
 
 
 def report(gf, d, method="flats"):
     """JSON-ready weight report for the cyclic code of x^d."""
     out = {"n": gf.n, "d": d, "method": method}
     if method in ("flats", "both"):
-        out["N3"], out["N4"] = weight_counts_from_flats(d, gf)
+        out["N3"], out["N4"] = weight_counts_from_flats(FunctionTable.from_monomial(gf, d))
     if method in ("direct", "both"):
         direct = direct_low_weight_counts(ParityCheckSpec.cyclic(gf, d), 4)
         if method == "direct":

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import math
 import random
 
-from .gf2n import GF
+from .gf2n import GF, echelon, require
 from .boolfunc import FunctionTable
 
 
@@ -32,13 +32,7 @@ class BinaryMatrix:
 
     def rank(self):
         """F_2 rank by elimination on bit-packed vectors."""
-        pivots = []
-        for v in self.columns:
-            for p in pivots:
-                v = min(v, v ^ p)
-            if v:
-                pivots.append(v)
-        return len(pivots)
+        return len(echelon(self.columns))
 
     @classmethod
     def identity(cls, n):
@@ -139,8 +133,9 @@ class DOPolynomial:
 
     @classmethod
     def from_json(cls, obj):
-        gf = GF.from_json(obj["field"])
-        return cls(gf, {(t["i"], t["j"]): t["c"] for t in obj["terms"]})
+        gf = GF.from_json(require(obj, "field"))
+        return cls(gf, {(require(t, "i"), require(t, "j")): require(t, "c")
+                        for t in require(obj, "terms")})
 
 
 def random_do_polynomial(gf, support_size, seed):

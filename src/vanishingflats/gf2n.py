@@ -34,6 +34,36 @@ DEFAULT_MODULI = {
 }
 
 
+def _poly_gcd(a, b):
+    """gcd in F_2[x] of two polynomials bit-packed as ints."""
+    while b:
+        db = b.bit_length()
+        while a.bit_length() >= db:
+            a ^= b << (a.bit_length() - db)
+        a, b = b, a
+    return a
+
+
+def echelon(vectors):
+    """F_2 elimination: the nonzero reductions of vectors against the earlier
+    ones, as a list of linearly independent ints spanning the same space."""
+    basis = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return basis
+
+
+def require(obj, key):
+    """obj[key] of a parsed JSON object, or a ValueError naming the missing field."""
+    try:
+        return obj[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"JSON object lacks the field {key!r}") from None
+
+
 def _prime_factors(m):
     fs = set()
     d = 2
@@ -60,6 +90,13 @@ class GF:
         self.n = n
         self.modulus = modulus
         self.order = 1 << n          # field size 2^n
+        # Ben-Or: irreducible iff gcd(x^(2^i) + x, modulus) = 1 for 1 <= i <= n/2
+        h = 0b10
+        for i in range(1, n // 2 + 1):
+            h = self.mul(h, h)
+            if _poly_gcd(modulus, h ^ 0b10) != 1:
+                raise ValueError(f"modulus {modulus:#x} is reducible: it shares a factor "
+                                 f"with x^(2^{i}) + x")
         self._primitive = None
         self._log = None
         self._exp = None
@@ -129,12 +166,7 @@ class GF:
         return self.pow(a, 1 << i)
 
     def primitive_element(self):
-        """Smallest element of multiplicative order 2^n - 1.
-
-        The search succeeding doubles as an irreducibility check on the
-        modulus: a reducible modulus yields a ring whose unit group has no
-        element of order 2^n - 1.
-        """
+        """Smallest element of multiplicative order 2^n - 1."""
         if self._primitive is None:
             q1 = self.order - 1
             cofactors = [q1 // p for p in _prime_factors(q1)]
@@ -144,9 +176,6 @@ class GF:
                 if all(self.pow(g, c) != 1 for c in cofactors):
                     self._primitive = g
                     break
-            else:
-                raise ValueError(f"modulus {self.modulus:#x} is not irreducible: "
-                                 "no element of full multiplicative order exists")
         return self._primitive
 
     def cube_root_of_unity(self):
@@ -174,6 +203,11 @@ class GF:
             log[1] = 0
             self._exp, self._log = exp, log
 
+    def alpha_powers(self):
+        """[alpha^0, ..., alpha^(2^n - 2)] for alpha = primitive_element()."""
+        self._build_log_tables()
+        return list(self._exp)
+
     def mul_via_log(self, a, b):
         """Log/antilog-table product; agrees bit-exactly with mul()."""
         self._check(a)
@@ -191,7 +225,7 @@ class GF:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["n"], obj["modulus"])
+        return cls(require(obj, "n"), require(obj, "modulus"))
 
 
 @dataclass(frozen=True)

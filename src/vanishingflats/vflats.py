@@ -5,15 +5,14 @@ points with XOR zero) on which the values of f also XOR to zero. The block set
 of all vanishing flats makes (GF(2^n), blocks) a partial quadruple system.
 """
 
-from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 import math
 
-from .gf2n import GF, kloosterman
+from .gf2n import GF, kloosterman, require
 from .boolfunc import FunctionTable
 
 _SHIFT = 16  # blocks pack four 16-bit point encodings into one int
@@ -69,7 +68,8 @@ class PartialQuadrupleSystem:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(GF.from_json(obj["field"]), [tuple(b) for b in obj["blocks"]])
+        return cls(GF.from_json(require(obj, "field")),
+                   [tuple(b) for b in require(obj, "blocks")])
 
     def to_text(self):
         return "\n".join(" ".join(map(str, b)) for b in self.blocks)
@@ -101,16 +101,9 @@ def candidate_blocks(f):
         yield from _direction_blocks(f, a)
 
 
-def enumerate_flats(f, threads=1):
+def enumerate_flats(f):
     """The partial quadruple system of f, by direction bucketing."""
-    if threads > 1:
-        keys = set()
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(lambda a: _direction_blocks(f, a),
-                                  range(1, f.field.order)):
-                keys.update(chunk)
-    else:
-        keys = set(candidate_blocks(f))
+    keys = set(candidate_blocks(f))
     pqs = PartialQuadrupleSystem.__new__(PartialQuadrupleSystem)
     pqs.field = f.field
     pqs.blocks = [_unpack(k) for k in sorted(keys)]
@@ -118,17 +111,13 @@ def enumerate_flats(f, threads=1):
 
 
 def count_via_spectrum(f):
-    """Block count from the delta_f(a, b) values alone, without materializing.
+    """Block count from the differential spectrum alone, without materializing.
 
     Each flat is derived exactly three times over the (a, b) pairs, so the
-    count is (1/3) * sum over (a, b) of C(delta_f(a,b)/2, 2).
+    count is (1/3) * sum over (a, b) of C(delta_f(a,b)/2, 2), that is
+    (1/3) * sum_k l_k * C(k/2, 2).
     """
-    total = 0
-    table = f.values
-    for a in range(1, f.field.order):
-        hist = Counter(table[x ^ a] ^ table[x] for x in range(len(table)))
-        for m in hist.values():
-            total += math.comb(m // 2, 2)
+    total = sum(l * math.comb(k // 2, 2) for k, l in f.spectrum().counts.items())
     if total % 3 != 0:
         raise ArithmeticError("triple-cover identity violated: count not divisible by 3")
     return total // 3
@@ -156,12 +145,6 @@ def bounds(f, is_monomial):
     if is_monomial and f.spectrum().uniformity > 2:
         lower = (q + 1) // 3 if n % 2 else (q - 1) // 3
     return lower, upper
-
-
-def total_flats(gf):
-    """|B_n|, the number of all 2-dimensional flats in GF(2^n)."""
-    q = gf.order
-    return (q // 4) * ((q // 2) - 1) * (q - 1) // 3
 
 
 def map_blocks(pqs, point_map):

@@ -2,7 +2,7 @@
 
 import random
 
-from vanishingflats import FunctionTable
+from vanishingflats import BinaryMatrix, FunctionTable
 
 
 def random_table(gf, rng):
@@ -10,35 +10,18 @@ def random_table(gf, rng):
 
 
 def random_invertible_matrix(n, rng):
-    """Random invertible n x n bit matrix, as a list of column ints."""
+    """Random invertible n x n matrix over F_2."""
     while True:
-        cols = [rng.randrange(1, 1 << n) for _ in range(n)]
-        basis = []
-        for v in cols:
-            for b in basis:
-                v = min(v, v ^ b)
-            if v:
-                basis.append(v)
-        if len(basis) == n:
-            return cols
-
-
-def apply_matrix(cols, x):
-    r = 0
-    k = 0
-    while x:
-        if x & 1:
-            r ^= cols[k]
-        x >>= 1
-        k += 1
-    return r
+        m = BinaryMatrix(n, [rng.randrange(1, 1 << n) for _ in range(n)])
+        if m.rank() == n:
+            return m
 
 
 def random_affine_permutation(gf, rng):
     """(forward, inverse) point maps of a random affine permutation."""
-    cols = random_invertible_matrix(gf.n, rng)
+    m = random_invertible_matrix(gf.n, rng)
     c = rng.randrange(gf.order)
-    fwd = [apply_matrix(cols, x) ^ c for x in gf.elements()]
+    fwd = [m.apply(x) ^ c for x in gf.elements()]
     inv = [0] * gf.order
     for x, y in enumerate(fwd):
         inv[y] = x
@@ -47,6 +30,6 @@ def random_affine_permutation(gf, rng):
 
 def random_affine_map(gf, rng):
     """A random (not necessarily invertible) F_2-affine point map."""
-    cols = [rng.randrange(gf.order) for _ in range(gf.n)]
+    m = BinaryMatrix(gf.n, [rng.randrange(gf.order) for _ in range(gf.n)])
     c = rng.randrange(gf.order)
-    return [apply_matrix(cols, x) ^ c for x in gf.elements()]
+    return [m.apply(x) ^ c for x in gf.elements()]

@@ -15,7 +15,7 @@ from vanishingflats import (
     canonical_block,
     enumerate_flats,
     count_via_spectrum,
-    total_flats,
+    bounds,
     closed_form_count,
     isomorphism_witness_check,
     kloosterman,
@@ -128,7 +128,7 @@ def test_ac_06_bounds():
     for n in range(2, 9):
         gf = GF(n)
         lower = (gf.order + 1) // 3 if n % 2 else (gf.order - 1) // 3
-        upper = total_flats(gf)
+        upper = bounds(FunctionTable.from_monomial(gf, 1), is_monomial=False)[1]
         for d in range(1, gf.order - 1):
             f = FunctionTable.from_monomial(gf, d)
             count = count_via_spectrum(f)
@@ -227,7 +227,8 @@ def test_ac_10_code_weight_correspondence():
         gf = GF(n)
         for d in _cyclotomic_class_reps(n):
             direct = direct_low_weight_counts(ParityCheckSpec.cyclic(gf, d), 4)
-            if (direct[3], direct[4]) != weight_counts_from_flats(d, gf):
+            f = FunctionTable.from_monomial(gf, d)
+            if (direct[3], direct[4]) != weight_counts_from_flats(f):
                 ok = False
     gf5 = GF(5)
     for seed in range(50):

@@ -108,6 +108,15 @@ def test_image_set():
     assert len(g5.image_set(1)) == 16
 
 
+def test_histogram_is_delta_row():
+    gf = GF(5)
+    f = random_table(gf, random.Random(7))
+    for a in (1, 6, 31):
+        hist = f.histogram(a)
+        assert sum(hist.values()) == gf.order
+        assert all(hist[b] == f.delta(a, b) for b in gf.elements())
+
+
 def test_partially_apn_matches_image_size():
     gf = GF(6)
     rng = random.Random(99)

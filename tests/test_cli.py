@@ -133,21 +133,36 @@ def test_kloosterman_command(capsys):
     assert len(values) == 15
 
 
-def test_threads_do_not_change_output(capsys):
-    _, base = run(capsys, "vflats", "list", "--n", "6", "--monomial", "9",
-                  "--threads", "1")
-    _, multi = run(capsys, "vflats", "list", "--n", "6", "--monomial", "9",
-                   "--threads", "4")
-    assert base == multi
+def test_reducible_modulus_exit_2(capsys):
+    # x^3 is APN over GF(16); 21 = (x^2 + x + 1)^2 makes a ring, not a field
+    code, out = run(capsys, "vflats", "count", "--n", "4", "--modulus", "21",
+                    "--monomial", "3")
+    assert code == 2
+    assert out == ""
 
 
-def test_env_var_default_threads(capsys, monkeypatch):
-    monkeypatch.setenv("VANISHINGFLATS_THREADS", "3")
-    from vanishingflats.cli import _default_threads
-    assert _default_threads() == 3
-    code, out = run(capsys, "vflats", "count", "--n", "4", "--monomial", "14")
+def test_cover_verify_points_outside_field(capsys, tmp_path):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"field": {"n": 2, "modulus": 7}, "dimension": 1,
+                                "flats": [{"base": 0, "basis": [1]},
+                                          {"base": 4, "basis": [1]}]}))
+    code, out = run(capsys, "cover", "verify", "--input", str(path))
+    assert code == 1
+    assert json.loads(out)["valid"] is False
+
+
+def test_cover_verify_missing_key_exit_2(capsys, tmp_path):
+    path = tmp_path / "cover.json"
+    code, _ = run(capsys, "cover", "build", "gold2", "--n", "6", "--t", "2",
+                  "--output", str(path))
     assert code == 0
-    assert out.strip() == "5"
+    blob = json.loads(path.read_text())
+    del blob["flats"]
+    path.write_text(json.dumps(blob))
+    code = main(["cover", "verify", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "'flats'" in captured.err
 
 
 def test_json_output(capsys):

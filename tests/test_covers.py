@@ -187,6 +187,25 @@ def test_skew_condition_check_matches_cover_predicate():
         skew_condition_check(f6, 1, 2)  # {0, 1, 2, 3} not a vanishing flat
 
 
+def test_verify_cover_rejects_points_outside_field():
+    gf = GF(2)
+    outside = Cover(gf, 1, [AffineSubspace(0, (1,)), AffineSubspace(4, (1,))])
+    assert not verify_cover(outside)
+
+
+@pytest.mark.parametrize("path", [("field",), ("dimension",), ("flats",),
+                                  ("field", "modulus"), ("flats", 0, "basis")],
+                         ids=lambda path: ".".join(map(str, path)))
+def test_cover_from_json_names_missing_field(path):
+    blob = trivial_cover(GF(3), (1,)).to_json()
+    parent = blob
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    with pytest.raises(ValueError, match=repr(path[-1])):
+        Cover.from_json(blob)
+
+
 def test_cover_serialization_and_describe():
     gf = GF(4)
     cover = trivial_cover(gf, (1, 2))

@@ -11,6 +11,7 @@ from vanishingflats import (
     generalized_weight4_count,
     enumerate_flats,
     DOPolynomial,
+    KNOWN_MONOMIAL_COUNTS,
 )
 from vanishingflats.cycliccode import report
 
@@ -21,6 +22,7 @@ def test_cyclic_spec_structure():
     gf = GF(4)
     spec = ParityCheckSpec.cyclic(gf, 5)
     assert len(spec.labels) == gf.order - 1
+    assert spec.labels[:2] == [1, gf.primitive_element()]
     assert sorted(spec.labels) == list(range(1, gf.order))
     assert spec.images == [gf.pow(x, 5) for x in spec.labels]
     gen = ParityCheckSpec.generalized(gf, FunctionTable.from_monomial(gf, 5))
@@ -37,25 +39,43 @@ def test_spec_validation():
 
 
 def test_conservation_n3_plus_n4():
-    for n, d in ((4, 14), (5, 15), (6, 7), (6, 9)):
-        gf = GF(n)
-        n3, n4 = weight_counts_from_flats(d, gf)
-        total = len(enumerate_flats(FunctionTable.from_monomial(gf, d)))
-        assert n3 + n4 == total
+    # the N3 formula against enumeration, on every Table-2 monomial up to n = 7
+    # and on seeded random tables normalised to f(0) = 0
+    monomials = [(4, 14), (5, 15), (6, 7), (6, 9)]
+    monomials += [(n, d) for n, rows in KNOWN_MONOMIAL_COUNTS.items() if n <= 7
+                  for d, _ in rows]
+    rng = random.Random(2006)
+    randoms = []
+    for n in (4, 5, 6, 6):
+        f = random_table(GF(n), rng)
+        randoms.append(FunctionTable(f.field, [v ^ f[0] for v in f.values]))
+    for f in [FunctionTable.from_monomial(GF(n), d) for n, d in monomials] + randoms:
+        n3, n4 = weight_counts_from_flats(f)
+        blocks = enumerate_flats(f).blocks
+        assert n3 == sum(1 for b in blocks if b[0] == 0)
+        assert n3 + n4 == len(blocks)
+    for f in randoms:
+        # with f(0) = 0 the weight-3 words of the generalized code are the
+        # flats through 0, and its weight-4 words are all the flats
+        n3, n4 = weight_counts_from_flats(f)
+        direct = direct_low_weight_counts(ParityCheckSpec.generalized(f.field, f), 4)
+        assert direct == {3: n3, 4: n3 + n4}
 
 
 @pytest.mark.parametrize("n,d", [(4, 5), (4, 14), (5, 15), (6, 7), (6, 21)])
 def test_direct_matches_flats_small(n, d):
     gf = GF(n)
     direct = direct_low_weight_counts(ParityCheckSpec.cyclic(gf, d), 4)
-    assert (direct[3], direct[4]) == weight_counts_from_flats(d, gf)
+    f = FunctionTable.from_monomial(gf, d)
+    assert (direct[3], direct[4]) == weight_counts_from_flats(f)
 
 
 @pytest.mark.parametrize("n,d", [(7, 7), (8, 7)])
 def test_direct_weight3_larger_fields(n, d):
     gf = GF(n)
     direct = direct_low_weight_counts(ParityCheckSpec.cyclic(gf, d), 3)
-    assert direct[3] == weight_counts_from_flats(d, gf)[0]
+    f = FunctionTable.from_monomial(gf, d)
+    assert direct[3] == weight_counts_from_flats(f)[0]
     assert 4 not in direct
 
 
@@ -82,7 +102,7 @@ def test_do_monomial_n3_fraction():
     # 2^(n-2) fraction of them passes through 0
     gf = GF(6)
     gold = DOPolynomial.gold(gf, 3)
-    n3, n4 = weight_counts_from_flats(9, gf)
+    n3, n4 = weight_counts_from_flats(FunctionTable.from_monomial(gf, 9))
     total = gold.count_vanishing_flats()
     assert total == 1008
     assert n3 == total // (1 << (gf.n - 2))

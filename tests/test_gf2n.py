@@ -110,6 +110,31 @@ def test_reducible_modulus_rejected():
         GF(4, 0b10001).primitive_element()
     with pytest.raises(ValueError):
         GF(4, 0b101)  # wrong degree
+    # 21 = x^4 + x^2 + 1 = (x^2 + x + 1)^2: rejected at construction
+    with pytest.raises(ValueError, match="reducible"):
+        GF(4, 21)
+
+
+def test_irreducible_count_degree_8():
+    # (2^8 - 2^4) / 8 = 30 irreducible polynomials of degree 8 over F_2
+    accepted = 0
+    for m in range(1 << 8, 1 << 9):
+        try:
+            GF(8, m)
+            accepted += 1
+        except ValueError:
+            pass
+    assert accepted == 30
+
+
+def test_alpha_powers():
+    gf = GF(6)
+    alpha = gf.primitive_element()
+    acc = 1
+    for p in gf.alpha_powers():
+        assert p == acc
+        acc = gf.mul(acc, alpha)
+    assert acc == 1
 
 
 def test_cube_root_of_unity():
@@ -138,7 +163,7 @@ def test_default_moduli_all_valid():
         gf = GF(n)
         assert gf.modulus == mod
         assert mod >> n == 1
-        gf.primitive_element()  # raises if reducible
+        gf.primitive_element()
 
 
 def test_kloosterman_values():
