@@ -3,7 +3,7 @@
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .gf2n import GF, require
+from .gf2n import GF, as_int_list, require
 
 
 class FunctionTable:
@@ -31,12 +31,10 @@ class FunctionTable:
     def __repr__(self):
         return f"FunctionTable({self.field!r}, <{len(self.values)} values>)"
 
-    @classmethod
-    def from_monomial(cls, gf, d):
-        """The power function x^d (d >= 1)."""
-        if d < 1:
-            raise ValueError("monomial exponent must be positive")
-        return cls(gf, [gf.pow(x, d) for x in gf.elements()])
+    @staticmethod
+    def from_monomial(gf, d):
+        """The power function x^d (d >= 1), with its O(2^n) statistics."""
+        return PowerFunction(gf, d)
 
     @classmethod
     def from_univariate(cls, gf, terms):
@@ -104,7 +102,64 @@ class FunctionTable:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(GF.from_json(require(obj, "field")), require(obj, "values"))
+        return cls(GF.from_json(require(obj, "field")), require(obj, "values", as_int_list))
+
+
+class PowerFunction(FunctionTable):
+    """The power function x^d, whose statistics all come from direction 1.
+
+    D_a f(x) = a^d * D_1 f(x/a), so delta_f(a, b) = delta_f(1, b/a^d) and every
+    direction has the histogram of a = 1 (Blondeau, Canteaut and Charpin,
+    "Differential properties of power functions", 2010). spectrum() and
+    delta() therefore cost O(2^n) once, against O(4^n) for a generic table;
+    count_via_spectrum, bounds, critical_directions and the cyclic-code
+    weights inherit that. The generic kernel stays available as the oracle
+    through FunctionTable(gf, f.values).
+    """
+
+    __slots__ = ("d", "_hist1")
+
+    def __init__(self, gf, d):
+        if d < 1:
+            raise ValueError("monomial exponent must be positive")
+        # walk x = alpha^i and x^d = (alpha^d)^i together: two products a point
+        alpha = gf.primitive_element()
+        alpha_d = gf.pow(alpha, d)
+        values = [0] * gf.order
+        x = y = 1
+        for _ in range(gf.order - 1):
+            values[x] = y
+            x = gf.mul(x, alpha)
+            y = gf.mul(y, alpha_d)
+        super().__init__(gf, values)
+        self.d = d
+        self._hist1 = None
+
+    def _histogram1(self):
+        if self._hist1 is None:
+            self._hist1 = self.histogram(1)
+        return self._hist1
+
+    def delta(self, a, b):
+        """delta_f(1, b / a^d)."""
+        if a == 0:
+            raise ValueError("direction a must be nonzero")
+        self.field._check(a)
+        return self._histogram1()[self.field.div(b, self.values[a])]
+
+    def spectrum(self):
+        """Every direction has the histogram of a = 1: each l_k is q - 1 times
+        its count there, and every per-direction uniformity is its maximum."""
+        hist = self._histogram1()
+        q = self.field.order
+        counts = Counter({0: q - len(hist)})
+        counts.update(hist.values())
+        uniformity = max(hist.values())
+        return DifferentialSpectrum(
+            counts={k: (q - 1) * l for k, l in sorted(counts.items())},
+            uniformity=uniformity,
+            per_direction=dict.fromkeys(range(1, q), uniformity),
+        )
 
 
 @dataclass

@@ -8,7 +8,7 @@ import json
 import re
 import sys
 
-from .gf2n import GF, kloosterman
+from .gf2n import GF, MAX_DEGREE, kloosterman
 from .boolfunc import FunctionTable
 from . import vflats, covers, cycliccode
 from .dopoly import DOPolynomial
@@ -130,7 +130,7 @@ def cmd_table(args):
     else:
         count = vflats.closed_form_count(args.family, args.n, t=args.t)
         line = f"{args.family} n={args.n}" + (f" t={args.t}" if args.t else "") + f": {count}"
-        if args.n <= 10:
+        if args.n <= MAX_DEGREE:
             d = vflats.family_exponent(args.family, args.n, t=args.t)
             gf = GF(args.n, args.modulus)
             brute = vflats.count_via_spectrum(FunctionTable.from_monomial(gf, d))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import combinations
 import math
 
-from .gf2n import GF, echelon, require
+from .gf2n import GF, as_int, as_int_list, as_list, echelon, require
 from .boolfunc import FunctionTable
 
 
@@ -65,7 +65,7 @@ class AffineSubspace:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(require(obj, "base"), tuple(require(obj, "basis")))
+        return cls(require(obj, "base", as_int), tuple(require(obj, "basis", as_int_list)))
 
     @classmethod
     def from_points(cls, pts):
@@ -98,8 +98,8 @@ class Cover:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(GF.from_json(require(obj, "field")), require(obj, "dimension"),
-                   [AffineSubspace.from_json(f) for f in require(obj, "flats")])
+        return cls(GF.from_json(require(obj, "field")), require(obj, "dimension", as_int),
+                   [AffineSubspace.from_json(f) for f in require(obj, "flats", as_list)])
 
     def describe(self):
         """Human-readable listing of each flat's points (sensible for d <= 3)."""

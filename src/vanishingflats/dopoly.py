@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import math
 import random
 
-from .gf2n import GF, echelon, require
+from .gf2n import GF, as_int, as_list, echelon, require
 from .boolfunc import FunctionTable
 
 
@@ -134,8 +134,8 @@ class DOPolynomial:
     @classmethod
     def from_json(cls, obj):
         gf = GF.from_json(require(obj, "field"))
-        return cls(gf, {(require(t, "i"), require(t, "j")): require(t, "c")
-                        for t in require(obj, "terms")})
+        return cls(gf, {(require(t, "i", as_int), require(t, "j", as_int)):
+                        require(t, "c", as_int) for t in require(obj, "terms", as_list)})
 
 
 def random_do_polynomial(gf, support_size, seed):

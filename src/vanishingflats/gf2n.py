@@ -56,12 +56,33 @@ def echelon(vectors):
     return basis
 
 
-def require(obj, key):
-    """obj[key] of a parsed JSON object, or a ValueError naming the missing field."""
+def require(obj, key, kind=None):
+    """obj[key] of a parsed JSON object, or a ValueError naming the missing field;
+    kind(key, value), such as as_int, checks the value's type."""
     try:
-        return obj[key]
+        value = obj[key]
     except (KeyError, TypeError):
         raise ValueError(f"JSON object lacks the field {key!r}") from None
+    return value if kind is None else kind(key, value)
+
+
+def as_int(key, value):
+    """A JSON integer field (a bool or a string is not one), or a ValueError naming it."""
+    if type(value) is not int:
+        raise ValueError(f"JSON field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def as_list(key, value):
+    """A JSON array field, or a ValueError naming it."""
+    if type(value) is not list:
+        raise ValueError(f"JSON field {key!r} must be an array, got {value!r}")
+    return value
+
+
+def as_int_list(key, value):
+    """A JSON array of integers, or a ValueError naming the field or its bad entry."""
+    return [as_int(f"{key}[{i}]", v) for i, v in enumerate(as_list(key, value))]
 
 
 def _prime_factors(m):
@@ -225,7 +246,7 @@ class GF:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(require(obj, "n"), require(obj, "modulus"))
+        return cls(require(obj, "n", as_int), require(obj, "modulus", as_int))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 import math
 
-from .gf2n import GF, kloosterman, require
+from .gf2n import GF, as_int_list, as_list, kloosterman, require
 from .boolfunc import FunctionTable
 
 _SHIFT = 16  # blocks pack four 16-bit point encodings into one int
@@ -69,7 +69,8 @@ class PartialQuadrupleSystem:
     @classmethod
     def from_json(cls, obj):
         return cls(GF.from_json(require(obj, "field")),
-                   [tuple(b) for b in require(obj, "blocks")])
+                   [tuple(as_int_list(f"blocks[{i}]", b))
+                    for i, b in enumerate(require(obj, "blocks", as_list))])
 
     def to_text(self):
         return "\n".join(" ".join(map(str, b)) for b in self.blocks)
@@ -115,7 +116,9 @@ def count_via_spectrum(f):
 
     Each flat is derived exactly three times over the (a, b) pairs, so the
     count is (1/3) * sum over (a, b) of C(delta_f(a,b)/2, 2), that is
-    (1/3) * sum_k l_k * C(k/2, 2).
+    (1/3) * sum_k l_k * C(k/2, 2). The spectrum costs O(4^n) for a generic
+    table and O(2^n) for a PowerFunction (x^d from FunctionTable.from_monomial),
+    whose every direction has the histogram of a = 1.
     """
     total = sum(l * math.comb(k // 2, 2) for k, l in f.spectrum().counts.items())
     if total % 3 != 0:

@@ -71,6 +71,10 @@ def test_table1_examples(capsys):
     code, out = run(capsys, "table", "table1", "--n", "7", "--family", "d7")
     assert code == 0
     assert "889 PASS" in out
+    # checked beyond n = 10 too, through the power-function spectrum
+    code, out = run(capsys, "table", "table1", "--n", "16", "--family", "d7")
+    assert code == 0
+    assert out == "d7 n=16: 175262435 PASS\n"
 
 
 def test_cover_build_gold2(capsys):
@@ -163,6 +167,26 @@ def test_cover_verify_missing_key_exit_2(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2
     assert "'flats'" in captured.err
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda blob: blob["flats"][0].update(basis=["x"]), "basis[0]"),
+    (lambda blob: blob["field"].update(n="6"), "n"),
+], ids=["basis-string", "n-string"])
+def test_cover_verify_wrong_type_exit_2(capsys, tmp_path, edit, field):
+    path = tmp_path / "cover.json"
+    code, _ = run(capsys, "cover", "build", "gold2", "--n", "6", "--t", "2",
+                  "--output", str(path))
+    assert code == 0
+    blob = json.loads(path.read_text())
+    edit(blob)
+    path.write_text(json.dumps(blob))
+    code = main(["cover", "verify", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert repr(field) in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_json_output(capsys):

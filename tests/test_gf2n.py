@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanishingflats import GF, FieldElement, kloosterman
+import re
+
+from vanishingflats import (GF, AffineSubspace, Cover, DOPolynomial, FieldElement,
+                            FunctionTable, PartialQuadrupleSystem, kloosterman)
 from vanishingflats.gf2n import DEFAULT_MODULI
 
 
@@ -203,3 +206,26 @@ def test_field_spec_serialization():
     gf = GF(7)
     assert GF.from_json(gf.to_json()) == gf
     assert gf.to_json() == {"n": 7, "modulus": 0b10000011}
+
+
+F4 = {"n": 2, "modulus": 7}
+
+
+@pytest.mark.parametrize("cls, blob, field", [
+    (GF, {"n": "6", "modulus": 67}, "n"),
+    (GF, {"n": 6, "modulus": True}, "modulus"),
+    (FunctionTable, {"field": F4, "values": [0, 1, 2, "3"]}, "values[3]"),
+    (FunctionTable, {"field": F4, "values": "0123"}, "values"),
+    (FunctionTable, {"field": {"n": 2.0, "modulus": 7}, "values": [0, 1, 2, 3]}, "n"),
+    (AffineSubspace, {"base": 0, "basis": ["x"]}, "basis[0]"),
+    (AffineSubspace, {"base": False, "basis": [1]}, "base"),
+    (Cover, {"field": F4, "dimension": "1", "flats": []}, "dimension"),
+    (Cover, {"field": F4, "dimension": 1, "flats": {}}, "flats"),
+    (PartialQuadrupleSystem, {"field": F4, "blocks": [[0, 1, 2, "3"]]}, "blocks[0][3]"),
+    (PartialQuadrupleSystem, {"field": F4, "blocks": [5]}, "blocks[0]"),
+    (DOPolynomial, {"field": F4, "terms": [{"i": 0, "j": 1, "c": "1"}]}, "c"),
+    (DOPolynomial, {"field": F4, "terms": {"i": 0}}, "terms"),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_from_json_rejects_wrong_types(cls, blob, field):
+    with pytest.raises(ValueError, match=re.escape(repr(field))):
+        cls.from_json(blob)
