@@ -3,10 +3,17 @@
 A DO polynomial is f = sum over 0 <= i < j < n of c_ij * x^(2^i + 2^j). Its
 derivative along a is the affine map L_{f,a}(x) + f(a), where
 L_{f,a}(x) = sum c_ij (a^(2^i) x^(2^j) + a^(2^j) x^(2^i)) is F_2-linear.
+
+L_{f,a}(x) = B(a, x) for the polar form B(x, y) = f(x + y) + f(x) + f(y),
+which is symmetric and F_2-bilinear since f(0) = 0. So column k of the matrix
+of L_{f,a} is the XOR of the polar rows B(e_m, e_k) over the set bits m of a.
+The n x n polar rows come from O(n^2) evaluations of f. The rank multiset
+walks the directions in Gray-code order: each step flips one bit of a, XORs
+one polar row into the columns and takes one F_2 rank, with no field product.
 """
 
 from dataclasses import dataclass
-import math
+from functools import cached_property
 import random
 
 from .gf2n import GF, as_int, as_list, echelon, require
@@ -71,8 +78,32 @@ class DOPolynomial:
             r ^= gf.mul(c, gf.pow(x, (1 << i) + (1 << j)))
         return r
 
+    @cached_property
+    def polar_rows(self):
+        """The n x n polar matrix: rows[m][k] = B(e_m, e_k), so column k of the
+        matrix of L_{f,a} is the XOR of rows[m][k] over the set bits m of a."""
+        n = self.field.n
+        f_e = [self.evaluate(1 << k) for k in range(n)]
+        rows = [[0] * n for _ in range(n)]
+        for m in range(n):
+            for k in range(m):
+                rows[m][k] = rows[k][m] = self.evaluate(1 << m | 1 << k) ^ f_e[m] ^ f_e[k]
+        return rows
+
     def to_table(self):
-        return FunctionTable(self.field, [self.evaluate(x) for x in self.field.elements()])
+        """Value table from the exp table: at x = alpha^k, the term
+        c * x^e is alpha^(log c + k * e), an index computed mod 2^n - 1."""
+        gf = self.field
+        exp = gf.alpha_powers()
+        q1 = len(exp)
+        acc = [0] * q1
+        for (i, j), c in self.coeffs.items():
+            log_c, e = exp.index(c), (1 << i) + (1 << j)
+            acc = [v ^ exp[(log_c + k * e) % q1] for k, v in enumerate(acc)]
+        values = [0] * gf.order
+        for x, v in zip(exp, acc):
+            values[x] = v
+        return FunctionTable(gf, values)
 
     def linearized_at(self, a, x):
         """L_{f,a}(x), evaluated directly."""
@@ -85,26 +116,30 @@ class DOPolynomial:
         return r
 
     def linearized_matrix(self, a):
-        """The linear map x -> L_{f,a}(x) in the polynomial basis."""
-        if a == 0:
+        """The linear map x -> L_{f,a}(x) in the polynomial basis: the XOR of
+        the polar rows selected by the bits of a."""
+        if self.field._check(a) == 0:
             raise ValueError("direction a must be nonzero")
-        gf = self.field
-        n = gf.n
-        # Precompute a^(2^i) once; column k follows from e_k = x^... powers.
-        a_pows = {i: gf.pow(a, 1 << i) for i in range(n)}
-        columns = []
-        for k in range(n):
-            e = 1 << k
-            col = 0
-            for (i, j), c in self.coeffs.items():
-                ei, ej = gf.pow(e, 1 << i), gf.pow(e, 1 << j)
-                col ^= gf.mul(c, gf.mul(a_pows[i], ej) ^ gf.mul(a_pows[j], ei))
-            columns.append(col)
+        n = self.field.n
+        columns = [0] * n
+        for m, row in enumerate(self.polar_rows):
+            if a >> m & 1:
+                columns = [c ^ r for c, r in zip(columns, row)]
         return BinaryMatrix(n, columns)
 
     def rank_multiset(self):
-        """[rank(L_{f,a}) for each nonzero a], 2^n - 1 values."""
-        return [self.linearized_matrix(a).rank() for a in range(1, self.field.order)]
+        """[rank(L_{f,a}) for each nonzero a], 2^n - 1 values in the order of a.
+
+        Walks a = i ^ (i >> 1): step i flips bit m, the lowest set bit of i,
+        so it XORs polar row m into the columns and takes one rank."""
+        rows = self.polar_rows
+        n, order = self.field.n, self.field.order
+        ranks = [0] * (order - 1)
+        columns = [0] * n
+        for i in range(1, order):
+            columns = [c ^ r for c, r in zip(columns, rows[(i & -i).bit_length() - 1])]
+            ranks[(i ^ (i >> 1)) - 1] = BinaryMatrix(n, columns).rank()
+        return ranks
 
     def count_vanishing_flats(self):
         """Block count via the rank multiset: (2^(n-2)/3) * sum(2^(n-h-1) - 1)."""
@@ -116,16 +151,11 @@ class DOPolynomial:
         return scaled // 3
 
     def is_vanishing_pair(self, x1, x2):
-        """True iff {0, x1, x2, x1+x2} (and hence each coset) is a vanishing flat."""
+        """True iff {0, x1, x2, x1+x2} (and hence each coset) is a vanishing flat,
+        that is iff B(x1, x2) = 0."""
         if x1 == 0 or x2 == 0 or x1 == x2:
             raise ValueError("x1, x2, x1+x2 must be nonzero and distinct")
-        gf = self.field
-        r = 0
-        for (i, j), c in self.coeffs.items():
-            a = gf.mul(gf.pow(x1, 1 << i), gf.pow(x2, 1 << j))
-            b = gf.mul(gf.pow(x1, 1 << j), gf.pow(x2, 1 << i))
-            r ^= gf.mul(c, a ^ b)
-        return r == 0
+        return self.evaluate(x1) ^ self.evaluate(x2) ^ self.evaluate(x1 ^ x2) == 0
 
     def to_json(self):
         return {"field": self.field.to_json(),

@@ -209,7 +209,12 @@ class GF:
         """Elements of the subfield GF(2^s), sorted. Requires s | n."""
         if s <= 0 or self.n % s != 0:
             raise ValueError(f"GF(2^{s}) is not a subfield of GF(2^{self.n})")
-        return [x for x in self.elements() if self.pow(x, 1 << s) == x]
+        # {0} and the powers of beta = alpha^((2^n - 1)/(2^s - 1)), of order 2^s - 1
+        beta = self.pow(self.primitive_element(), (self.order - 1) // ((1 << s) - 1))
+        elements = [0, 1]
+        for _ in range((1 << s) - 2):
+            elements.append(self.mul(elements[-1], beta))
+        return sorted(elements)
 
     def _build_log_tables(self):
         if self._log is None:

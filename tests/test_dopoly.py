@@ -24,11 +24,21 @@ def test_evaluate_basics():
     assert table == FunctionTable.from_monomial(gf, 9)
 
 
+def univariate_terms(f):
+    return [(c, (1 << i) + (1 << j)) for (i, j), c in f.coeffs.items()]
+
+
 def test_to_table_matches_univariate_expansion():
     gf = GF(6)
     f = random_do_polynomial(gf, 5, seed=17)
-    terms = [(c, (1 << i) + (1 << j)) for (i, j), c in f.coeffs.items()]
-    assert f.to_table() == FunctionTable.from_univariate(gf, terms)
+    assert f.to_table() == FunctionTable.from_univariate(gf, univariate_terms(f))
+    for n in range(2, 11):
+        gf = GF(n)
+        max_support = n * (n - 1) // 2
+        for seed in range(3):
+            f = random_do_polynomial(gf, 1 + (seed * 3) % max_support, seed=seed)
+            assert f.to_table() == FunctionTable.from_univariate(gf, univariate_terms(f))
+        assert DOPolynomial(gf, {}).to_table() == FunctionTable(gf, [0] * gf.order)
 
 
 def test_coefficient_validation():
@@ -49,8 +59,9 @@ def test_linearized_matrix_matches_pointwise():
         for x in gf.elements():
             assert m.apply(x) == f.linearized_at(a, x)
         assert m.apply(a) == 0  # L_{f,a}(a) = 0 always
-    with pytest.raises(ValueError):
-        f.linearized_matrix(0)
+    for a in (0, 32, -1):
+        with pytest.raises(ValueError):
+            f.linearized_matrix(a)
 
 
 def test_linearized_matrix_additive():
@@ -85,6 +96,45 @@ def test_rank_multiset():
     assert DOPolynomial.gold(gf6, 3).rank_multiset() == [3] * 63
     f = random_do_polynomial(gf6, 6, seed=77)
     assert len(f.rank_multiset()) == 63
+
+
+def direct_rank_multiset(f):
+    """Ranks of matrices built column by column from the direct formula."""
+    n = f.field.n
+    return [BinaryMatrix(n, [f.linearized_at(a, 1 << k) for k in range(n)]).rank()
+            for a in range(1, f.field.order)]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_rank_multiset_matches_direct_formula(n):
+    gf = GF(n)
+    max_support = n * (n - 1) // 2
+    polys = [random_do_polynomial(gf, 1 + seed % max_support, seed=seed) for seed in range(4)]
+    polys += [DOPolynomial(gf, {}), DOPolynomial.gold(gf, n - 1)]
+    for f in polys:
+        assert f.rank_multiset() == direct_rank_multiset(f)
+    assert DOPolynomial(gf, {}).rank_multiset() == [0] * (gf.order - 1)
+
+
+def test_polar_rows_symmetric_with_zero_diagonal():
+    gf = GF(7)
+    f = random_do_polynomial(gf, 6, seed=31)
+    rows = f.polar_rows
+    for m in range(gf.n):
+        assert rows[m][m] == 0
+        for k in range(gf.n):
+            assert rows[m][k] == rows[k][m] == f.linearized_at(1 << m, 1 << k)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_count_matches_spectrum_of_univariate(n):
+    gf = GF(n)
+    max_support = n * (n - 1) // 2
+    seeds = range(3) if n <= 7 else range(1)
+    for seed in seeds:
+        f = random_do_polynomial(gf, 1 + (seed * 5 + n) % max_support, seed=100 + seed)
+        oracle = count_via_spectrum(FunctionTable.from_univariate(gf, univariate_terms(f)))
+        assert f.count_vanishing_flats() == oracle
 
 
 def test_count_formula_examples():
@@ -149,6 +199,15 @@ def test_is_vanishing_pair_gold():
         gold.is_vanishing_pair(0, 3)
     with pytest.raises(ValueError):
         gold.is_vanishing_pair(3, 3)
+
+
+def test_is_vanishing_pair_matches_direct_formula():
+    gf = GF(6)
+    f = random_do_polynomial(gf, 5, seed=44)
+    for x1 in range(1, gf.order):
+        for x2 in range(1, gf.order, 7):
+            if x2 != x1:
+                assert f.is_vanishing_pair(x1, x2) == (f.linearized_at(x1, x2) == 0)
 
 
 def test_is_vanishing_pair_matches_enumeration():

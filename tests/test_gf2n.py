@@ -140,6 +140,24 @@ def test_alpha_powers():
     assert acc == 1
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_subfield_matches_filter(n):
+    gf = GF(n)
+    for s in range(1, n + 1):
+        if n % s == 0:
+            assert gf.subfield(s) == [x for x in gf.elements() if gf.pow(x, 1 << s) == x]
+        else:
+            with pytest.raises(ValueError):
+                gf.subfield(s)
+
+
+def test_subfield_non_primitive_modulus():
+    gf = GF(4, modulus=0b11111)  # x^4+x^3+x^2+x+1: irreducible, x has order 5
+    assert gf.primitive_element() != 2
+    for s in (1, 2, 4):
+        assert gf.subfield(s) == [x for x in gf.elements() if gf.pow(x, 1 << s) == x]
+
+
 def test_cube_root_of_unity():
     for n in (2, 4, 6, 8):
         gf = GF(n)
