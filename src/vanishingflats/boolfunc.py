@@ -38,14 +38,26 @@ class FunctionTable:
 
     @classmethod
     def from_univariate(cls, gf, terms):
-        """Pointwise sum of monomials c * x^e for (c, e) in terms."""
-        values = [0] * gf.order
+        """Pointwise sum of monomials c * x^e for (c, e) in terms, from the exp
+        table: at x = alpha^k, c * x^e = alpha^(log c + k * e), an index taken
+        mod 2^n - 1. At x = 0 only the terms with e = 0 count (0^0 = 1)."""
+        exp = gf.alpha_powers()
+        q1 = len(exp)
+        at_zero = 0
+        acc = [0] * q1
         for c, e in terms:
             gf._check(c)
             if e < 0:
                 raise ValueError("exponents must be non-negative")
-            for x in gf.elements():
-                values[x] ^= gf.mul(c, gf.pow(x, e))
+            if c == 0:
+                continue
+            if e == 0:
+                at_zero ^= c
+            log_c, step = exp.index(c), e % q1
+            acc = [v ^ exp[(log_c + k * step) % q1] for k, v in enumerate(acc)]
+        values = [at_zero] * gf.order
+        for x, v in zip(exp, acc):
+            values[x] = v
         return cls(gf, values)
 
     def derivative(self, a):
@@ -122,15 +134,12 @@ class PowerFunction(FunctionTable):
     def __init__(self, gf, d):
         if d < 1:
             raise ValueError("monomial exponent must be positive")
-        # walk x = alpha^i and x^d = (alpha^d)^i together: two products a point
+        # walk x = alpha^i and x^d = (alpha^d)^i together, by table lookups
         alpha = gf.primitive_element()
-        alpha_d = gf.pow(alpha, d)
         values = [0] * gf.order
-        x = y = 1
-        for _ in range(gf.order - 1):
+        for x, y in zip(gf.powers(alpha, gf.order - 1),
+                        gf.powers(gf.pow(alpha, d), gf.order - 1)):
             values[x] = y
-            x = gf.mul(x, alpha)
-            y = gf.mul(y, alpha_d)
         super().__init__(gf, values)
         self.d = d
         self._hist1 = None

@@ -42,7 +42,7 @@ def parse_do_terms(gf, text):
     matches = _DO_TERM.findall(text)
     if ",".join(f"{i},{j}:{c}" for i, j, c in matches) != text:
         raise ValueError(f"bad DO terms {text!r}; expected comma-separated i,j:c entries")
-    return DOPolynomial(gf, {(int(i), int(j)): int(c) for i, j, c in matches})
+    return DOPolynomial(gf, [((int(i), int(j)), int(c)) for i, j, c in matches])
 
 
 def parse_univariate_terms(text):

@@ -13,6 +13,14 @@ from .gf2n import GF, as_int, as_int_list, as_list, echelon, require
 from .boolfunc import FunctionTable
 
 
+def _coset(base, basis):
+    """The 2^len(basis) points of base + span(basis), unsorted."""
+    pts = [base]
+    for b in basis:
+        pts += [p ^ b for p in pts]
+    return pts
+
+
 def rref_basis(vectors):
     """Reduced row-echelon basis of the span, as a descending tuple of ints.
 
@@ -45,10 +53,7 @@ class AffineSubspace:
         return len(self.basis)
 
     def points(self):
-        pts = [self.base]
-        for b in self.basis:
-            pts += [p ^ b for p in pts]
-        return sorted(pts)
+        return sorted(_coset(self.base, self.basis))
 
     def linear_part(self):
         """The associated linear subspace {p + base}, as a point set."""
@@ -70,16 +75,14 @@ class AffineSubspace:
     @classmethod
     def from_points(cls, pts):
         """Recover (base, basis) from a point set; raises if not an affine subspace."""
-        pts = sorted(set(pts))
-        base = pts[0]
-        diffs = {p ^ base for p in pts}
-        basis = rref_basis(diffs)
+        pts = set(pts)
+        base = min(pts)
+        # the 2^k distinct differences lie in their own span of size 2^k, so
+        # they are that span exactly and pts is base + span(basis)
+        basis = rref_basis([p ^ base for p in pts])
         if 1 << len(basis) != len(pts):
             raise ValueError("point set is not an affine subspace")
-        flat = cls(base, basis)
-        if set(flat.points()) != set(pts):
-            raise ValueError("point set is not an affine subspace")
-        return flat
+        return cls(base, basis)
 
 
 @dataclass
@@ -98,7 +101,11 @@ class Cover:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(GF.from_json(require(obj, "field")), require(obj, "dimension", as_int),
+        gf = GF.from_json(require(obj, "field"))
+        dimension = require(obj, "dimension", as_int)
+        if not 0 <= dimension <= gf.n:
+            raise ValueError(f"JSON field 'dimension' must be in [0, {gf.n}], got {dimension}")
+        return cls(gf, dimension,
                    [AffineSubspace.from_json(f) for f in require(obj, "flats", as_list)])
 
     def describe(self):
@@ -119,35 +126,50 @@ def trivial_cover(gf, basis):
     basis = rref_basis(basis)
     d = len(basis)
     flats = []
-    covered = set()
+    covered = bytearray(gf.order)
     for x in gf.elements():
-        if x not in covered:
-            flat = AffineSubspace(x, basis)
-            covered.update(flat.points())
-            flats.append(flat)
+        if not covered[x]:
+            flats.append(AffineSubspace(x, basis))
+            for p in _coset(x, basis):
+                covered[p] = 1
     return Cover(gf, d, flats)
 
 
 def verify_cover(cover):
     """True iff the flats are pairwise disjoint 2^d-point sets whose union is
-    exactly GF(2^n)."""
-    seen = set()
+    exactly GF(2^n).
+
+    There must be 2^(n-d) flats of dimension d, and each point is marked once
+    in a 2^n-byte array: O(2^n + F*d) for F flats, with no pair of flats
+    compared. 2^n distinct points, all in [0, 2^n), are exactly the field."""
+    q, d = cover.field.order, cover.dimension
+    if not 0 <= d <= cover.field.n or len(cover.flats) << d != q:
+        return False
+    marked = bytearray(q)
     for flat in cover.flats:
-        pts = flat.points()
-        if len(pts) != 1 << cover.dimension:
+        if len(flat.basis) != d:
             return False
-        if seen & set(pts):
+        # XORs of values in [0, 2^n) stay there, so checking the base and the
+        # basis range-checks every point; a negative base cannot wrap
+        if not 0 <= flat.base < q or not all(0 <= b < q for b in flat.basis):
             return False
-        seen.update(pts)
-    # 2^n distinct points, all in [0, 2^n), are exactly the field
-    return len(seen) == cover.field.order and min(seen) >= 0 and max(seen) < cover.field.order
+        for p in _coset(flat.base, flat.basis):
+            if marked[p]:
+                return False
+            marked[p] = 1
+    return True
 
 
 def overlapping_flats(cover):
-    """Indices (i, j) of flat pairs with intersecting point sets (diagnostics)."""
-    point_sets = [set(f.points()) for f in cover.flats]
-    return [(i, j) for i, j in combinations(range(len(point_sets)), 2)
-            if point_sets[i] & point_sets[j]]
+    """Indices (i, j), i < j and sorted, of flat pairs with intersecting point
+    sets (diagnostics). The owners of each point are collected in one pass, so
+    only pairs of flats that do meet are ever formed."""
+    owners = {}
+    for i, flat in enumerate(cover.flats):
+        for p in _coset(flat.base, flat.basis):
+            owners.setdefault(p, []).append(i)
+    return sorted({pair for own in owners.values() if len(own) > 1
+                   for pair in combinations(own, 2)})
 
 
 def verify_nonparallel(cover):
@@ -159,13 +181,19 @@ def verify_nonparallel(cover):
 
 
 def verify_totally_skew(cover):
-    """True iff every pair of linear parts intersects only in 0."""
+    """True iff every pair of linear parts intersects only in 0.
+
+    The nonzero points of every linear part are marked in one 2^n-byte array;
+    a point marked twice lies in two parts (parallel flats give exactly that).
+    O(F * 2^d) = O(2^n), with no pair of flats compared."""
     if not verify_cover(cover):
         raise ValueError("not a valid cover")
-    parts = [f.linear_part() for f in cover.flats]
-    for p, q in combinations(parts, 2):
-        if len(p & q) > 1:
-            return False
+    marked = bytearray(cover.field.order)
+    for flat in cover.flats:
+        for v in _coset(0, flat.basis)[1:]:
+            if marked[v]:
+                return False
+            marked[v] = 1
     return True
 
 
@@ -190,7 +218,7 @@ def image_cover(f, cover):
     flats = []
     for idx, flat in enumerate(cover.flats):
         try:
-            flats.append(AffineSubspace.from_points(f[p] for p in flat.points()))
+            flats.append(AffineSubspace.from_points(f[p] for p in _coset(flat.base, flat.basis)))
         except ValueError:
             raise ValueError(f"image of flat #{idx} (base {flat.base}) "
                              "is not an affine subspace") from None

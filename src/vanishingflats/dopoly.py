@@ -47,18 +47,19 @@ class BinaryMatrix:
 
 
 class DOPolynomial:
-    """Sparse coefficient map (i, j) -> c_ij with 0 <= i < j < n, c_ij != 0."""
+    """Sparse coefficient map (i, j) -> c_ij with 0 <= i < j < n, c_ij != 0.
+
+    coeffs is a mapping or an iterable of ((i, j), c) terms; the coefficients
+    of a repeated (i, j) add, i.e. XOR."""
 
     def __init__(self, gf, coeffs):
         self.field = gf
-        clean = {}
-        for (i, j), c in dict(coeffs).items():
+        total = {}
+        for (i, j), c in coeffs.items() if hasattr(coeffs, "items") else coeffs:
             if not 0 <= i < j < gf.n:
                 raise ValueError(f"term key ({i}, {j}) must satisfy 0 <= i < j < {gf.n}")
-            gf._check(c)
-            if c:
-                clean[(i, j)] = c
-        self.coeffs = clean
+            total[(i, j)] = total.get((i, j), 0) ^ gf._check(c)
+        self.coeffs = {key: c for key, c in total.items() if c}
 
     def __repr__(self):
         terms = " + ".join(f"{c}*x^(2^{i}+2^{j})" for (i, j), c in sorted(self.coeffs.items()))
@@ -91,19 +92,9 @@ class DOPolynomial:
         return rows
 
     def to_table(self):
-        """Value table from the exp table: at x = alpha^k, the term
-        c * x^e is alpha^(log c + k * e), an index computed mod 2^n - 1."""
-        gf = self.field
-        exp = gf.alpha_powers()
-        q1 = len(exp)
-        acc = [0] * q1
-        for (i, j), c in self.coeffs.items():
-            log_c, e = exp.index(c), (1 << i) + (1 << j)
-            acc = [v ^ exp[(log_c + k * e) % q1] for k, v in enumerate(acc)]
-        values = [0] * gf.order
-        for x, v in zip(exp, acc):
-            values[x] = v
-        return FunctionTable(gf, values)
+        """Value table of the univariate expansion, built from the exp table."""
+        return FunctionTable.from_univariate(
+            self.field, [(c, (1 << i) + (1 << j)) for (i, j), c in self.coeffs.items()])
 
     def linearized_at(self, a, x):
         """L_{f,a}(x), evaluated directly."""
@@ -164,8 +155,8 @@ class DOPolynomial:
     @classmethod
     def from_json(cls, obj):
         gf = GF.from_json(require(obj, "field"))
-        return cls(gf, {(require(t, "i", as_int), require(t, "j", as_int)):
-                        require(t, "c", as_int) for t in require(obj, "terms", as_list)})
+        return cls(gf, [((require(t, "i", as_int), require(t, "j", as_int)),
+                         require(t, "c", as_int)) for t in require(obj, "terms", as_list)])
 
 
 def random_do_polynomial(gf, support_size, seed):

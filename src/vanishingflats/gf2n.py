@@ -211,22 +211,38 @@ class GF:
             raise ValueError(f"GF(2^{s}) is not a subfield of GF(2^{self.n})")
         # {0} and the powers of beta = alpha^((2^n - 1)/(2^s - 1)), of order 2^s - 1
         beta = self.pow(self.primitive_element(), (self.order - 1) // ((1 << s) - 1))
-        elements = [0, 1]
-        for _ in range((1 << s) - 2):
-            elements.append(self.mul(elements[-1], beta))
-        return sorted(elements)
+        return sorted([0, *self.powers(beta, (1 << s) - 1)])
+
+    def mul_tables(self, c):
+        """(lo, hi), two 256-entry tables with c * x = lo[x & 255] ^ hi[x >> 8]
+        for every x in the field: x -> c * x is F_2-linear, so each table is
+        the XOR-span of the products c * x^k, k < 8 for lo and 8 <= k < 16 for hi."""
+        self._check(c)
+        n, mod = self.n, self.modulus
+        tables = ([0], [0])
+        for k in range(16):
+            table = tables[k >> 3]
+            table += [v ^ c for v in table]
+            c <<= 1
+            if c >> n & 1:
+                c ^= mod
+        return tables
+
+    def powers(self, g, count):
+        """Iterator over g^0, g^1, ..., g^(count - 1): each step is one product
+        by g, read from mul_tables(g)."""
+        lo, hi = self.mul_tables(g)
+        x = 1
+        for _ in range(count):
+            yield x
+            x = lo[x & 255] ^ hi[x >> 8]
 
     def _build_log_tables(self):
         if self._log is None:
-            alpha = self.primitive_element()
-            exp = [1] * (self.order - 1)
+            exp = list(self.powers(self.primitive_element(), self.order - 1))
             log = [0] * self.order
-            acc = 1
-            for i in range(1, self.order - 1):
-                acc = self.mul(acc, alpha)
-                exp[i] = acc
-                log[acc] = i
-            log[1] = 0
+            for i, x in enumerate(exp):
+                log[x] = i
             self._exp, self._log = exp, log
 
     def alpha_powers(self):

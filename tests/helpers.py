@@ -1,8 +1,10 @@
-"""Shared test utilities: random tables and random affine maps over GF(2^n)."""
+"""Shared test utilities: random tables, random affine maps and random covers
+over GF(2^n), and the pairwise definitions of the cover predicates as oracles."""
 
+from itertools import combinations
 import random
 
-from vanishingflats import BinaryMatrix, FunctionTable
+from vanishingflats import AffineSubspace, BinaryMatrix, Cover, FunctionTable
 
 
 def random_table(gf, rng):
@@ -33,3 +35,84 @@ def random_affine_map(gf, rng):
     m = BinaryMatrix(gf.n, [rng.randrange(gf.order) for _ in range(gf.n)])
     c = rng.randrange(gf.order)
     return [m.apply(x) ^ c for x in gf.elements()]
+
+
+def _combine(basis, bits):
+    """The XOR of the basis vectors selected by the bits of bits."""
+    return BinaryMatrix(len(basis), list(basis)).apply(bits)
+
+
+def random_cover(gf, d, rng):
+    """A random cover of dimension d by recursive splitting of GF(2^n).
+
+    A flat of dimension k > d, in a random basis w of its linear part, either
+    halves into base + span(w[1:]) and its parallel coset, or (for k >= 3 and
+    k >= d + 2) quarters into four flats whose linear parts are pairwise
+    distinct and share span(w[3:]): base + {0, w1}, base + w2 + {0, w2 + w3},
+    base + w1 + w2 + {0, w3} and base + w1 + w3 + {0, w1 + w2}, each plus
+    span(w[3:]). The pieces split on independently, so the cover mixes skew,
+    parallel and partially meeting pairs of linear parts."""
+    flats, todo = [], [(0, [1 << k for k in range(gf.n)])]
+    while todo:
+        base, basis = todo.pop()
+        k = len(basis)
+        w = [_combine(basis, col) for col in random_invertible_matrix(k, rng).columns]
+        if k == d:  # a random base and basis, so parts meet in sums, not shared vectors
+            flats.append(AffineSubspace(base ^ _combine(w, rng.randrange(1 << k)), tuple(w)))
+        elif k >= max(3, d + 2) and rng.random() < 0.5:
+            w1, w2, w3, *rest = w
+            todo += [(base, [w1, *rest]), (base ^ w2, [w2 ^ w3, *rest]),
+                     (base ^ w1 ^ w2, [w3, *rest]), (base ^ w1 ^ w3, [w1 ^ w2, *rest])]
+        else:
+            todo += [(base, w[1:]), (base ^ w[0], w[1:])]
+    rng.shuffle(flats)
+    return Cover(gf, d, flats)
+
+
+def corrupt_cover(cover, rng):
+    """A copy of cover with one flat spoiled: its base moved to a random point,
+    moved outside the field, or one basis vector dropped."""
+    flats = list(cover.flats)
+    i = rng.randrange(len(flats))
+    flat = flats[i]
+    kind = rng.choice(["move", "outside", "drop"] if flat.basis else ["move", "outside"])
+    if kind == "move":
+        flats[i] = AffineSubspace(rng.randrange(cover.field.order), flat.basis)
+    elif kind == "outside":
+        flats[i] = AffineSubspace(rng.choice([-1 - flat.base, flat.base + cover.field.order]),
+                                  flat.basis)
+    else:
+        flats[i] = AffineSubspace(flat.base, flat.basis[1:])
+    return Cover(cover.field, cover.dimension, flats)
+
+
+def _point_sets(cover):
+    return [set(f.points()) for f in cover.flats]
+
+
+def oracle_overlapping_pairs(cover):
+    """(i, j), i < j, for every pair of flats whose point sets meet."""
+    sets = _point_sets(cover)
+    return [(i, j) for i, j in combinations(range(len(sets)), 2) if sets[i] & sets[j]]
+
+
+def oracle_is_cover(cover):
+    """Every flat has dimension d and points in the field, no two flats meet,
+    and together they hold every point."""
+    q = cover.field.order
+    sets = _point_sets(cover)
+    return (all(f.dimension == cover.dimension for f in cover.flats)
+            and all(0 <= p < q for s in sets for p in s)
+            and not oracle_overlapping_pairs(cover)
+            and len(set().union(*sets)) == q)
+
+
+def oracle_nonparallel(cover):
+    """No two flats have the same linear part."""
+    return all(f.linear_part() != g.linear_part() for f, g in combinations(cover.flats, 2))
+
+
+def oracle_totally_skew(cover):
+    """Every two linear parts meet only in 0."""
+    return all(f.linear_part() & g.linear_part() == {0}
+               for f, g in combinations(cover.flats, 2))

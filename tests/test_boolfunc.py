@@ -36,6 +36,29 @@ def test_from_univariate():
         assert f[x] == gf.pow(x, 3) ^ x
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_from_univariate_matches_pointwise_pow(n):
+    gf = GF(n)
+    q = gf.order
+    rng = random.Random(n)
+    exponents = [0, 1, q - 2, q - 1, q, 2 * q + 3, 5 * (q - 1)]
+    for _ in range(4):
+        terms = [(rng.choice([0, 1, rng.randrange(q)]),
+                  rng.choice(exponents + [rng.randrange(3 * q)]))
+                 for _ in range(rng.randrange(1, 5))]
+        terms.append(terms[0])  # a repeated term cancels itself
+        expected = [0] * q
+        for c, e in terms:
+            for x in gf.elements():
+                expected[x] ^= gf.mul(c, gf.pow(x, e))
+        assert FunctionTable.from_univariate(gf, terms).values == expected
+    assert FunctionTable.from_univariate(gf, [(3 % q, 0)]).values == [3 % q] * q  # 0^0 = 1
+    with pytest.raises(ValueError):
+        FunctionTable.from_univariate(gf, [(1, -1)])
+    with pytest.raises(ValueError):
+        FunctionTable.from_univariate(gf, [(q, 1)])
+
+
 def test_delta_identity_function():
     gf = GF(4)
     f = FunctionTable.from_monomial(gf, 1)

@@ -155,6 +155,28 @@ def test_cover_verify_points_outside_field(capsys, tmp_path):
     assert json.loads(out)["valid"] is False
 
 
+@pytest.mark.parametrize("dimension", [-1, 64])
+def test_cover_verify_dimension_out_of_range_exit_2(capsys, tmp_path, dimension):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"field": {"n": 3, "modulus": 11}, "dimension": dimension,
+                                "flats": [{"base": 0, "basis": [1]}]}))
+    code = main(["cover", "verify", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'dimension'" in captured.err
+
+
+def test_repeated_do_terms_add(capsys):
+    # x^3 + x^3 = 0: the count of the zero function, as for --univariate
+    zero = run(capsys, "vflats", "count", "--n", "5", "--univariate", "1:3,1:3")
+    assert zero == (0, "1240\n")
+    assert run(capsys, "vflats", "count", "--n", "5", "--do", "0,1:1,0,1:1") == zero
+    assert run(capsys, "vflats", "count", "--n", "6", "--do", "0,3:1,0,3:2") == \
+        run(capsys, "vflats", "count", "--n", "6", "--do", "0,3:3")
+    assert parse_do_terms(GF(5), "0,1:1,2,3:4,0,1:2").coeffs == {(0, 1): 3, (2, 3): 4}
+
+
 def test_cover_verify_missing_key_exit_2(capsys, tmp_path):
     path = tmp_path / "cover.json"
     code, _ = run(capsys, "cover", "build", "gold2", "--n", "6", "--t", "2",

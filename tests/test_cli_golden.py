@@ -1,0 +1,70 @@
+"""Golden CLI output: the sha256 of stdout for a fixed set of commands.
+
+A change that claims identical output on these commands is held to it here.
+To re-record a hash after an intended output change, print
+hashlib.sha256(stdout).hexdigest() for the case and update GOLDEN.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from vanishingflats.cli import main
+
+
+def _stdout(capsys, argv):
+    main(argv)
+    return capsys.readouterr().out
+
+
+def _built_cover(capsys, tmp_path):
+    path = tmp_path / "built.json"
+    _stdout(capsys, ["cover", "build", "thm8", "--n", "12", "--t", "4", "--output", str(path)])
+    return path
+
+
+def _overlapping_cover(capsys, tmp_path):
+    """A gold2 cover with one flat duplicated and one base moved by 1."""
+    path = tmp_path / "overlap.json"
+    _stdout(capsys, ["cover", "build", "gold2", "--n", "6", "--t", "2", "--output", str(path)])
+    blob = json.loads(path.read_text())
+    blob["flats"][1] = blob["flats"][0]
+    blob["flats"][5]["base"] ^= 1
+    path.write_text(json.dumps(blob))
+    return path
+
+
+CASES = {
+    "thm8-12-4-json": ["cover", "build", "thm8", "--n", "12", "--t", "4", "--format", "json"],
+    "thm8-15-5-alpha-json": ["cover", "build", "thm8", "--n", "15", "--t", "5",
+                             "--alpha", "1234", "--format", "json"],
+    "gold2-9-3": ["cover", "build", "gold2", "--n", "9", "--t", "3"],
+    "verify-built": ["cover", "verify", "--input", _built_cover],
+    "verify-overlapping": ["cover", "verify", "--input", _overlapping_cover],
+    "spectrum-10-7-json": ["spectrum", "--n", "10", "--monomial", "7", "--format", "json"],
+    "vflats-list-7-7": ["vflats", "list", "--n", "7", "--monomial", "7"],
+    "vflats-count-8-univariate": ["vflats", "count", "--n", "8", "--univariate", "1:7,3:11"],
+}
+
+GOLDEN = {
+    "thm8-12-4-json": "eeeb1333440ad4e7c6315b796e7505dc1a459bd38d598122f451ad81be2c9407",
+    "thm8-15-5-alpha-json": "638f881af71047f23c4f74628538abf2a3455f65b629bd516f672999ba78f254",
+    "gold2-9-3": "d801ad098a70195e9afe66136acd5e99b3e9f5c25aa1f073c2322c2b864680f8",
+    "verify-built": "de50b4dfaf5514aa0563c0362d9b5c79d001343725995ec610bdcb59834e5a2f",
+    "verify-overlapping": "3aa3c45d6dfaf515f5500f9705fdaec51b5ec2a96242148e1c7cb98174e425fc",
+    "spectrum-10-7-json": "94f452ed86215bd8100dc587f555147122939b2171c962ef7bf0143c77341fc3",
+    "vflats-list-7-7": "0bbad5b3e9da44f215473ae0ffb1e5139a963ed2be611981082f37946d7d5221",
+    "vflats-count-8-univariate": "5e4d888a844cdde40bee4c109f3890130e787c006a092154df02f0627d979cd4",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stdout_matches_golden_hash(case, capsys, tmp_path):
+    argv = [str(a(capsys, tmp_path)) if callable(a) else a for a in CASES[case]]
+    out = _stdout(capsys, argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[case]
+
+
+def test_univariate_count_golden_value(capsys):
+    assert _stdout(capsys, CASES["vflats-count-8-univariate"]) == "2760\n"

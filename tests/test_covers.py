@@ -1,7 +1,11 @@
 import json
 import math
+import random
 
 import pytest
+
+from helpers import (corrupt_cover, oracle_is_cover, oracle_nonparallel,
+                     oracle_overlapping_pairs, oracle_totally_skew, random_cover)
 
 from vanishingflats import (
     GF,
@@ -191,6 +195,69 @@ def test_verify_cover_rejects_points_outside_field():
     gf = GF(2)
     outside = Cover(gf, 1, [AffineSubspace(0, (1,)), AffineSubspace(4, (1,))])
     assert not verify_cover(outside)
+
+
+def test_cover_from_json_checks_dimension_range():
+    blob = trivial_cover(GF(3), (1,)).to_json()
+    for bad in (-1, 4, 64):
+        blob["dimension"] = bad
+        with pytest.raises(ValueError, match="'dimension'"):
+            Cover.from_json(blob)
+    for good in (0, 3):  # in range, though not this cover's dimension
+        blob["dimension"] = good
+        assert not verify_cover(Cover.from_json(blob))
+
+
+def assert_matches_oracles(cover):
+    """The marking checks against the pairwise definitions."""
+    valid = oracle_is_cover(cover)
+    assert verify_cover(cover) == valid
+    assert overlapping_flats(cover) == oracle_overlapping_pairs(cover)
+    if valid:
+        assert verify_nonparallel(cover) == oracle_nonparallel(cover)
+        assert verify_totally_skew(cover) == oracle_totally_skew(cover)
+    else:
+        with pytest.raises(ValueError):
+            verify_nonparallel(cover)
+        with pytest.raises(ValueError):
+            verify_totally_skew(cover)
+    return valid
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_cover_checks_match_pairwise_oracles(n):
+    gf = GF(n)
+    rng = random.Random(n)
+    outcomes = set()
+    for d in range(n + 1):
+        for _ in range(4):
+            cover = random_cover(gf, d, rng)
+            assert assert_matches_oracles(cover)
+            outcomes.add((oracle_nonparallel(cover), oracle_totally_skew(cover)))
+            for _ in range(3):
+                assert_matches_oracles(corrupt_cover(cover, rng))
+    # parallel, totally skew, and (which needs d >= 2 in a 4-flat) nonparallel
+    # but partially meeting
+    assert {(False, False), (True, True)} <= outcomes
+    assert ((True, False) in outcomes) == (n >= 4)
+
+
+@pytest.mark.parametrize("n,t", [(6, 2), (9, 3), (10, 2)])
+def test_built_covers_match_pairwise_oracles(n, t):
+    triv, img = gold_cover(n, t)
+    for cover in (triv, img, theorem8_cover(n, t, alpha=3)):
+        assert assert_matches_oracles(cover)
+
+
+def test_cover_checks_on_negative_and_overlapping_points():
+    gf = GF(3)
+    negative = Cover(gf, 1, [AffineSubspace(-2, (1,)), *trivial_cover(gf, (1,)).flats[1:]])
+    assert not assert_matches_oracles(negative)
+    doubled = Cover(gf, 1, [AffineSubspace(0, (1,))] * 4)
+    assert overlapping_flats(doubled) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert not assert_matches_oracles(doubled)
+    assert not verify_cover(Cover(gf, -1, []))
+    assert not verify_cover(Cover(gf, 4, []))
 
 
 @pytest.mark.parametrize("path", [("field",), ("dimension",), ("flats",),

@@ -28,16 +28,21 @@ def univariate_terms(f):
     return [(c, (1 << i) + (1 << j)) for (i, j), c in f.coeffs.items()]
 
 
+def pointwise_table(f):
+    """f evaluated at every point by gf.pow, independent of the exp table."""
+    return FunctionTable(f.field, [f.evaluate(x) for x in f.field.elements()])
+
+
 def test_to_table_matches_univariate_expansion():
     gf = GF(6)
     f = random_do_polynomial(gf, 5, seed=17)
-    assert f.to_table() == FunctionTable.from_univariate(gf, univariate_terms(f))
+    assert f.to_table() == pointwise_table(f)
     for n in range(2, 11):
         gf = GF(n)
         max_support = n * (n - 1) // 2
         for seed in range(3):
             f = random_do_polynomial(gf, 1 + (seed * 3) % max_support, seed=seed)
-            assert f.to_table() == FunctionTable.from_univariate(gf, univariate_terms(f))
+            assert f.to_table() == pointwise_table(f)
         assert DOPolynomial(gf, {}).to_table() == FunctionTable(gf, [0] * gf.order)
 
 
@@ -49,6 +54,20 @@ def test_coefficient_validation():
         DOPolynomial(gf, {(0, 4): 1})
     # zero coefficients are dropped
     assert DOPolynomial(gf, {(0, 1): 0}).coeffs == {}
+
+
+def test_repeated_terms_add():
+    gf = GF(5)
+    assert DOPolynomial(gf, [((0, 1), 1), ((0, 1), 1)]).coeffs == {}
+    assert DOPolynomial(gf, [((0, 1), 1), ((2, 3), 4), ((0, 1), 2)]).coeffs == \
+        {(0, 1): 3, (2, 3): 4}
+    with pytest.raises(ValueError):  # each coefficient is checked before they add
+        DOPolynomial(gf, [((0, 1), 40), ((0, 1), 40)])
+    blob = {"field": gf.to_json(), "terms": [{"i": 0, "j": 1, "c": 1}, {"i": 0, "j": 1, "c": 1},
+                                             {"i": 1, "j": 3, "c": 6}, {"i": 1, "j": 3, "c": 5}]}
+    f = DOPolynomial.from_json(blob)
+    assert f.coeffs == {(1, 3): 3}
+    assert f.to_table() == FunctionTable.from_univariate(gf, [(1, 3), (1, 3), (6, 10), (5, 10)])
 
 
 def test_linearized_matrix_matches_pointwise():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +178,36 @@ def test_mul_log_table_agrees():
         for a in range(0, gf.order, 3):
             for b in range(0, gf.order, 5):
                 assert gf.mul(a, b) == gf.mul_via_log(a, b)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mul_tables_every_constant(n):
+    gf = GF(n)
+    for c in gf.elements():
+        lo, hi = gf.mul_tables(c)
+        assert len(lo) == len(hi) == 256
+        assert [lo[x & 255] ^ hi[x >> 8] for x in gf.elements()] == \
+            [gf.mul(c, x) for x in gf.elements()]
+
+
+def test_mul_tables_sampled_at_n16():
+    gf = GF(16)
+    rng = random.Random(16)
+    alpha = gf.primitive_element()
+    for c in [0, 1, alpha, gf.order - 1] + [rng.randrange(gf.order) for _ in range(8)]:
+        lo, hi = gf.mul_tables(c)
+        for x in [0, 1, 255, 256, gf.order - 1] + [rng.randrange(gf.order) for _ in range(1500)]:
+            assert lo[x & 255] ^ hi[x >> 8] == gf.mul(c, x)
+    with pytest.raises(ValueError):
+        gf.mul_tables(gf.order)
+
+
+def test_powers_walk():
+    gf = GF(7)
+    g = 37
+    assert list(gf.powers(g, 300)) == [gf.pow(g, k) for k in range(300)]
+    assert list(gf.powers(0, 3)) == [1, 0, 0]
+    assert list(gf.powers(g, 0)) == []
 
 
 def test_default_moduli_all_valid():
