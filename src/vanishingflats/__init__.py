@@ -10,6 +10,7 @@ from .vflats import (
     canonical_block,
     enumerate_flats,
     count_via_spectrum,
+    count_from_spectrum,
     flats_through_pair,
     bounds,
     map_blocks,
@@ -18,7 +19,7 @@ from .vflats import (
     family_exponent,
     KNOWN_MONOMIAL_COUNTS,
 )
-from .dopoly import DOPolynomial, BinaryMatrix, random_do_polynomial
+from .dopoly import DOPolynomial, BinaryMatrix, QuadraticFunction, random_do_polynomial
 from .covers import (
     AffineSubspace,
     Cover,
@@ -29,6 +30,7 @@ from .covers import (
     verify_cover,
     verify_nonparallel,
     verify_totally_skew,
+    cover_properties,
     parallel_decomposition,
     gold_cover,
     theorem8_cover,

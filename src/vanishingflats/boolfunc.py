@@ -2,6 +2,7 @@
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .gf2n import GF, as_int_list, require
 
@@ -86,20 +87,34 @@ class FunctionTable:
         """True iff delta_f(a) = 2, i.e. the derivative along a is 2-to-1."""
         return max(self.histogram(a).values()) == 2
 
+    def _direction_classes(self):
+        """Yield (directions, shape, at_zero) for classes of directions a that
+        share one histogram shape: shape maps each nonzero value of
+        delta_f(a, .) to the number of b taking it, and at_zero is
+        delta_f(a, f(a) + f(0)). Generic tables: one class per direction."""
+        t = self.values
+        for a in range(1, self.field.order):
+            hist = self.histogram(a)
+            yield (a,), Counter(hist.values()), hist[t[a] ^ t[0]]
+
     def spectrum(self):
-        """Full differential spectrum; one histogram per direction."""
-        n_elems = self.field.order
+        """Full differential spectrum, one histogram shape per direction class."""
+        q = self.field.order
         counts = Counter()
         per_direction = {}
-        for a in range(1, n_elems):
-            hist = self.histogram(a)
-            counts[0] += n_elems - len(hist)
-            counts.update(hist.values())
-            per_direction[a] = max(hist.values())
+        through_zero = 0
+        for directions, shape, at_zero in self._direction_classes():
+            m = len(directions)
+            counts[0] += m * (q - sum(shape.values()))
+            for k, l in shape.items():
+                counts[k] += m * l
+            per_direction.update(zip(directions, repeat(max(shape))))
+            through_zero += m * at_zero
         return DifferentialSpectrum(
             counts=dict(sorted(counts.items())),
             uniformity=max(per_direction.values()),
             per_direction=per_direction,
+            through_zero=through_zero,
         )
 
     def critical_directions(self):
@@ -125,8 +140,8 @@ class PowerFunction(FunctionTable):
     "Differential properties of power functions", 2010). spectrum() and
     delta() therefore cost O(2^n) once, against O(4^n) for a generic table;
     count_via_spectrum, bounds, critical_directions and the cyclic-code
-    weights inherit that. The generic kernel stays available as the oracle
-    through FunctionTable(gf, f.values).
+    weights inherit that through _direction_classes. The generic kernel
+    stays available as the oracle through FunctionTable(gf, f.values).
     """
 
     __slots__ = ("d", "_hist1")
@@ -156,28 +171,24 @@ class PowerFunction(FunctionTable):
         self.field._check(a)
         return self._histogram1()[self.field.div(b, self.values[a])]
 
-    def spectrum(self):
-        """Every direction has the histogram of a = 1: each l_k is q - 1 times
-        its count there, and every per-direction uniformity is its maximum."""
+    def _direction_classes(self):
+        """One class: every direction has the histogram of a = 1, and
+        f(a) + f(0) = a^d, so at_zero = delta_f(1, 1)."""
         hist = self._histogram1()
-        q = self.field.order
-        counts = Counter({0: q - len(hist)})
-        counts.update(hist.values())
-        uniformity = max(hist.values())
-        return DifferentialSpectrum(
-            counts={k: (q - 1) * l for k, l in sorted(counts.items())},
-            uniformity=uniformity,
-            per_direction=dict.fromkeys(range(1, q), uniformity),
-        )
+        yield range(1, self.field.order), Counter(hist.values()), hist[1]
 
 
 @dataclass
 class DifferentialSpectrum:
-    """counts maps each even value 2i to its frequency l_{2i} over all (a, b)."""
+    """counts maps each even value 2i to its frequency l_{2i} over all (a, b).
+
+    through_zero is the sum over a != 0 of delta_f(a, f(a) + f(0)); each
+    vanishing flat through 0 holds three pairs (0, a), so it gives N3."""
 
     counts: dict
     uniformity: int
     per_direction: dict = field(repr=False)
+    through_zero: int = field(repr=False)
 
     def to_json(self):
         return {

@@ -11,7 +11,7 @@ import sys
 from .gf2n import GF, MAX_DEGREE, kloosterman
 from .boolfunc import FunctionTable
 from . import vflats, covers, cycliccode
-from .dopoly import DOPolynomial
+from .dopoly import DOPolynomial, QuadraticFunction
 
 
 def _add_field_args(p):
@@ -61,9 +61,7 @@ def load_function(args):
     if args.monomial is not None:
         return FunctionTable.from_monomial(gf, args.monomial)
     if args.do is not None:
-        # "--do TERMS" splits i,j:c differently from univariate: pass through a
-        # combined parser so `0,3:1` means c_{0,3} = 1
-        return parse_do_terms(gf, args.do).to_table()
+        return QuadraticFunction(parse_do_terms(gf, args.do))
     if args.univariate is not None:
         return FunctionTable.from_univariate(gf, parse_univariate_terms(args.univariate))
     with open(args.table_file) as fh:
@@ -148,12 +146,9 @@ def cmd_cover(args):
     if args.action == "verify":
         with open(args.input) as fh:
             cover = covers.Cover.from_json(json.load(fh))
-        if covers.verify_cover(cover):
-            print(json.dumps({
-                "valid": True,
-                "nonparallel": covers.verify_nonparallel(cover),
-                "totally_skew": covers.verify_totally_skew(cover),
-            }))
+        props = covers.cover_properties(cover)
+        if props["valid"]:
+            print(json.dumps(props))
             return 0
         bad = covers.overlapping_flats(cover)
         print(json.dumps({"valid": False, "overlapping_flat_pairs": bad}))
@@ -165,15 +160,16 @@ def cmd_cover(args):
     else:
         cover = covers.theorem8_cover(args.n, args.t, alpha=args.alpha or 1,
                                       modulus=args.modulus)
+    props = covers.cover_properties(cover)
+    if not props["valid"]:
+        raise ValueError("not a valid cover")
     summary = {
         "kind": args.kind,
         "n": args.n,
         "t": args.t,
         "dimension": cover.dimension,
         "flats": len(cover),
-        "valid": covers.verify_cover(cover),
-        "nonparallel": covers.verify_nonparallel(cover),
-        "totally_skew": covers.verify_totally_skew(cover),
+        **props,
     }
     if args.output:
         with open(args.output, "w") as fh:

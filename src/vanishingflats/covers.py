@@ -176,18 +176,34 @@ def verify_nonparallel(cover):
     """True iff all linear parts are pairwise distinct."""
     if not verify_cover(cover):
         raise ValueError("not a valid cover")
+    return _nonparallel(cover)
+
+
+def verify_totally_skew(cover):
+    """True iff every pair of linear parts intersects only in 0."""
+    if not verify_cover(cover):
+        raise ValueError("not a valid cover")
+    return _totally_skew(cover)
+
+
+def cover_properties(cover):
+    """{"valid", "nonparallel", "totally_skew"} from one validity pass; an
+    invalid cover gives {"valid": False} alone."""
+    if not verify_cover(cover):
+        return {"valid": False}
+    return {"valid": True, "nonparallel": _nonparallel(cover),
+            "totally_skew": _totally_skew(cover)}
+
+
+def _nonparallel(cover):
     parts = [f.canonical_linear_basis() for f in cover.flats]
     return len(set(parts)) == len(parts)
 
 
-def verify_totally_skew(cover):
-    """True iff every pair of linear parts intersects only in 0.
-
-    The nonzero points of every linear part are marked in one 2^n-byte array;
-    a point marked twice lies in two parts (parallel flats give exactly that).
-    O(F * 2^d) = O(2^n), with no pair of flats compared."""
-    if not verify_cover(cover):
-        raise ValueError("not a valid cover")
+def _totally_skew(cover):
+    """The nonzero points of every linear part are marked in one 2^n-byte
+    array; a point marked twice lies in two parts (parallel flats give
+    exactly that). O(F * 2^d) = O(2^n), with no pair of flats compared."""
     marked = bytearray(cover.field.order)
     for flat in cover.flats:
         for v in _coset(0, flat.basis)[1:]:

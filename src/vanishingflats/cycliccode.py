@@ -48,10 +48,16 @@ class ParityCheckSpec:
 
 
 def weight_counts_from_flats(f):
-    """(N3, N4): the vanishing flats of f through 0 and avoiding 0, without
-    enumerating. A flat through 0 holds three of the pairs (0, a)."""
-    n3 = sum(vflats.flats_through_pair(f, 0, a) for a in range(1, f.field.order)) // 3
-    return n3, vflats.count_via_spectrum(f) - n3
+    """(N3, N4): the vanishing flats of f through 0 and avoiding 0, from one
+    spectrum and without enumerating. The flats through 0 and a number
+    delta_f(a, f(a) + f(0))/2 - 1, and a flat through 0 holds three of the
+    pairs (0, a), so N3 = (through_zero/2 - (2^n - 1)) / 3."""
+    spec = f.spectrum()
+    through_pairs = spec.through_zero // 2 - (f.field.order - 1)
+    if through_pairs % 3 != 0:
+        raise ArithmeticError("flats through 0 not counted three times each")
+    n3 = through_pairs // 3
+    return n3, vflats.count_from_spectrum(spec) - n3
 
 
 def direct_low_weight_counts(spec, max_weight):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 import math
 
-from .gf2n import GF, as_int_list, as_list, kloosterman, require
+from .gf2n import GF, as_int, as_int_list, as_list, kloosterman, require
 from .boolfunc import FunctionTable
 
 _SHIFT = 16  # blocks pack four 16-bit point encodings into one int
@@ -68,9 +68,22 @@ class PartialQuadrupleSystem:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(GF.from_json(require(obj, "field")),
-                   [tuple(as_int_list(f"blocks[{i}]", b))
-                    for i, b in enumerate(require(obj, "blocks", as_list))])
+        """Every block point must lie in [0, 2^n), and block_count, when
+        present, must equal the number of blocks."""
+        gf = GF.from_json(require(obj, "field"))
+        blocks = []
+        for i, b in enumerate(require(obj, "blocks", as_list)):
+            key = f"blocks[{i}]"
+            block = as_int_list(key, b)
+            if not all(0 <= p < gf.order for p in block):
+                raise ValueError(f"JSON field {key!r} has a point outside [0, {gf.order}): {block}")
+            blocks.append(tuple(block))
+        if "block_count" in obj:
+            count = require(obj, "block_count", as_int)
+            if count != len(blocks):
+                raise ValueError(f"JSON field 'block_count' is {count}, "
+                                 f"but there are {len(blocks)} blocks")
+        return cls(gf, blocks)
 
     def to_text(self):
         return "\n".join(" ".join(map(str, b)) for b in self.blocks)
@@ -117,10 +130,16 @@ def count_via_spectrum(f):
     Each flat is derived exactly three times over the (a, b) pairs, so the
     count is (1/3) * sum over (a, b) of C(delta_f(a,b)/2, 2), that is
     (1/3) * sum_k l_k * C(k/2, 2). The spectrum costs O(4^n) for a generic
-    table and O(2^n) for a PowerFunction (x^d from FunctionTable.from_monomial),
-    whose every direction has the histogram of a = 1.
+    table, O(2^n) for a PowerFunction (x^d from FunctionTable.from_monomial),
+    whose every direction has the histogram of a = 1, and O(2^n n^2) for a
+    dopoly.QuadraticFunction, whose histograms come from ranks.
     """
-    total = sum(l * math.comb(k // 2, 2) for k, l in f.spectrum().counts.items())
+    return count_from_spectrum(f.spectrum())
+
+
+def count_from_spectrum(spec):
+    """The block count (1/3) * sum_k l_k * C(k/2, 2) of a DifferentialSpectrum."""
+    total = sum(l * math.comb(k // 2, 2) for k, l in spec.counts.items())
     if total % 3 != 0:
         raise ArithmeticError("triple-cover identity violated: count not divisible by 3")
     return total // 3

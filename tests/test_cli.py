@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vanishingflats import GF, PartialQuadrupleSystem
+from vanishingflats import GF, PartialQuadrupleSystem, covers
 from vanishingflats.cli import main, parse_do_terms, parse_univariate_terms
 
 
@@ -143,6 +143,21 @@ def test_reducible_modulus_exit_2(capsys):
                     "--monomial", "3")
     assert code == 2
     assert out == ""
+
+
+def test_cover_commands_verify_each_cover_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    real = covers.verify_cover
+    monkeypatch.setattr(covers, "verify_cover", lambda c: calls.append(c) or real(c))
+    path = tmp_path / "cover.json"
+    code, out = run(capsys, "cover", "build", "thm8", "--n", "9", "--t", "3",
+                    "--output", str(path))
+    assert code == 0 and "nonparallel=True totally_skew=True" in out
+    assert len(calls) == 1
+    code, out = run(capsys, "cover", "verify", "--input", str(path))
+    assert code == 0
+    assert json.loads(out) == {"valid": True, "nonparallel": True, "totally_skew": True}
+    assert len(calls) == 2
 
 
 def test_cover_verify_points_outside_field(capsys, tmp_path):

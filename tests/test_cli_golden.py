@@ -45,6 +45,10 @@ CASES = {
     "spectrum-10-7-json": ["spectrum", "--n", "10", "--monomial", "7", "--format", "json"],
     "vflats-list-7-7": ["vflats", "list", "--n", "7", "--monomial", "7"],
     "vflats-count-8-univariate": ["vflats", "count", "--n", "8", "--univariate", "1:7,3:11"],
+    "spectrum-10-do-json": ["spectrum", "--n", "10", "--do", "0,3:1,1,5:7,2,9:300",
+                            "--format", "json"],
+    "vflats-count-12-do": ["vflats", "count", "--n", "12", "--do",
+                           "0,1:5,2,7:91,3,11:1234,4,6:77"],
 }
 
 GOLDEN = {
@@ -56,6 +60,8 @@ GOLDEN = {
     "spectrum-10-7-json": "94f452ed86215bd8100dc587f555147122939b2171c962ef7bf0143c77341fc3",
     "vflats-list-7-7": "0bbad5b3e9da44f215473ae0ffb1e5139a963ed2be611981082f37946d7d5221",
     "vflats-count-8-univariate": "5e4d888a844cdde40bee4c109f3890130e787c006a092154df02f0627d979cd4",
+    "spectrum-10-do-json": "d5bd55873bf8ddc099743dfd1e25be05e81e22694ddccb1f0d8a1f83f88c177e",
+    "vflats-count-12-do": "2d41557d435cdbd7263c00824e1023fc87de4dcdc894cf0259d7c5bc8b930288",
 }
 
 
@@ -68,3 +74,7 @@ def test_stdout_matches_golden_hash(case, capsys, tmp_path):
 
 def test_univariate_count_golden_value(capsys):
     assert _stdout(capsys, CASES["vflats-count-8-univariate"]) == "2760\n"
+
+
+def test_do_count_golden_value(capsys):
+    assert _stdout(capsys, CASES["vflats-count-12-do"]) == "714752\n"

@@ -274,6 +274,12 @@ F4 = {"n": 2, "modulus": 7}
     (PartialQuadrupleSystem, {"field": F4, "blocks": [5]}, "blocks[0]"),
     (DOPolynomial, {"field": F4, "terms": [{"i": 0, "j": 1, "c": "1"}]}, "c"),
     (DOPolynomial, {"field": F4, "terms": {"i": 0}}, "terms"),
+    (PartialQuadrupleSystem, {"field": {"n": 3, "modulus": 11},
+                              "blocks": [[100, 101, 102, 103]]}, "blocks[0]"),
+    (PartialQuadrupleSystem, {"field": F4, "block_count": 99, "blocks": [[0, 1, 2, 3]]},
+     "block_count"),
+    (PartialQuadrupleSystem, {"field": F4, "block_count": "1", "blocks": [[0, 1, 2, 3]]},
+     "block_count"),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
 def test_from_json_rejects_wrong_types(cls, blob, field):
     with pytest.raises(ValueError, match=re.escape(repr(field))):
