@@ -61,11 +61,13 @@ class FunctionTable:
             values[x] = v
         return cls(gf, values)
 
+    def _check_direction(self, a):
+        if not 0 < a < self.field.order:
+            raise ValueError(f"direction {a} must be a nonzero element of {self.field!r}")
+
     def derivative(self, a):
         """Value table of x -> f(x+a) + f(x)."""
-        if a == 0:
-            raise ValueError("direction a must be nonzero")
-        self.field._check(a)
+        self._check_direction(a)
         t = self.values
         return [t[x ^ a] ^ t[x] for x in range(len(t))]
 
@@ -78,10 +80,24 @@ class FunctionTable:
         """E_f(a), the image set of the derivative along a."""
         return set(self.derivative(a))
 
+    def half_derivatives(self, directions=None):
+        """Yield (a, half, values) for each direction a, all a != 0 by default:
+        half lists the x with the top bit of a clear (the x < x+a) and values
+        lists D_a f on half. D_a f(x) = D_a f(x+a), so each b occurs
+        delta_f(a, b)/2 times. In increasing order, directions sharing a top
+        bit share one half list."""
+        t, q, top = self.values, self.field.order, 0
+        for a in range(1, q) if directions is None else directions:
+            self._check_direction(a)
+            h = 1 << (a.bit_length() - 1)
+            if h != top:
+                top, half = h, [x for x in range(q) if not x & h]
+            yield a, half, [t[x ^ a] ^ t[x] for x in half]
+
     def histogram(self, a):
-        """b -> delta_f(a, b) for each value b the derivative along a takes;
-        every spectral statistic is derived from these histograms."""
-        return Counter(self.derivative(a))
+        """b -> delta_f(a, b) for each b taken: the half_derivatives counts, doubled."""
+        (_, _, values), = self.half_derivatives((a,))
+        return Counter({b: 2 * c for b, c in Counter(values).items()})
 
     def is_partially_apn(self, a):
         """True iff delta_f(a) = 2, i.e. the derivative along a is 2-to-1."""
@@ -91,11 +107,13 @@ class FunctionTable:
         """Yield (directions, shape, at_zero) for classes of directions a that
         share one histogram shape: shape maps each nonzero value of
         delta_f(a, .) to the number of b taking it, and at_zero is
-        delta_f(a, f(a) + f(0)). Generic tables: one class per direction."""
+        delta_f(a, f(a) + f(0)). Generic tables: one class per direction,
+        with the half-space counts of half_derivatives doubled."""
         t = self.values
-        for a in range(1, self.field.order):
-            hist = self.histogram(a)
-            yield (a,), Counter(hist.values()), hist[t[a] ^ t[0]]
+        for a, _, values in self.half_derivatives():
+            hist = Counter(values)
+            shape = Counter({2 * k: l for k, l in Counter(hist.values()).items()})
+            yield (a,), shape, 2 * hist[t[a] ^ t[0]]
 
     def spectrum(self):
         """Full differential spectrum, one histogram shape per direction class."""
@@ -166,9 +184,7 @@ class PowerFunction(FunctionTable):
 
     def delta(self, a, b):
         """delta_f(1, b / a^d)."""
-        if a == 0:
-            raise ValueError("direction a must be nonzero")
-        self.field._check(a)
+        self._check_direction(a)
         return self._histogram1()[self.field.div(b, self.values[a])]
 
     def _direction_classes(self):

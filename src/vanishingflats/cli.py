@@ -94,6 +94,11 @@ def cmd_spectrum(args):
     return 0
 
 
+# Most blocks `vflats list|pqs-export` prints: listing the 690,880 blocks of
+# x^1 at n = 8 (every 2-flat) peaks at about 200 MB RSS.
+LIST_LIMIT = 1_000_000
+
+
 def cmd_vflats(args):
     f = load_function(args)
     if args.mode == "count":
@@ -101,7 +106,7 @@ def cmd_vflats(args):
         _emit(args, {"n": args.n, "block_count": count}, [str(count)],
               [("block_count", count)])
         return 0
-    pqs = vflats.enumerate_flats(f)
+    pqs = vflats.enumerate_flats(f, limit=LIST_LIMIT)
     if args.mode == "list":
         _emit(args, pqs.to_json(),
               [f"{len(pqs)} blocks"] + [" ".join(map(str, b)) for b in pqs.blocks],

@@ -298,15 +298,12 @@ def skew_condition_check(f, x, y):
     sets are pairwise disjoint."""
     if x == 0 or y == 0 or x == y:
         raise ValueError("x, y, x+y must be nonzero and distinct")
-    vals = [f[0] ^ f[x] ^ f[y] ^ f[x ^ y]]
-    if vals[0] != 0:
+    if f[0] ^ f[x] ^ f[y] ^ f[x ^ y] != 0:
         raise ValueError("{0, x, y, x+y} is not a vanishing flat of f")
-    directions = (x, y, x ^ y)
     images = []
-    for a in directions:
+    for a in (x, y, x ^ y):
         hist = f.histogram(a)
         if max(hist.values()) != 4:
             return False
         images.append(set(hist))
-    return (not images[0] & images[1] and not images[0] & images[2]
-            and not images[1] & images[2])
+    return len(set().union(*images)) == sum(map(len, images))

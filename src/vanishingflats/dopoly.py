@@ -211,9 +211,7 @@ class QuadraticFunction(FunctionTable):
 
     def delta(self, a, b):
         """2^(n-h) if b + f(a) + f(0) is in the image of L_{f,a}, else 0."""
-        if a == 0:
-            raise ValueError("direction a must be nonzero")
-        self.field._check(a)
+        self._check_direction(a)
         self.field._check(b)
         basis = echelon(self._columns(a))
         t = self.values

@@ -3,6 +3,9 @@
 A vanishing flat of f is a 2-dimensional flat {x1, x2, x3, x4} (four distinct
 points with XOR zero) on which the values of f also XOR to zero. The block set
 of all vanishing flats makes (GF(2^n), blocks) a partial quadruple system.
+
+A flat lies along three directions. The count divides the pair statistics by
+three; the enumeration emits each flat along the least of them only.
 """
 
 from collections import defaultdict
@@ -14,20 +17,6 @@ import math
 
 from .gf2n import GF, as_int, as_int_list, as_list, kloosterman, require
 from .boolfunc import FunctionTable
-
-_SHIFT = 16  # blocks pack four 16-bit point encodings into one int
-
-
-def _pack(block):
-    x1, x2, x3, x4 = sorted(block)
-    return ((x1 << _SHIFT * 3) | (x2 << _SHIFT * 2) | (x3 << _SHIFT) | x4)
-
-
-def _unpack(key):
-    mask = (1 << _SHIFT) - 1
-    return (key >> _SHIFT * 3 & mask, key >> _SHIFT * 2 & mask,
-            key >> _SHIFT & mask, key & mask)
-
 
 def canonical_block(points):
     """Sorted 4-tuple form of a block; validates the 2-flat conditions."""
@@ -89,45 +78,40 @@ class PartialQuadrupleSystem:
         return "\n".join(" ".join(map(str, b)) for b in self.blocks)
 
 
-def _direction_blocks(f, a):
-    """Packed candidate blocks seen along direction a (one emit per direction).
+def enumerate_flats(f, limit=None):
+    """The partial quadruple system of f, each block emitted once.
 
-    Points are bucketed by the derivative value; a same-bucket pair
-    (x, y) with x < x+a, y < y+a yields the flat {x, x+a, y, y+a}.
+    A flat {x, x+a, y, y+a} with D_a f(x) = D_a f(y) and x < y in the half
+    of a (FunctionTable.half_derivatives) lies along a, x+y and x+y+a. a is
+    the least of them iff x+y has a bit above the top bit of a, and then
+    x < x+a < y < y+a: the block is emitted there alone, already sorted.
+    More than limit blocks raise a ValueError that gives the exact count.
     """
-    table = f.values
-    buckets = defaultdict(list)
-    for x in range(len(table)):
-        y = x ^ a
-        if x < y:
-            buckets[table[x] ^ table[y]].append(x)
-    out = []
-    for xs in buckets.values():
-        if len(xs) > 1:
-            for x, y in combinations(xs, 2):
-                out.append(_pack((x, x ^ a, y, y ^ a)))
-    return out
-
-
-def candidate_blocks(f):
-    """All per-direction emits, before deduplication (each flat appears 3 times)."""
-    for a in range(1, f.field.order):
-        yield from _direction_blocks(f, a)
-
-
-def enumerate_flats(f):
-    """The partial quadruple system of f, by direction bucketing."""
-    keys = set(candidate_blocks(f))
-    pqs = PartialQuadrupleSystem.__new__(PartialQuadrupleSystem)
-    pqs.field = f.field
-    pqs.blocks = [_unpack(k) for k in sorted(keys)]
+    blocks = []
+    for a, half, values in f.half_derivatives():
+        shift = a.bit_length()
+        buckets = defaultdict(list)
+        for x, v in zip(half, values):
+            buckets[v].append(x)
+        for xs in buckets.values():
+            if len(xs) > 1:
+                for x, y in combinations(xs, 2):
+                    if (x ^ y) >> shift:
+                        blocks.append((x, x ^ a, y, y ^ a))
+        if limit is not None and len(blocks) > limit:
+            raise ValueError(f"{count_via_spectrum(f)} vanishing flats, "
+                             f"more than the limit of {limit}")
+    blocks.sort()
+    pqs = PartialQuadrupleSystem(f.field, [])  # blocks are canonical and sorted
+    pqs.blocks = blocks
     return pqs
 
 
 def count_via_spectrum(f):
     """Block count from the differential spectrum alone, without materializing.
 
-    Each flat is derived exactly three times over the (a, b) pairs, so the
+    Each flat {x, x+a, y, y+a} is derived exactly three times over the
+    (a, b) pairs, once along each of its directions a, x+y and x+y+a, so the
     count is (1/3) * sum over (a, b) of C(delta_f(a,b)/2, 2), that is
     (1/3) * sum_k l_k * C(k/2, 2). The spectrum costs O(4^n) for a generic
     table, O(2^n) for a PowerFunction (x^d from FunctionTable.from_monomial),

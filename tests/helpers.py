@@ -1,6 +1,9 @@
 """Shared test utilities: random tables, random affine maps and random covers
-over GF(2^n), and the pairwise definitions of the cover predicates as oracles."""
+over GF(2^n), the pairwise definitions of the cover predicates as oracles, and
+two vanishing-flat oracles that share no code with the package's kernels: a
+brute force over all 2-flats and the Walsh fourth moment."""
 
+from collections import defaultdict
 from itertools import combinations
 import random
 
@@ -116,3 +119,54 @@ def oracle_totally_skew(cover):
     """Every two linear parts meet only in 0."""
     return all(f.linear_part() & g.linear_part() == {0}
                for f, g in combinations(cover.flats, 2))
+
+
+def brute_force_flats(f):
+    """Every vanishing flat of f as a sorted 4-tuple, in increasing order: all
+    2-flats {x, y, z, x^y^z} with x < y < z < x^y^z on which f sums to 0."""
+    t = f.values
+    return [(x, y, z, x ^ y ^ z) for x, y, z in combinations(range(len(t)), 3)
+            if x ^ y ^ z > z and t[x] ^ t[y] ^ t[z] ^ t[x ^ y ^ z] == 0]
+
+
+def direction_emits(f):
+    """Each vanishing flat once per direction it lies along: for every a != 0,
+    all points x bucketed by f(x) + f(x+a), and every two pairs {x, x+a} of a
+    bucket joined into a sorted 4-tuple."""
+    t = f.values
+    emits = []
+    for a in range(1, len(t)):
+        buckets = defaultdict(set)
+        for x in range(len(t)):
+            buckets[t[x] ^ t[x ^ a]].add(min(x, x ^ a))
+        for xs in buckets.values():
+            emits += [tuple(sorted((x, x ^ a, y, y ^ a))) for x, y in combinations(xs, 2)]
+    return emits
+
+
+def _walsh_hadamard(vec):
+    """In-place fast Walsh-Hadamard transform of a list of length 2^n."""
+    h = 1
+    while h < len(vec):
+        for i in range(0, len(vec), 2 * h):
+            for j in range(i, i + h):
+                vec[j], vec[j + h] = vec[j] + vec[j + h], vec[j] - vec[j + h]
+        h *= 2
+    return vec
+
+
+def walsh_flat_count(values):
+    """The vanishing-flat count from the Walsh fourth moment (Chabaud and
+    Vaudenay, EUROCRYPT 1994). With W_f(u, v) = sum_x (-1)^(v.f(x) + u.x),
+    S = 2^(-2n) sum_{u,v} W_f(u, v)^4 counts the (x, y, z, w) with
+    x+y+z+w = 0 and f(x)+f(y)+f(z)+f(w) = 0. Of these, 3q^2 - 2q have two
+    equal points, and each flat gives 24 orderings of its distinct points."""
+    q = len(values)
+    total = 0
+    for v in range(q):
+        signs = [1 - 2 * (bin(v & y).count("1") & 1) for y in values]
+        total += sum(w ** 4 for w in _walsh_hadamard(signs))
+    s, rem = divmod(total, q * q)
+    count, rem24 = divmod(s - 3 * q * q + 2 * q, 24)
+    assert rem == 0 and rem24 == 0, "fourth moment is not a flat count"
+    return count

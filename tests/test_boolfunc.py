@@ -140,6 +140,26 @@ def test_histogram_is_delta_row():
         assert all(hist[b] == f.delta(a, b) for b in gf.elements())
 
 
+def test_half_derivatives_visit_each_pair_once():
+    gf = GF(5)
+    f = random_table(gf, random.Random(11))
+    seen = list(f.half_derivatives())
+    assert [a for a, _, _ in seen] == list(range(1, gf.order))
+    for a, half, values in seen:
+        assert half == [x for x in gf.elements() if x < x ^ a]
+        assert values == [f[x] ^ f[x ^ a] for x in half]
+        doubled = Counter(values + values)
+        assert doubled == Counter(f.derivative(a)) == f.histogram(a)
+    # directions with one top bit share one half list
+    assert seen[3][1] is seen[6][1] and seen[2][1] is not seen[3][1]  # a = 4..7 vs 3
+    assert [a for a, _, _ in f.half_derivatives((3, 17))] == [3, 17]
+    for bad in (0, gf.order):
+        with pytest.raises(ValueError):
+            list(f.half_derivatives((bad,)))
+        with pytest.raises(ValueError):
+            f.histogram(bad)
+
+
 def test_partially_apn_matches_image_size():
     gf = GF(6)
     rng = random.Random(99)

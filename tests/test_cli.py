@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vanishingflats import GF, PartialQuadrupleSystem, covers
+from vanishingflats import GF, PartialQuadrupleSystem, cli, covers, vflats
 from vanishingflats.cli import main, parse_do_terms, parse_univariate_terms
 
 
@@ -37,6 +37,31 @@ def test_vflats_pqs_export_roundtrip(capsys):
     pqs = PartialQuadrupleSystem.from_json(json.loads(out))
     assert pqs.field == GF(4)
     assert len(pqs) == 20
+
+
+@pytest.mark.parametrize("mode", ["list", "pqs-export"])
+def test_vflats_listing_limit_exit_2_with_count(capsys, monkeypatch, mode):
+    monkeypatch.setattr(cli, "LIST_LIMIT", 1007)
+    code = main(["vflats", mode, "--n", "6", "--monomial", "9"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: 1008 vanishing flats, more than the limit of 1007\n"
+    monkeypatch.setattr(cli, "LIST_LIMIT", 1008)
+    code, out = run(capsys, "vflats", mode, "--n", "6", "--monomial", "9")
+    assert code == 0
+    assert (out.splitlines()[0] == "1008 blocks" if mode == "list"
+            else json.loads(out)["block_count"] == 1008)
+
+
+def test_vflats_list_runs_no_spectrum_pass(capsys, monkeypatch):
+    def no_spectrum(f):
+        raise AssertionError("spectrum pass on the list path")
+    monkeypatch.setattr(vflats, "count_via_spectrum", no_spectrum)
+    monkeypatch.setattr(vflats.FunctionTable, "spectrum", no_spectrum)
+    code, out = run(capsys, "vflats", "list", "--n", "6", "--univariate", "1:7,3:11")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == f"{len(lines) - 1} blocks"
 
 
 def test_spectrum_examples(capsys):

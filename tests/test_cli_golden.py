@@ -49,6 +49,9 @@ CASES = {
                             "--format", "json"],
     "vflats-count-12-do": ["vflats", "count", "--n", "12", "--do",
                            "0,1:5,2,7:91,3,11:1234,4,6:77"],
+    "spectrum-8-univariate-json": ["spectrum", "--n", "8", "--univariate", "1:7,3:11,5:13",
+                                   "--format", "json"],
+    "vflats-list-8-univariate": ["vflats", "list", "--n", "8", "--univariate", "1:7,3:11,5:13"],
 }
 
 GOLDEN = {
@@ -62,6 +65,8 @@ GOLDEN = {
     "vflats-count-8-univariate": "5e4d888a844cdde40bee4c109f3890130e787c006a092154df02f0627d979cd4",
     "spectrum-10-do-json": "d5bd55873bf8ddc099743dfd1e25be05e81e22694ddccb1f0d8a1f83f88c177e",
     "vflats-count-12-do": "2d41557d435cdbd7263c00824e1023fc87de4dcdc894cf0259d7c5bc8b930288",
+    "spectrum-8-univariate-json": "ad0dba2389a6d354d7f033df1545599636e242792460f88b3a42a7a4de7e704c",
+    "vflats-list-8-univariate": "0ae2847e1a80dc11a6bea54cdfe508d8e5e4dfe61b6b817b9a9775eb8d292f0d",
 }
 
 

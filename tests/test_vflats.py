@@ -17,10 +17,18 @@ from vanishingflats import (
     isomorphism_witness_check,
     closed_form_count,
     family_exponent,
+    KNOWN_MONOMIAL_COUNTS,
 )
-from vanishingflats.vflats import candidate_blocks, _unpack
+from vanishingflats.dopoly import random_do_polynomial
 
-from helpers import random_table, random_affine_permutation, random_affine_map
+from helpers import (
+    brute_force_flats,
+    direction_emits,
+    random_table,
+    random_affine_permutation,
+    random_affine_map,
+    walsh_flat_count,
+)
 
 
 def test_canonical_block_validation():
@@ -66,9 +74,60 @@ def test_triple_cover():
     gf = GF(4)
     for d in (1, 5, 14):
         f = FunctionTable.from_monomial(gf, d)
-        emitted = list(candidate_blocks(f))
+        emitted = direction_emits(f)
         assert len(emitted) == 3 * len(set(emitted))
         assert Counter(Counter(emitted).values()) in (Counter(), Counter({3: len(set(emitted))}))
+        assert set(emitted) == enumerate_flats(f).block_set()
+
+
+def _oracle_functions(gf, rng):
+    q = gf.order
+    yield from (random_table(gf, rng) for _ in range(3))
+    yield from (FunctionTable.from_monomial(gf, d) for d in (1, 3, 7, q - 2))
+    for support in range(1, min(3, gf.n * (gf.n - 1) // 2) + 1):
+        yield random_do_polynomial(gf, support, seed=rng.randrange(1000)).to_table()
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_enumeration_matches_brute_force(n):
+    gf = GF(n)
+    for f in _oracle_functions(gf, random.Random(700 + n)):
+        blocks = enumerate_flats(f).blocks
+        assert blocks == brute_force_flats(f)
+        assert all(b[0] < b[1] < b[2] < b[3] for b in blocks)
+        assert all(b < c for b, c in zip(blocks, blocks[1:]))
+
+
+@pytest.mark.parametrize("n", (7, 8))
+def test_walsh_fourth_moment_oracle(n):
+    gf = GF(n)
+    f = random_table(gf, random.Random(800 + n))
+    count = walsh_flat_count(f.values)
+    assert count_via_spectrum(f) == count
+    assert len(enumerate_flats(f)) == count
+
+
+def test_walsh_fourth_moment_oracle_univariate():
+    f = FunctionTable.from_univariate(GF(8), [(1, 7), (3, 11), (5, 13)])
+    count = walsh_flat_count(f.values)
+    assert count == 2753
+    assert count_via_spectrum(f) == len(enumerate_flats(f)) == count
+
+
+def test_walsh_fourth_moment_oracle_known_counts():
+    gf = GF(6)
+    for d, expected in KNOWN_MONOMIAL_COUNTS[6]:
+        assert walsh_flat_count(FunctionTable.from_monomial(gf, d).values) == expected
+
+
+def test_enumeration_limit_is_exact():
+    f = FunctionTable.from_monomial(GF(6), 9)
+    assert len(enumerate_flats(f, limit=1008)) == 1008
+    with pytest.raises(ValueError, match="^1008 vanishing flats, more than the limit of 1007$"):
+        enumerate_flats(f, limit=1007)
+    with pytest.raises(ValueError):
+        enumerate_flats(f, limit=0)
+    assert len(enumerate_flats(FunctionTable.from_monomial(GF(5), 3), limit=0)) == 0
 
 
 def test_flats_through_pair():
