@@ -2,7 +2,7 @@
 vanishing flats, partial quadruple systems, Dembowski-Ostrom rank counts, and
 covers of the vector space by disjoint equidimensional affine subspaces."""
 
-from .gf2n import GF, FieldElement, kloosterman, DEFAULT_MODULI
+from .gf2n import GF, kloosterman, DEFAULT_MODULI
 from .boolfunc import FunctionTable, PowerFunction, DifferentialSpectrum
 from .vflats import (
     PartialQuadrupleSystem,

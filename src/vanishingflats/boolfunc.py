@@ -155,11 +155,11 @@ class PowerFunction(FunctionTable):
 
     D_a f(x) = a^d * D_1 f(x/a), so delta_f(a, b) = delta_f(1, b/a^d) and every
     direction has the histogram of a = 1 (Blondeau, Canteaut and Charpin,
-    "Differential properties of power functions", 2010). spectrum() and
-    delta() therefore cost O(2^n) once, against O(4^n) for a generic table;
-    count_via_spectrum, bounds, critical_directions and the cyclic-code
-    weights inherit that through _direction_classes. The generic kernel
-    stays available as the oracle through FunctionTable(gf, f.values).
+    "Differential properties of power functions", 2010). spectrum() therefore
+    costs O(2^n) once, against O(4^n) for a generic table; count_via_spectrum,
+    bounds, critical_directions and the cyclic-code weights inherit that
+    through _direction_classes. delta(a, b) is the inherited kernel, and
+    FunctionTable(gf, f.values) stays the generic oracle.
     """
 
     __slots__ = ("d", "_hist1")
@@ -181,11 +181,6 @@ class PowerFunction(FunctionTable):
         if self._hist1 is None:
             self._hist1 = self.histogram(1)
         return self._hist1
-
-    def delta(self, a, b):
-        """delta_f(1, b / a^d)."""
-        self._check_direction(a)
-        return self._histogram1()[self.field.div(b, self.values[a])]
 
     def _direction_classes(self):
         """One class: every direction has the histogram of a = 1, and

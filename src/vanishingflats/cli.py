@@ -69,14 +69,17 @@ def load_function(args):
     return FunctionTable(gf, values)
 
 
-def _emit(args, payload, text_lines, csv_rows=None):
+def _emit(args, payload, lines, rows):
+    """Print the one format --format picks, and build only that one:
+    payload is a zero-argument function giving the JSON object, and lines
+    (text) and rows (CSV) are iterables, lazy where they are large."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv" and csv_rows is not None:
-        for row in csv_rows:
+        print(json.dumps(payload(), indent=2))
+    elif args.format == "csv":
+        for row in rows:
             print(",".join(map(str, row)))
     else:
-        for line in text_lines:
+        for line in lines:
             print(line)
 
 
@@ -84,13 +87,16 @@ def cmd_spectrum(args):
     f = load_function(args)
     spec = f.spectrum()
     q1 = f.field.order - 1
-    lines = [f"uniformity {spec.uniformity}"]
-    for k, l in spec.csv_rows():
-        w = f"  (w={l // q1})" if l % q1 == 0 else ""
-        lines.append(f"l_{k} = {l}{w}")
-    dirs = sorted(set(spec.per_direction.values()))
-    lines.append("per-direction uniformities: " + ", ".join(map(str, dirs)))
-    _emit(args, spec.to_json(), lines, spec.csv_rows())
+
+    def lines():
+        yield f"uniformity {spec.uniformity}"
+        for k, l in spec.csv_rows():
+            w = f"  (w={l // q1})" if l % q1 == 0 else ""
+            yield f"l_{k} = {l}{w}"
+        dirs = sorted(set(spec.per_direction.values()))
+        yield "per-direction uniformities: " + ", ".join(map(str, dirs))
+
+    _emit(args, spec.to_json, lines(), spec.csv_rows())
     return 0
 
 
@@ -103,14 +109,17 @@ def cmd_vflats(args):
     f = load_function(args)
     if args.mode == "count":
         count = vflats.count_via_spectrum(f)
-        _emit(args, {"n": args.n, "block_count": count}, [str(count)],
+        _emit(args, lambda: {"n": args.n, "block_count": count}, [str(count)],
               [("block_count", count)])
         return 0
     pqs = vflats.enumerate_flats(f, limit=LIST_LIMIT)
     if args.mode == "list":
-        _emit(args, pqs.to_json(),
-              [f"{len(pqs)} blocks"] + [" ".join(map(str, b)) for b in pqs.blocks],
-              [b for b in pqs.blocks])
+        def lines():
+            yield f"{len(pqs)} blocks"
+            if pqs.blocks:
+                yield pqs.to_text()
+
+        _emit(args, pqs.to_json, lines(), pqs.blocks)
     else:  # pqs-export
         print(json.dumps(pqs.to_json()))
     return 0
@@ -142,8 +151,7 @@ def cmd_table(args):
             line += f" {'PASS' if ok else f'FAIL (brute force {brute})'}"
         lines.append(line)
         rows.append((args.family, args.n, args.t, count))
-    payload = {"results": lines, "failures": failures}
-    _emit(args, payload, lines, rows)
+    _emit(args, lambda: {"results": lines, "failures": failures}, lines, rows)
     return 1 if failures else 0
 
 
@@ -179,35 +187,27 @@ def cmd_cover(args):
     if args.output:
         with open(args.output, "w") as fh:
             json.dump(cover.to_json(), fh)
-    if args.format == "json":
-        payload = dict(summary)
-        payload["cover"] = cover.to_json()
-        print(json.dumps(payload, indent=2))
-    else:
-        print(" ".join(f"{k}={v}" for k, v in summary.items()))
+
+    def lines():
+        yield " ".join(f"{k}={v}" for k, v in summary.items())
         if cover.dimension <= 3 and args.verbose:
-            print(cover.describe())
+            yield cover.describe()
+
+    _emit(args, lambda: {**summary, "cover": cover.to_json()}, lines(), summary.items())
     return 0
 
 
 def cmd_codeweights(args):
     gf = GF(args.n, args.modulus)
     rep = cycliccode.report(gf, args.d, method=args.method)
-    if args.format == "json":
-        print(json.dumps(rep, indent=2))
-    else:
-        print(" ".join(f"{k}={v}" for k, v in rep.items()))
+    _emit(args, lambda: rep, [" ".join(f"{k}={v}" for k, v in rep.items())], rep.items())
     return 1 if rep.get("agree") is False else 0
 
 
 def cmd_kloosterman(args):
     ns = range(2, 17) if args.n is None else [args.n]
     values = {n: kloosterman(n) for n in ns}
-    if args.format == "json":
-        print(json.dumps({str(n): v for n, v in values.items()}))
-    else:
-        for n, v in values.items():
-            print(f"K({n}) = {v}")
+    _emit(args, lambda: values, (f"K({n}) = {v}" for n, v in values.items()), values.items())
     return 0
 
 

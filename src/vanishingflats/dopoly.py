@@ -12,8 +12,8 @@ walks the directions in Gray-code order: each step flips one bit of a, XORs
 one polar row into the columns and takes one F_2 rank, with no field product.
 
 QuadraticFunction is the value table of a DO polynomial (what `--do` loads).
-It reads the columns of each L_{f,a} off the table instead, and its spectrum,
-count and delta come from those ranks in O(2^n n^2), against O(4^n) for the
+It reads the columns of each L_{f,a} off the table instead, and its spectrum
+and count come from those ranks in O(2^n n^2), against O(4^n) for the
 generic histogram pass. The two rank routes share only `echelon`, so the
 polar-row count and the table-read spectrum cross-check each other.
 """
@@ -174,15 +174,17 @@ class QuadraticFunction(FunctionTable):
     Column k of L_{f,a} is read off the table as
     f(a + e_k) + f(a) + f(e_k) + f(0), so the ranks cost O(2^n n^2) and
     spectrum(), count_via_spectrum and the cyclic-code weights inherit that
-    through _direction_classes, against O(4^n) for a generic table. This
-    route is independent of DOPolynomial.rank_multiset, which walks the
-    polar rows; FunctionTable(gf, f.values) stays the generic oracle.
+    through _direction_classes, against O(4^n) for a generic table.
+    delta(a, b) is the inherited kernel. This route is independent of
+    DOPolynomial.rank_multiset, which walks the polar rows;
+    FunctionTable(gf, f.values) stays the generic oracle.
     """
 
     __slots__ = ("poly", "_ranks")
 
     def __init__(self, poly):
-        super().__init__(poly.field, poly.to_table().values)
+        table = poly.to_table()  # range-checked once, by FunctionTable
+        self.field, self.values = table.field, table.values
         self.poly = poly
         self._ranks = None
 
@@ -208,16 +210,6 @@ class QuadraticFunction(FunctionTable):
             classes.setdefault(h, []).append(a)
         for h, directions in classes.items():
             yield directions, {1 << (n - h): 1 << h}, 1 << (n - h)
-
-    def delta(self, a, b):
-        """2^(n-h) if b + f(a) + f(0) is in the image of L_{f,a}, else 0."""
-        self._check_direction(a)
-        self.field._check(b)
-        basis = echelon(self._columns(a))
-        t = self.values
-        if len(echelon(basis + [b ^ t[a] ^ t[0]])) > len(basis):
-            return 0
-        return 1 << (self.field.n - len(basis))
 
 
 def random_do_polynomial(gf, support_size, seed):

@@ -5,7 +5,6 @@ modulus is an (n+1)-bit integer encoding an irreducible polynomial the same
 way.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import math
@@ -119,7 +118,6 @@ class GF:
                 raise ValueError(f"modulus {modulus:#x} is reducible: it shares a factor "
                                  f"with x^(2^{i}) + x")
         self._primitive = None
-        self._log = None
         self._exp = None
 
     def __eq__(self, other):
@@ -237,30 +235,11 @@ class GF:
             yield x
             x = lo[x & 255] ^ hi[x >> 8]
 
-    def _build_log_tables(self):
-        if self._log is None:
-            exp = list(self.powers(self.primitive_element(), self.order - 1))
-            log = [0] * self.order
-            for i, x in enumerate(exp):
-                log[x] = i
-            self._exp, self._log = exp, log
-
     def alpha_powers(self):
         """[alpha^0, ..., alpha^(2^n - 2)] for alpha = primitive_element()."""
-        self._build_log_tables()
+        if self._exp is None:
+            self._exp = list(self.powers(self.primitive_element(), self.order - 1))
         return list(self._exp)
-
-    def mul_via_log(self, a, b):
-        """Log/antilog-table product; agrees bit-exactly with mul()."""
-        self._check(a)
-        self._check(b)
-        if a == 0 or b == 0:
-            return 0
-        self._build_log_tables()
-        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
-
-    def element(self, value):
-        return FieldElement(self, self._check(value))
 
     def to_json(self):
         return {"n": self.n, "modulus": self.modulus}
@@ -268,47 +247,6 @@ class GF:
     @classmethod
     def from_json(cls, obj):
         return cls(require(obj, "n", as_int), require(obj, "modulus", as_int))
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element bound to its field, with operator sugar and field checks."""
-
-    field: GF
-    value: int
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError(f"mismatched fields: {self.field!r} vs {other.field!r}")
-            return other.value
-        return self.field._check(other)
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.value ^ self._coerce(other))
-
-    __radd__ = __add__
-    __sub__ = __add__
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.value, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, d):
-        return FieldElement(self.field, self.field.pow(self.value, d))
-
-    def __invert__(self):
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.value, self._coerce(other)))
-
-    def __int__(self):
-        return self.value
-
-    def __bool__(self):
-        return self.value != 0
 
 
 @lru_cache(maxsize=None)

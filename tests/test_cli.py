@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vanishingflats import GF, PartialQuadrupleSystem, cli, covers, vflats
+from vanishingflats import GF, PartialQuadrupleSystem, cli, covers, kloosterman, vflats
 from vanishingflats.cli import main, parse_do_terms, parse_univariate_terms
 
 
@@ -62,6 +62,16 @@ def test_vflats_list_runs_no_spectrum_pass(capsys, monkeypatch):
     code, out = run(capsys, "vflats", "list", "--n", "6", "--univariate", "1:7,3:11")
     lines = out.splitlines()
     assert code == 0 and lines[0] == f"{len(lines) - 1} blocks"
+
+
+def test_vflats_list_text_builds_no_json(capsys, monkeypatch):
+    def no_json(pqs):
+        raise AssertionError("JSON copy built on the text path")
+    monkeypatch.setattr(PartialQuadrupleSystem, "to_json", no_json)
+    code, out = run(capsys, "vflats", "list", "--n", "6", "--univariate", "1:7,3:11")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == f"{len(lines) - 1} blocks"
+    assert all(len(line.split()) == 4 for line in lines[1:])
 
 
 def test_spectrum_examples(capsys):
@@ -160,6 +170,33 @@ def test_kloosterman_command(capsys):
     values = json.loads(out)
     assert values["7"] == -12
     assert len(values) == 15
+
+
+def test_csv_output_of_summary_commands(capsys):
+    code, out = run(capsys, "codeweights", "--n", "6", "--d", "9", "--format", "csv")
+    assert code == 0
+    assert out == "n,6\nd,9\nmethod,flats\nN3,63\nN4,945\n"
+    code, out = run(capsys, "codeweights", "--n", "6", "--d", "9", "--method", "both",
+                    "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[-3:] == ["direct_N3,63", "direct_N4,945", "agree,True"]
+    code, out = run(capsys, "kloosterman", "--n", "6", "--format", "csv")
+    assert code == 0
+    assert out == "6,-8\n"
+    code, out = run(capsys, "kloosterman", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == [f"{n},{kloosterman(n)}" for n in range(2, 17)]
+    code, out = run(capsys, "cover", "build", "gold2", "--n", "6", "--t", "2", "--verbose",
+                    "--format", "csv")
+    assert code == 0
+    assert out == ("kind,gold2\nn,6\nt,2\ndimension,2\nflats,16\n"
+                   "valid,True\nnonparallel,True\ntotally_skew,True\n")
+
+
+def test_kloosterman_json_is_indented(capsys):
+    code, out = run(capsys, "kloosterman", "--n", "6", "--format", "json")
+    assert code == 0
+    assert out == '{\n  "6": -8\n}\n'
 
 
 def test_reducible_modulus_exit_2(capsys):

@@ -52,6 +52,15 @@ CASES = {
     "spectrum-8-univariate-json": ["spectrum", "--n", "8", "--univariate", "1:7,3:11,5:13",
                                    "--format", "json"],
     "vflats-list-8-univariate": ["vflats", "list", "--n", "8", "--univariate", "1:7,3:11,5:13"],
+    "vflats-list-7-7-json": ["vflats", "list", "--n", "7", "--monomial", "7", "--format", "json"],
+    "vflats-list-7-7-csv": ["vflats", "list", "--n", "7", "--monomial", "7", "--format", "csv"],
+    "vflats-list-5-3-apn": ["vflats", "list", "--n", "5", "--monomial", "3"],
+    "pqs-export-6-9": ["vflats", "pqs-export", "--n", "6", "--monomial", "9"],
+    "codeweights-9-9": ["codeweights", "--n", "9", "--d", "9"],
+    "codeweights-9-9-json": ["codeweights", "--n", "9", "--d", "9", "--format", "json"],
+    "gold2-6-2-verbose": ["cover", "build", "gold2", "--n", "6", "--t", "2", "--verbose"],
+    "spectrum-9-5-csv": ["spectrum", "--n", "9", "--monomial", "5", "--format", "csv"],
+    "table2-6-csv": ["table", "table2", "--n", "6", "--format", "csv"],
 }
 
 GOLDEN = {
@@ -67,6 +76,15 @@ GOLDEN = {
     "vflats-count-12-do": "2d41557d435cdbd7263c00824e1023fc87de4dcdc894cf0259d7c5bc8b930288",
     "spectrum-8-univariate-json": "ad0dba2389a6d354d7f033df1545599636e242792460f88b3a42a7a4de7e704c",
     "vflats-list-8-univariate": "0ae2847e1a80dc11a6bea54cdfe508d8e5e4dfe61b6b817b9a9775eb8d292f0d",
+    "vflats-list-7-7-json": "5c8a3b42d705e1b7fe995f6ae79aaabe09e317e85a6a5c9b75347326bf464694",
+    "vflats-list-7-7-csv": "c1e127b10243d128e23f37d94f691c031cb6238ce37ff73827f44d9f2f6301ec",
+    "vflats-list-5-3-apn": "1e0abd588610c5ff8ccdd74b5c35cb644b5851645f982c8ffc28aac5c381f1f5",
+    "pqs-export-6-9": "5584356599fd1f4d8e9bff8838c269095cec5875c5ac74efa69658c4098e5e92",
+    "codeweights-9-9": "576c11276eb61030efaa9cc57ab6c64e02de002dba58b00b41a59e42f7844e2d",
+    "codeweights-9-9-json": "dca8bfb03b4034c74bf3dfb4e96382913670131e58a8ffb376339b9cf5cdb6c5",
+    "gold2-6-2-verbose": "e498b2eb664b6d70fd15cba02e946ab39b18ba3036d772eac85e9493c4fed813",
+    "spectrum-9-5-csv": "51c88b59e95f7d3063ea854ae659a221b266c3f4716adccccc3e57118f29a680",
+    "table2-6-csv": "0fd59e2f928924078d77577176d0da49d94de5163036bca707da4b048a6dc3c2",
 }
 
 
@@ -83,3 +101,7 @@ def test_univariate_count_golden_value(capsys):
 
 def test_do_count_golden_value(capsys):
     assert _stdout(capsys, CASES["vflats-count-12-do"]) == "714752\n"
+
+
+def test_apn_listing_is_header_only(capsys):
+    assert _stdout(capsys, CASES["vflats-list-5-3-apn"]) == "0 blocks\n"

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import re
 
-from vanishingflats import (GF, AffineSubspace, Cover, DOPolynomial, FieldElement,
-                            FunctionTable, PartialQuadrupleSystem, kloosterman)
+from vanishingflats import (GF, AffineSubspace, Cover, DOPolynomial, FunctionTable,
+                            PartialQuadrupleSystem, kloosterman)
 from vanishingflats.gf2n import DEFAULT_MODULI
 
 
@@ -172,14 +172,6 @@ def test_cube_root_of_unity():
         GF(5).cube_root_of_unity()
 
 
-def test_mul_log_table_agrees():
-    for n in (3, 6, 8):
-        gf = GF(n)
-        for a in range(0, gf.order, 3):
-            for b in range(0, gf.order, 5):
-                assert gf.mul(a, b) == gf.mul_via_log(a, b)
-
-
 @pytest.mark.parametrize("n", range(2, 9))
 def test_mul_tables_every_constant(n):
     gf = GF(n)
@@ -233,22 +225,6 @@ def test_kloosterman_matches_direct_sum():
         num = (-1) ** (n - 1) * total
         assert num % (1 << (n - 1)) == 0
         assert kloosterman(n) == 1 + num // (1 << (n - 1))
-
-
-def test_field_element_wrapper():
-    gf = GF(4)
-    a = gf.element(5)
-    b = gf.element(9)
-    assert int(a + b) == 5 ^ 9
-    assert int(a * b) == gf.mul(5, 9)
-    assert int(a ** 3) == gf.pow(5, 3)
-    assert int(~a) == gf.inv(5)
-    assert int(a / b) == gf.div(5, 9)
-    other = GF(4, 0b11001).element(1)
-    with pytest.raises(ValueError):
-        a + other
-    with pytest.raises(ValueError):
-        a * other
 
 
 def test_field_spec_serialization():
