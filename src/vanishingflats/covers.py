@@ -105,8 +105,14 @@ class Cover:
         dimension = require(obj, "dimension", as_int)
         if not 0 <= dimension <= gf.n:
             raise ValueError(f"JSON field 'dimension' must be in [0, {gf.n}], got {dimension}")
-        return cls(gf, dimension,
-                   [AffineSubspace.from_json(f) for f in require(obj, "flats", as_list)])
+        flats = [AffineSubspace.from_json(f) for f in require(obj, "flats", as_list)]
+        for i, flat in enumerate(flats):
+            # more than n independent vectors cannot lie in GF(2^n), and the
+            # 2^dimension points of such a flat would be listed by diagnostics
+            if flat.dimension > gf.n:
+                raise ValueError(f"JSON field 'flats[{i}]' has {flat.dimension} independent "
+                                 f"basis vectors, more than n = {gf.n}")
+        return cls(gf, dimension, flats)
 
     def describe(self):
         """Human-readable listing of each flat's points (sensible for d <= 3)."""

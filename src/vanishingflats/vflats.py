@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, starmap
 import math
 
 from .gf2n import GF, as_int, as_int_list, as_list, kloosterman, require
@@ -75,7 +75,7 @@ class PartialQuadrupleSystem:
         return cls(gf, blocks)
 
     def to_text(self):
-        return "\n".join(" ".join(map(str, b)) for b in self.blocks)
+        return "\n".join(starmap("{} {} {} {}".format, self.blocks))
 
 
 def enumerate_flats(f, limit=None):
@@ -85,19 +85,30 @@ def enumerate_flats(f, limit=None):
     of a (FunctionTable.half_derivatives) lies along a, x+y and x+y+a. a is
     the least of them iff x+y has a bit above the top bit of a, and then
     x < x+a < y < y+a: the block is emitted there alone, already sorted.
+
+    Only a < 2^(n-1) is walked: the three directions of a flat XOR to 0, so
+    two of them share the highest bit set in any of them and the third, the
+    least, lacks it. Collisions are found by C-level dict and set operations:
+    last maps each value of D_a f to the last (largest) x of the half taking
+    it, so a direction with as many values as points has no flat, and
+    otherwise only the points that are not last of their value are bucketed,
+    in increasing order, each bucket closed by last[v].
     More than limit blocks raise a ValueError that gives the exact count.
     """
-    blocks = []
-    for a, half, values in f.half_derivatives():
+    t, blocks = f.values, []
+    for a, half, values in f.half_derivatives(range(1, f.field.order >> 1)):
+        last = dict(zip(values, half))
+        if len(last) == len(half):
+            continue
         shift = a.bit_length()
         buckets = defaultdict(list)
-        for x, v in zip(half, values):
-            buckets[v].append(x)
-        for xs in buckets.values():
-            if len(xs) > 1:
-                for x, y in combinations(xs, 2):
-                    if (x ^ y) >> shift:
-                        blocks.append((x, x ^ a, y, y ^ a))
+        for x in sorted(set(half).difference(last.values())):
+            buckets[t[x ^ a] ^ t[x]].append(x)
+        for v, xs in buckets.items():
+            xs.append(last[v])
+            for x, y in combinations(xs, 2):
+                if (x ^ y) >> shift:
+                    blocks.append((x, x ^ a, y, y ^ a))
         if limit is not None and len(blocks) > limit:
             raise ValueError(f"{count_via_spectrum(f)} vanishing flats, "
                              f"more than the limit of {limit}")

@@ -112,6 +112,20 @@ def test_table1_examples(capsys):
     assert out == "d7 n=16: 175262435 PASS\n"
 
 
+def test_table1_csv_rows_carry_t_and_status(capsys, monkeypatch):
+    code, out = run(capsys, "table", "table1", "--n", "7", "--family", "d7", "--format", "csv")
+    assert (code, out) == (0, "d7,7,,889,PASS\n")
+    code, out = run(capsys, "table", "table1", "--n", "6", "--family", "gold", "--t", "3",
+                    "--format", "csv")
+    assert (code, out) == (0, "gold,6,3,1008,PASS\n")
+    # beyond n = 16 no field is built, so there is no brute force to compare
+    code, out = run(capsys, "table", "table1", "--n", "20", "--family", "d7", "--format", "csv")
+    assert (code, out) == (0, f"d7,20,,{vflats.closed_form_count('d7', 20)},unchecked\n")
+    monkeypatch.setattr(vflats, "closed_form_count", lambda family, n, t=None: 890)
+    code, out = run(capsys, "table", "table1", "--n", "7", "--family", "d7", "--format", "csv")
+    assert (code, out) == (1, "d7,7,,890,FAIL\n")
+
+
 def test_cover_build_gold2(capsys):
     code, out = run(capsys, "cover", "build", "gold2", "--n", "6", "--t", "2")
     assert code == 0
@@ -230,6 +244,19 @@ def test_cover_verify_points_outside_field(capsys, tmp_path):
     code, out = run(capsys, "cover", "verify", "--input", str(path))
     assert code == 1
     assert json.loads(out)["valid"] is False
+
+
+def test_cover_verify_flat_wider_than_field_exit_2(capsys, tmp_path):
+    # 40 independent vectors: listing the overlaps would mark 2^40 points
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"field": {"n": 3, "modulus": 11}, "dimension": 1,
+                                "flats": [{"base": 0, "basis": [1]},
+                                          {"base": 0, "basis": [1 << k for k in range(40)]}]}))
+    code = main(["cover", "verify", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'flats[1]'" in captured.err
 
 
 @pytest.mark.parametrize("dimension", [-1, 64])

@@ -61,6 +61,11 @@ CASES = {
     "gold2-6-2-verbose": ["cover", "build", "gold2", "--n", "6", "--t", "2", "--verbose"],
     "spectrum-9-5-csv": ["spectrum", "--n", "9", "--monomial", "5", "--format", "csv"],
     "table2-6-csv": ["table", "table2", "--n", "6", "--format", "csv"],
+    # 43,522 blocks of a random univariate at n = 10, the generic-tables shape
+    "vflats-list-10-univariate": ["vflats", "list", "--n", "10", "--univariate",
+                                  "505:1008,744:684,1022:358"],
+    "vflats-list-10-univariate-csv": ["vflats", "list", "--n", "10", "--univariate",
+                                      "505:1008,744:684,1022:358", "--format", "csv"],
 }
 
 GOLDEN = {
@@ -85,6 +90,9 @@ GOLDEN = {
     "gold2-6-2-verbose": "e498b2eb664b6d70fd15cba02e946ab39b18ba3036d772eac85e9493c4fed813",
     "spectrum-9-5-csv": "51c88b59e95f7d3063ea854ae659a221b266c3f4716adccccc3e57118f29a680",
     "table2-6-csv": "0fd59e2f928924078d77577176d0da49d94de5163036bca707da4b048a6dc3c2",
+    "vflats-list-10-univariate": "ce10dd978202a10d992b2ee0adeeca807ede92309033c6e174a84a145b2d606b",
+    "vflats-list-10-univariate-csv":
+        "d538085bfb8625ceae5b67c11157196de73eaae1e5e8492fbe37e275e51008c3",
 }
 
 

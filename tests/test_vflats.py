@@ -86,16 +86,62 @@ def _oracle_functions(gf, rng):
     yield from (FunctionTable.from_monomial(gf, d) for d in (1, 3, 7, q - 2))
     for support in range(1, min(3, gf.n * (gf.n - 1) // 2) + 1):
         yield random_do_polynomial(gf, support, seed=rng.randrange(1000)).to_table()
+    yield FunctionTable(gf, [q - 1] * q)  # constant: one bucket of q/2 points per direction
+    yield FunctionTable(gf, [rng.randrange(2) for _ in range(q)])  # Boolean-valued
+
+
+def _largest_bucket(f):
+    """The most points x < x+a sharing one value of D_a f, over 0 < a < 2^(n-1)."""
+    t = f.values
+    q = len(t)
+    return max(max(Counter(t[x] ^ t[x ^ a] for x in range(q) if x < x ^ a).values())
+               for a in range(1, q // 2))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_enumeration_matches_brute_force(n):
     gf = GF(n)
-    for f in _oracle_functions(gf, random.Random(700 + n)):
+    functions = list(_oracle_functions(gf, random.Random(700 + n)))
+    for f in functions:
         blocks = enumerate_flats(f).blocks
         assert blocks == brute_force_flats(f)
         assert all(b[0] < b[1] < b[2] < b[3] for b in blocks)
         assert all(b < c for b, c in zip(blocks, blocks[1:]))
+    if n >= 3:  # at n = 2 a half holds two points
+        assert max(map(_largest_bucket, functions)) >= 3
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_least_direction_lacks_the_top_bit(n):
+    """The premise of walking only a < 2^(n-1): of the three directions of a
+    flat, which XOR to 0, the least has a lower top bit than the other two."""
+    gf = GF(n)
+    q = gf.order
+    rng = random.Random(900 + n)
+    tables = [random_table(gf, rng) for _ in range(3)] + [FunctionTable(gf, list(range(q)))]
+    for f in tables:
+        for x1, x2, x3, x4 in brute_force_flats(f):
+            least, middle, most = sorted((x1 ^ x2, x1 ^ x3, x1 ^ x4))
+            assert least.bit_length() < middle.bit_length() == most.bit_length()
+            assert least < q >> 1
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_enumeration_walks_only_the_low_directions(n, monkeypatch):
+    asked = []
+    walk = FunctionTable.half_derivatives
+
+    def spy(self, directions=None):
+        for item in walk(self, directions):
+            asked.append(item[0])
+            yield item
+
+    monkeypatch.setattr(FunctionTable, "half_derivatives", spy)
+    gf = GF(n)
+    for f in _oracle_functions(gf, random.Random(700 + n)):
+        asked.clear()
+        enumerate_flats(f)
+        assert asked == list(range(1, gf.order >> 1))
 
 
 @pytest.mark.parametrize("n", (7, 8))
