@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 a verification failed, 2 usage or parameter error.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -31,7 +32,7 @@ def _add_source_args(p):
                      help="raw value table, one integer per line")
 
 
-def _add_common_args(p):
+def _add_format_arg(p):
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
 
@@ -76,8 +77,9 @@ def _emit(args, payload, lines, rows):
     if args.format == "json":
         print(json.dumps(payload(), indent=2))
     elif args.format == "csv":
-        for row in rows:
-            print(",".join(map(str, row)))
+        text = "\n".join(",".join(map(str, row)) for row in rows)
+        if text:
+            print(text)
     else:
         for line in lines:
             print(line)
@@ -105,76 +107,82 @@ def cmd_spectrum(args):
 LIST_LIMIT = 1_000_000
 
 
-def cmd_vflats(args):
-    f = load_function(args)
-    if args.mode == "count":
-        count = vflats.count_via_spectrum(f)
-        _emit(args, lambda: {"n": args.n, "block_count": count}, [str(count)],
-              [("block_count", count)])
-        return 0
-    pqs = vflats.enumerate_flats(f, limit=LIST_LIMIT)
-    if args.mode == "list":
-        def lines():
-            yield f"{len(pqs)} blocks"
-            if pqs.blocks:
-                yield pqs.to_text()
-
-        _emit(args, pqs.to_json, lines(), pqs.blocks)
-    else:  # pqs-export
-        print(json.dumps(pqs.to_json()))
+def cmd_vflats_count(args):
+    count = vflats.count_via_spectrum(load_function(args))
+    _emit(args, lambda: {"n": args.n, "block_count": count}, [str(count)],
+          [("block_count", count)])
     return 0
 
 
-def cmd_table(args):
+def cmd_vflats_list(args):
+    pqs = vflats.enumerate_flats(load_function(args), limit=LIST_LIMIT)
+
+    def lines():
+        yield f"{len(pqs)} blocks"
+        if pqs.blocks:
+            yield pqs.to_text()
+
+    _emit(args, pqs.to_json, lines(), pqs.blocks)
+    return 0
+
+
+def cmd_pqs_export(args):
+    pqs = vflats.enumerate_flats(load_function(args), limit=LIST_LIMIT)
+    print(json.dumps(pqs.to_json()))
+    return 0
+
+
+def cmd_table1(args):
+    count = vflats.closed_form_count(args.family, args.n, t=args.t)
+    line = f"{args.family} n={args.n}" + (f" t={args.t}" if args.t else "") + f": {count}"
+    status = "unchecked"  # no field, so no brute force, beyond MAX_DEGREE
+    if args.n <= MAX_DEGREE:
+        d = vflats.family_exponent(args.family, args.n, t=args.t)
+        gf = GF(args.n, args.modulus)
+        brute = vflats.count_via_spectrum(FunctionTable.from_monomial(gf, d))
+        status = "PASS" if brute == count else "FAIL"
+        line += " PASS" if brute == count else f" FAIL (brute force {brute})"
+    row = (args.family, args.n, "" if args.t is None else args.t, count, status)
+    failures = int(status == "FAIL")
+    _emit(args, lambda: {"results": [line], "failures": failures}, [line], [row])
+    return failures
+
+
+def cmd_table2(args):
+    if not 2 <= args.n <= 8:
+        raise ValueError("table2 covers 2 <= n <= 8")
     failures = 0
     lines = []
     rows = []
-    if args.which == "table2":
-        if not 2 <= args.n <= 8:
-            raise ValueError("table2 covers 2 <= n <= 8")
-        gf = GF(args.n, args.modulus)
-        for d, expected in vflats.KNOWN_MONOMIAL_COUNTS[args.n]:
-            got = vflats.count_via_spectrum(FunctionTable.from_monomial(gf, d))
-            ok = got == expected
-            failures += not ok
-            lines.append(f"d={d}: {got} {'PASS' if ok else f'FAIL (expected {expected})'}")
-            rows.append((args.n, d, got, expected, "PASS" if ok else "FAIL"))
-    else:
-        count = vflats.closed_form_count(args.family, args.n, t=args.t)
-        line = f"{args.family} n={args.n}" + (f" t={args.t}" if args.t else "") + f": {count}"
-        status = "unchecked"  # no field, so no brute force, beyond MAX_DEGREE
-        if args.n <= MAX_DEGREE:
-            d = vflats.family_exponent(args.family, args.n, t=args.t)
-            gf = GF(args.n, args.modulus)
-            brute = vflats.count_via_spectrum(FunctionTable.from_monomial(gf, d))
-            ok = brute == count
-            failures += not ok
-            status = "PASS" if ok else "FAIL"
-            line += " PASS" if ok else f" FAIL (brute force {brute})"
-        lines.append(line)
-        rows.append((args.family, args.n, "" if args.t is None else args.t, count, status))
+    gf = GF(args.n, args.modulus)
+    for d, expected in vflats.KNOWN_MONOMIAL_COUNTS[args.n]:
+        got = vflats.count_via_spectrum(FunctionTable.from_monomial(gf, d))
+        ok = got == expected
+        failures += not ok
+        lines.append(f"d={d}: {got} {'PASS' if ok else f'FAIL (expected {expected})'}")
+        rows.append((args.n, d, got, expected, "PASS" if ok else "FAIL"))
     _emit(args, lambda: {"results": lines, "failures": failures}, lines, rows)
     return 1 if failures else 0
 
 
-def cmd_cover(args):
-    if args.action == "verify":
-        with open(args.input) as fh:
-            cover = covers.Cover.from_json(json.load(fh))
-        props = covers.cover_properties(cover)
-        if props["valid"]:
-            print(json.dumps(props))
-            return 0
-        bad = covers.overlapping_flats(cover)
-        print(json.dumps({"valid": False, "overlapping_flat_pairs": bad}))
-        return 1
+def cmd_cover_verify(args):
+    with open(args.input) as fh:
+        cover = covers.Cover.from_json(json.load(fh))
+    props = covers.cover_properties(cover)
+    if props["valid"]:
+        print(json.dumps(props))
+        return 0
+    bad = covers.overlapping_flats(cover)
+    print(json.dumps({"valid": False, "overlapping_flat_pairs": bad}))
+    return 1
 
+
+def cmd_cover_build(args):
     if args.kind == "gold2":
         _, cover = covers.gold_cover(args.n, args.t, x=args.x, y=args.y,
                                      modulus=args.modulus)
     else:
-        cover = covers.theorem8_cover(args.n, args.t, alpha=args.alpha or 1,
-                                      modulus=args.modulus)
+        cover = covers.theorem8_cover(args.n, args.t, alpha=args.alpha, modulus=args.modulus)
     props = covers.cover_properties(cover)
     if not props["valid"]:
         raise ValueError("not a valid cover")
@@ -213,6 +221,16 @@ def cmd_kloosterman(args):
     return 0
 
 
+def _leaf(sub, name, func, help, *add_args):
+    """A subcommand that runs func and takes exactly the options add_args add."""
+    p = sub.add_parser(name, help=help)
+    for add in add_args:
+        add(p)
+    p.set_defaults(func=func)
+    return p
+
+
+@functools.cache  # parsing keeps no state in the parser, so one serves every main()
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="vanishingflats",
@@ -220,70 +238,57 @@ def build_parser():
                     "systems, DO rank counts and affine-subspace covers over GF(2^n).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="differential spectrum of a function")
-    _add_field_args(p)
-    _add_source_args(p)
-    _add_common_args(p)
-    p.set_defaults(func=cmd_spectrum)
+    _leaf(sub, "spectrum", cmd_spectrum, "differential spectrum of a function",
+          _add_field_args, _add_source_args, _add_format_arg)
 
     p = sub.add_parser("vflats", help="vanishing flats: count, list or export")
-    p.add_argument("mode", choices=("count", "list", "pqs-export"))
-    _add_field_args(p)
-    _add_source_args(p)
-    _add_common_args(p)
-    p.set_defaults(func=cmd_vflats)
+    modes = p.add_subparsers(dest="mode", required=True)
+    for mode, func, help in (("count", cmd_vflats_count, "number of vanishing flats"),
+                             ("list", cmd_vflats_list, "every vanishing flat, one per line")):
+        _leaf(modes, mode, func, help, _add_field_args, _add_source_args, _add_format_arg)
+    _leaf(modes, "pqs-export", cmd_pqs_export, "the partial quadruple system as JSON",
+          _add_field_args, _add_source_args)
 
     p = sub.add_parser("table", help="recompute the embedded reference tables")
-    p.add_argument("which", choices=("table1", "table2"))
-    _add_field_args(p)
-    p.add_argument("--family", choices=[m.value for m in vflats.MonomialFamily])
+    tables = p.add_subparsers(dest="which", required=True)
+    p = _leaf(tables, "table1", cmd_table1, "closed-form count of a monomial family",
+              _add_field_args, _add_format_arg)
+    p.add_argument("--family", required=True, choices=[m.value for m in vflats.MonomialFamily])
     p.add_argument("--t", type=int, default=None)
-    _add_common_args(p)
-    p.set_defaults(func=cmd_table)
+    _leaf(tables, "table2", cmd_table2, "every monomial class for 2 <= n <= 8",
+          _add_field_args, _add_format_arg)
 
     p = sub.add_parser("cover", help="build or verify affine-subspace covers")
-    p.add_argument("action", choices=("build", "verify"))
-    p.add_argument("kind", nargs="?", choices=("gold2", "thm8"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--modulus", type=int, default=None)
-    p.add_argument("--t", type=int)
-    p.add_argument("--x", type=int, default=None)
-    p.add_argument("--y", type=int, default=None)
-    p.add_argument("--alpha", type=int, default=None)
-    p.add_argument("--input", help="cover JSON to verify")
-    p.add_argument("--output", help="write the built cover as JSON")
-    p.add_argument("--verbose", action="store_true")
-    _add_common_args(p)
-    p.set_defaults(func=cmd_cover)
+    actions = p.add_subparsers(dest="action", required=True)
+    p = _leaf(actions, "verify", cmd_cover_verify, "verify a cover JSON file")
+    p.add_argument("--input", required=True, help="cover JSON to verify")
+    kinds = actions.add_parser("build").add_subparsers(dest="kind", required=True)
+    for kind, help in (("gold2", "image of a dimension-2 cover under a Gold map"),
+                       ("thm8", "totally skew cover of dimension gcd(n, t)")):
+        p = _leaf(kinds, kind, cmd_cover_build, help, _add_field_args, _add_format_arg)
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--output", help="write the built cover as JSON")
+        p.add_argument("--verbose", action="store_true")
+    kinds.choices["gold2"].add_argument("--x", type=int, default=None)
+    kinds.choices["gold2"].add_argument("--y", type=int, default=None)
+    kinds.choices["thm8"].add_argument("--alpha", type=int, default=1)
 
-    p = sub.add_parser("codeweights", help="low-weight codeword counts for x^d")
-    _add_field_args(p)
+    p = _leaf(sub, "codeweights", cmd_codeweights, "low-weight codeword counts for x^d",
+              _add_field_args, _add_format_arg)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--method", choices=("flats", "direct", "both"), default="flats")
-    _add_common_args(p)
-    p.set_defaults(func=cmd_codeweights)
 
-    p = sub.add_parser("kloosterman", help="Kloosterman sum values")
+    p = _leaf(sub, "kloosterman", cmd_kloosterman, "Kloosterman sum values", _add_format_arg)
     p.add_argument("--n", type=int, default=None)
-    _add_common_args(p)
-    p.set_defaults(func=cmd_kloosterman)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "cover" and args.action == "build":
-        if args.kind is None or args.n is None or args.t is None:
-            parser.error("cover build requires kind, --n and --t")
-    if args.command == "cover" and args.action == "verify" and not args.input:
-        parser.error("cover verify requires --input")
-    if args.command == "table" and args.which == "table1" and not args.family:
-        parser.error("table1 requires --family")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ZeroDivisionError, OSError, RecursionError) as exc:  # deep JSON
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -346,6 +346,74 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+VERIFY = ["cover", "verify", "--input", "COVER"]
+GOLD2 = ["cover", "build", "gold2", "--n", "9", "--t", "3"]
+THM8 = ["cover", "build", "thm8", "--n", "9", "--t", "3"]
+UNREAD_OPTIONS = {
+    "pqs-export --format": ["vflats", "pqs-export", "--n", "4", "--monomial", "5",
+                            "--format", "json"],
+    "table2 --family": ["table", "table2", "--n", "6", "--family", "gold"],
+    "table2 --t": ["table", "table2", "--n", "6", "--t", "2"],
+    "verify kind": ["cover", "verify", "gold2", "--input", "COVER"],
+    "verify --n": VERIFY + ["--n", "6"],
+    "verify --modulus": VERIFY + ["--modulus", "67"],
+    "verify --t": VERIFY + ["--t", "2"],
+    "verify --x": VERIFY + ["--x", "3"],
+    "verify --y": VERIFY + ["--y", "5"],
+    "verify --alpha": VERIFY + ["--alpha", "7"],
+    "verify --output": VERIFY + ["--output", "COVER"],
+    "verify --verbose": VERIFY + ["--verbose"],
+    "verify --format": VERIFY + ["--format", "csv"],
+    "gold2 --alpha": GOLD2 + ["--alpha", "7"],
+    "gold2 --input": GOLD2 + ["--input", "COVER"],
+    "thm8 --x": THM8 + ["--x", "3"],
+    "thm8 --y": THM8 + ["--y", "5"],
+    "thm8 --input": THM8 + ["--input", "COVER"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_OPTIONS))
+def test_option_the_command_does_not_read_exit_2(case, capsys, tmp_path):
+    path = tmp_path / "cover.json"
+    assert main(["cover", "build", "gold2", "--n", "6", "--t", "2", "--output", str(path)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([str(path) if a == "COVER" else a for a in UNREAD_OPTIONS[case]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def test_parser_is_built_once(capsys):
+    cli.build_parser.cache_clear()
+    assert run(capsys, "kloosterman", "--n", "7") == (0, "K(7) = -12\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["kloosterman", "--n", "7", "--d", "9"])
+    assert exc.value.code == 2
+    assert run(capsys, "kloosterman", "--n", "6") == (0, "K(6) = -8\n")
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_thm8_alpha_zero_exit_2(capsys):
+    code = main(["cover", "build", "thm8", "--n", "9", "--t", "3", "--alpha", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: alpha must be nonzero\n"
+
+
+def test_cover_verify_deeply_nested_json_exit_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code = main(["cover", "verify", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: maximum recursion depth exceeded")
+    assert "Traceback" not in captured.err
+
+
 def test_table_file_source(capsys, tmp_path):
     gf = GF(4)
     path = tmp_path / "table.txt"

@@ -66,6 +66,16 @@ CASES = {
                                   "505:1008,744:684,1022:358"],
     "vflats-list-10-univariate-csv": ["vflats", "list", "--n", "10", "--univariate",
                                       "505:1008,744:684,1022:358", "--format", "csv"],
+    "table1-gold-10-2": ["table", "table1", "--family", "gold", "--n", "10", "--t", "2"],
+    "table1-gold-10-2-csv": ["table", "table1", "--family", "gold", "--n", "10", "--t", "2",
+                             "--format", "csv"],
+    "table1-d7-7-json": ["table", "table1", "--family", "d7", "--n", "7", "--format", "json"],
+    "thm8-9-3-csv": ["cover", "build", "thm8", "--n", "9", "--t", "3", "--format", "csv"],
+    "vflats-count-8-univariate-csv": ["vflats", "count", "--n", "8", "--univariate", "1:7,3:11",
+                                      "--format", "csv"],
+    "kloosterman": ["kloosterman"],
+    "vflats-list-5-3-apn-csv": ["vflats", "list", "--n", "5", "--monomial", "3",
+                                "--format", "csv"],
 }
 
 GOLDEN = {
@@ -93,6 +103,14 @@ GOLDEN = {
     "vflats-list-10-univariate": "ce10dd978202a10d992b2ee0adeeca807ede92309033c6e174a84a145b2d606b",
     "vflats-list-10-univariate-csv":
         "d538085bfb8625ceae5b67c11157196de73eaae1e5e8492fbe37e275e51008c3",
+    "table1-gold-10-2": "560c67698af4c65939238e5fe73cae7f974fbe86ba84e01b5e1eb679a0cb5a9e",
+    "table1-gold-10-2-csv": "8cff5696e66e14b8d455fda969e5e06ed155c14d59e5cc28a2fed7ef39062541",
+    "table1-d7-7-json": "d230f14a576a590c7a05914f36462be2e50ebee55cdf63965cd6649276847ac6",
+    "thm8-9-3-csv": "af4fee08e974140320b96bbc3b31ccb30e01fe02fefca528ebbbc50abb43107c",
+    "vflats-count-8-univariate-csv":
+        "683662f7a48c12d100c10cf45c1c43cffdf23464c452aed68cee64358000bf8c",
+    "kloosterman": "2a644a5bcc304a75444a902e7e9a887fd0178bdaaa1c136791cb833ade723501",
+    "vflats-list-5-3-apn-csv": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 }
 
 
@@ -113,3 +131,7 @@ def test_do_count_golden_value(capsys):
 
 def test_apn_listing_is_header_only(capsys):
     assert _stdout(capsys, CASES["vflats-list-5-3-apn"]) == "0 blocks\n"
+
+
+def test_apn_csv_listing_is_empty(capsys):
+    assert _stdout(capsys, CASES["vflats-list-5-3-apn-csv"]) == ""
