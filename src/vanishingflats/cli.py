@@ -196,7 +196,7 @@ def cmd_cover_build(args):
     }
     if args.output:
         with open(args.output, "w") as fh:
-            json.dump(cover.to_json(), fh)
+            fh.write(json.dumps(cover.to_json()))  # the C encoder; json.dump is pure Python
 
     def lines():
         yield " ".join(f"{k}={v}" for k, v in summary.items())

@@ -77,12 +77,19 @@ class AffineSubspace:
         """Recover (base, basis) from a point set; raises if not an affine subspace."""
         pts = set(pts)
         base = min(pts)
-        # the 2^k distinct differences lie in their own span of size 2^k, so
-        # they are that span exactly and pts is base + span(basis)
-        basis = rref_basis([p ^ base for p in pts])
-        if 1 << len(basis) != len(pts):
+        # the span of the differences p + base doubles with each one outside
+        # it; pts is base + span exactly when the span ends as large as pts
+        span, basis = {0}, []
+        for p in pts:
+            v = p ^ base
+            if v not in span:
+                span |= {w ^ v for w in span}
+                basis.append(v)
+                if len(span) > len(pts):
+                    break
+        if len(span) != len(pts):
             raise ValueError("point set is not an affine subspace")
-        return cls(base, basis)
+        return cls(base, rref_basis(basis))
 
 
 @dataclass
@@ -126,19 +133,14 @@ class Cover:
 def trivial_cover(gf, basis):
     """The subspace spanned by basis together with all its cosets.
 
-    Coset representatives are chosen ascending among not-yet-covered points,
-    so the output is deterministic.
+    Each coset is given by its least point, ascending: in the rref basis each
+    pivot bit lies in one vector, so that point is the one with every pivot
+    bit clear.
     """
     basis = rref_basis(basis)
-    d = len(basis)
-    flats = []
-    covered = bytearray(gf.order)
-    for x in gf.elements():
-        if not covered[x]:
-            flats.append(AffineSubspace(x, basis))
-            for p in _coset(x, basis):
-                covered[p] = 1
-    return Cover(gf, d, flats)
+    pivots = sum(1 << (b.bit_length() - 1) for b in basis)
+    return Cover(gf, len(basis),
+                 [AffineSubspace(x, basis) for x in gf.elements() if not x & pivots])
 
 
 def verify_cover(cover):
@@ -237,10 +239,10 @@ def image_cover(f, cover):
     """
     if not f.is_permutation():
         raise ValueError("f must be a permutation")
-    flats = []
+    t, flats = f.values, []
     for idx, flat in enumerate(cover.flats):
         try:
-            flats.append(AffineSubspace.from_points(f[p] for p in _coset(flat.base, flat.basis)))
+            flats.append(AffineSubspace.from_points([t[p] for p in _coset(flat.base, flat.basis)]))
         except ValueError:
             raise ValueError(f"image of flat #{idx} (base {flat.base}) "
                              "is not an affine subspace") from None

@@ -49,7 +49,8 @@ def echelon(vectors):
     basis = []
     for v in vectors:
         for b in basis:
-            v = min(v, v ^ b)
+            if v ^ b < v:  # v has the top bit of b
+                v ^= b
         if v:
             basis.append(v)
     return basis

@@ -1,13 +1,14 @@
 """Shared test utilities: random tables, random affine maps and random covers
-over GF(2^n), the pairwise definitions of the cover predicates as oracles, and
-two vanishing-flat oracles that share no code with the package's kernels: a
-brute force over all 2-flats and the Walsh fourth moment."""
+over GF(2^n), the pairwise definitions of the cover predicates as oracles, the
+span, affinity and trivial-cover oracles for F_2 elimination, and two
+vanishing-flat oracles that share no code with the package's kernels: a brute
+force over all 2-flats and the Walsh fourth moment."""
 
 from collections import defaultdict
 from itertools import combinations
 import random
 
-from vanishingflats import AffineSubspace, BinaryMatrix, Cover, FunctionTable
+from vanishingflats import AffineSubspace, BinaryMatrix, Cover, FunctionTable, rref_basis
 
 
 def random_table(gf, rng):
@@ -119,6 +120,41 @@ def oracle_totally_skew(cover):
     """Every two linear parts meet only in 0."""
     return all(f.linear_part() & g.linear_part() == {0}
                for f, g in combinations(cover.flats, 2))
+
+
+def span_closure(vectors):
+    """The F_2-span of vectors as a set, by closing {0} under adding each one."""
+    span = {0}
+    for v in vectors:
+        span |= {w ^ v for w in span}
+    return span
+
+
+def random_basis(n, k, rng):
+    """k random linearly independent vectors of n bits, in no echelon form."""
+    while True:
+        basis = [rng.randrange(1, 1 << n) for _ in range(k)]
+        if len(span_closure(basis)) == 1 << k:
+            return basis
+
+
+def oracle_is_affine(pts):
+    """A nonempty point set is an affine subspace over F_2 iff x + y + z lies
+    in it for every x, y, z in it."""
+    pts = set(pts)
+    return bool(pts) and all(x ^ y ^ z in pts for x in pts for y in pts for z in pts)
+
+
+def oracle_trivial_cover(gf, basis):
+    """The cosets of span(basis), each given by its least point: the least
+    point not yet covered, ascending."""
+    basis, linear = rref_basis(basis), span_closure(basis)
+    flats, covered = [], set()
+    for x in gf.elements():
+        if x not in covered:
+            flats.append(AffineSubspace(x, basis))
+            covered |= {x ^ v for v in linear}
+    return Cover(gf, len(basis), flats)
 
 
 def brute_force_flats(f):

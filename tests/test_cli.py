@@ -142,6 +142,16 @@ def test_cover_build_thm8(capsys):
     assert "totally_skew=True" in out
 
 
+def test_cover_build_output_file_is_the_printed_json_cover(capsys, tmp_path):
+    path = tmp_path / "cover.json"
+    argv = ["cover", "build", "thm8", "--n", "9", "--t", "3"]
+    code, _ = run(capsys, *argv, "--output", str(path))
+    assert code == 0
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert path.read_bytes() == json.dumps(json.loads(out)["cover"]).encode()
+
+
 def test_cover_verify_roundtrip_and_tamper(capsys, tmp_path):
     path = tmp_path / "cover.json"
     code, _ = run(capsys, "cover", "build", "gold2", "--n", "6", "--t", "2",

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from helpers import (corrupt_cover, oracle_is_cover, oracle_nonparallel,
-                     oracle_overlapping_pairs, oracle_totally_skew, random_cover)
+from helpers import (corrupt_cover, oracle_is_affine, oracle_is_cover, oracle_nonparallel,
+                     oracle_overlapping_pairs, oracle_totally_skew, oracle_trivial_cover,
+                     random_basis, random_cover, span_closure)
 
 from vanishingflats import (
     GF,
@@ -57,6 +58,51 @@ def test_from_points_roundtrip():
         AffineSubspace.from_points([0, 1, 2, 4])
     with pytest.raises(ValueError):
         AffineSubspace.from_points([0, 1, 2])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_from_points_against_basis_and_near_misses(n):
+    """Shuffled points of base + span(basis), for a random basis in no echelon
+    form, give (least point, rref basis); near misses of such a point set,
+    each not affine by the x + y + z closure oracle, raise ValueError."""
+    rng = random.Random(800 + n)
+    for _ in range(25):
+        k = rng.randint(0, n)
+        basis = random_basis(n, k, rng)
+        base = rng.randrange(1 << n)
+        pts = [base ^ v for v in span_closure(basis)]
+        rng.shuffle(pts)
+        flat = AffineSubspace.from_points(pts)
+        assert (flat.base, flat.basis) == (min(pts), rref_basis(basis))
+
+        inside = set(pts)
+        outside = [x for x in range(1 << n) if x not in inside]
+        misses = []
+        if k >= 2:
+            misses.append(pts[1:])  # 2^k - 1 points
+        if k >= 2 and outside:
+            misses.append([rng.choice(outside), *pts[1:]])  # one point swapped out
+        if k >= 1 and outside:
+            misses.append([rng.choice(outside), *pts])  # 2^k + 1 points
+        if 2 <= k < n:
+            # 2^k points of a (k+1)-flat whose differences span k+1 dimensions
+            wider = [base ^ v for v in span_closure(random_basis(n, k + 1, rng))]
+            while oracle_is_affine(chosen := rng.sample(wider, 1 << k)):
+                pass
+            assert len(span_closure(p ^ chosen[0] for p in chosen)) > 1 << k
+            misses.append(chosen)
+        for miss in misses:
+            assert not oracle_is_affine(miss)
+            with pytest.raises(ValueError):
+                AffineSubspace.from_points(miss)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_trivial_cover_is_least_uncovered_point_construction(n):
+    rng = random.Random(900 + n)
+    for k in range(n + 1):
+        basis = random_basis(n, k, rng)
+        assert trivial_cover(GF(n), basis) == oracle_trivial_cover(GF(n), basis)
 
 
 def test_trivial_cover():

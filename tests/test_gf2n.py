@@ -7,12 +7,47 @@ from hypothesis import strategies as st
 
 import re
 
+from helpers import span_closure
+
 from vanishingflats import (GF, AffineSubspace, Cover, DOPolynomial, FunctionTable,
                             PartialQuadrupleSystem, kloosterman)
-from vanishingflats.gf2n import DEFAULT_MODULI
+from vanishingflats.gf2n import DEFAULT_MODULI, echelon
 
 
 GF8 = GF(3, 0b1011)
+
+
+def _echelon_reference(vectors):
+    """The elimination as first written, v = min(v, v ^ b) per step."""
+    basis = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return basis
+
+
+def test_echelon_against_span_closure():
+    rng = random.Random(2020)
+    for _ in range(3000):
+        width = rng.randint(1, 10)
+        vectors = []
+        for _ in range(rng.randint(0, 12)):
+            r = rng.random()
+            if r < 0.15:
+                vectors.append(0)
+            elif r < 0.3 and vectors:
+                vectors.append(rng.choice(vectors))  # a repeat
+            else:
+                vectors.append(rng.randrange(1 << width))
+        out = echelon(vectors)
+        span = span_closure(vectors)
+        assert span_closure(out) == span
+        assert 1 << len(out) == len(span)
+        tops = [v.bit_length() - 1 for v in out]
+        assert len(set(tops)) == len(tops) and -1 not in tops
+        assert out == _echelon_reference(vectors)
 
 
 def test_add_is_xor():
