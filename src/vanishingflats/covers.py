@@ -199,8 +199,11 @@ def cover_properties(cover):
     invalid cover gives {"valid": False} alone."""
     if not verify_cover(cover):
         return {"valid": False}
-    return {"valid": True, "nonparallel": _nonparallel(cover),
-            "totally_skew": _totally_skew(cover)}
+    skew = _totally_skew(cover)
+    # for d >= 1, parallel flats share a nonzero point of their linear part,
+    # so a totally skew cover is nonparallel; for d = 0 skew holds vacuously
+    nonparallel = skew and cover.dimension >= 1 or _nonparallel(cover)
+    return {"valid": True, "nonparallel": nonparallel, "totally_skew": skew}
 
 
 def _nonparallel(cover):

@@ -7,23 +7,82 @@ L_{f,a}(x) = sum c_ij (a^(2^i) x^(2^j) + a^(2^j) x^(2^i)) is F_2-linear.
 L_{f,a}(x) = B(a, x) for the polar form B(x, y) = f(x + y) + f(x) + f(y),
 which is symmetric and F_2-bilinear since f(0) = 0. So column k of the matrix
 of L_{f,a} is the XOR of the polar rows B(e_m, e_k) over the set bits m of a.
-The n x n polar rows come from O(n^2) evaluations of f. The rank multiset
-walks the directions in Gray-code order: each step flips one bit of a, XORs
-one polar row into the columns and takes one F_2 rank, with no field product.
+The n x n polar rows come from O(n^2) evaluations of f.
+
+Every rank(L_{f,a}) comes from one bitsliced elimination, `_family_ranks`:
+bit a of a 2^n-bit int holds entry (i, k) of the matrix of L_{f,a}, so each
+big-int AND, OR or XOR acts on all 2^n matrices at once. That is about 2n^3
+such operations in all, instead of one elimination per direction.
 
 QuadraticFunction is the value table of a DO polynomial (what `--do` loads).
 It reads the columns of each L_{f,a} off the table instead, and its spectrum
-and count come from those ranks in O(2^n n^2), against O(4^n) for the
-generic histogram pass. The two rank routes share only `echelon`, so the
-polar-row count and the table-read spectrum cross-check each other.
+and count come from those ranks, against O(4^n) for the generic histogram
+pass. The two rank routes share only the elimination, so the polar-row count
+and the table-read spectrum cross-check each other.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 import random
+import struct
 
 from .gf2n import GF, as_int, as_list, echelon, require
 from .boolfunc import FunctionTable
+
+_ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
+# _BIT_ASCII[b] maps each byte to b"0" or b"1" by its bit b
+_BIT_ASCII = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
+
+
+def _family_ranks(planes):
+    """bytes: entry a is the F_2 rank of M_a, for a in [0, 2^n), where
+    planes[k][i] is the 2^n-bit int whose bit a is bit i of column k of the
+    n x n matrix M_a.
+
+    Gaussian elimination on all 2^n matrices at once. For each row i, the
+    first unused column with bit i becomes the pivot of that direction; the
+    pivot is XORed into every other unused column with bit i. The pivots
+    found for row i are the "used" plane of row i, and the rank of M_a is the
+    number of used planes with bit a set. The planes are reduced in place."""
+    n = len(planes)
+    q = 1 << n
+    full = (1 << q) - 1
+    unused = [full] * n
+    used = []
+    for i in range(n):
+        free = full  # directions with no pivot for row i yet
+        pivot = [0] * n
+        for k, column in enumerate(planes):
+            sel = column[i] & unused[k] & free
+            if sel:
+                free ^= sel
+                unused[k] ^= sel
+                for j in range(i + 1, n):
+                    pivot[j] |= column[j] & sel
+        for k, column in enumerate(planes):
+            hit = column[i] & unused[k]
+            if hit:
+                for j in range(i + 1, n):
+                    column[j] ^= pivot[j] & hit
+        used.append(full ^ free)
+    # one byte per direction per used plane, summed lane by lane: a lane
+    # reaches at most n <= 16, so no carry crosses into the next direction
+    total = sum(int.from_bytes(format(u, f"0{q}b")[::-1].encode().translate(_ZERO_ONE),
+                               "little") for u in used)
+    return total.to_bytes(q, "little")
+
+
+def _coordinate_planes(n):
+    """[X_m for m < n]: bit a of the 2^n-bit int X_m is bit m of a."""
+    q = 1 << n
+    planes = []
+    for m in range(n):
+        x, period = ((1 << (1 << m)) - 1) << (1 << m), 2 << m
+        while period < q:
+            x |= x << period
+            period <<= 1
+        planes.append(x)
+    return planes
 
 
 @dataclass
@@ -79,10 +138,14 @@ class DOPolynomial:
         return cls(gf, {(0, t): 1})
 
     def evaluate(self, x):
+        """f(x) from one squaring chain x, x^2, x^4, ..., then two products a term."""
         gf = self.field
+        squares = [x]
+        for _ in range(max((j for _, j in self.coeffs), default=0)):
+            squares.append(gf.mul(squares[-1], squares[-1]))
         r = 0
         for (i, j), c in self.coeffs.items():
-            r ^= gf.mul(c, gf.pow(x, (1 << i) + (1 << j)))
+            r ^= gf.mul(c, gf.mul(squares[i], squares[j]))
         return r
 
     @cached_property
@@ -127,16 +190,20 @@ class DOPolynomial:
     def rank_multiset(self):
         """[rank(L_{f,a}) for each nonzero a], 2^n - 1 values in the order of a.
 
-        Walks a = i ^ (i >> 1): step i flips bit m, the lowest set bit of i,
-        so it XORs polar row m into the columns and takes one rank."""
+        Bit i of column k of L_{f,a} is the parity of the set bits m of a with
+        bit i in polar row m, column k: the XOR of the coordinate planes X_m
+        over those m."""
         rows = self.polar_rows
-        n, order = self.field.n, self.field.order
-        ranks = [0] * (order - 1)
-        columns = [0] * n
-        for i in range(1, order):
-            columns = [c ^ r for c, r in zip(columns, rows[(i & -i).bit_length() - 1])]
-            ranks[(i ^ (i >> 1)) - 1] = BinaryMatrix(n, columns).rank()
-        return ranks
+        n = self.field.n
+        xs = _coordinate_planes(n)
+        planes = [[0] * n for _ in range(n)]
+        for m, row in enumerate(rows):
+            for k, entry in enumerate(row):
+                column = planes[k]
+                for i in range(n):
+                    if entry >> i & 1:
+                        column[i] ^= xs[m]
+        return list(_family_ranks(planes)[1:])
 
     def count_vanishing_flats(self):
         """Block count via the rank multiset: (2^(n-2)/3) * sum(2^(n-h-1) - 1)."""
@@ -172,12 +239,14 @@ class QuadraticFunction(FunctionTable):
     derivative along a takes 2^h values, each 2^(n-h) times, and
     delta_f(a, b) = 2^(n-h) exactly when b + D_a f(0) lies in im(L_{f,a}).
     Column k of L_{f,a} is read off the table as
-    f(a + e_k) + f(a) + f(e_k) + f(0), so the ranks cost O(2^n n^2) and
-    spectrum(), count_via_spectrum and the cyclic-code weights inherit that
-    through _direction_classes, against O(4^n) for a generic table.
-    delta(a, b) is the inherited kernel. This route is independent of
-    DOPolynomial.rank_multiset, which walks the polar rows;
-    FunctionTable(gf, f.values) stays the generic oracle.
+    f(a + e_k) + f(a) + f(e_k) + f(0), for every a at once as bit planes of
+    the table, and one bitsliced elimination (_family_ranks) of about 2n^3
+    operations on 2^n-bit ints gives every rank. spectrum(), count_via_spectrum
+    and the cyclic-code weights inherit that through _direction_classes,
+    against O(4^n) for a generic table. delta(a, b) is the inherited kernel.
+    This route shares only the elimination with DOPolynomial.rank_multiset,
+    which builds its planes from the polar rows; FunctionTable(gf, f.values)
+    stays the generic oracle.
     """
 
     __slots__ = ("poly", "_ranks")
@@ -195,10 +264,25 @@ class QuadraticFunction(FunctionTable):
         return [t[a ^ 1 << k] ^ t[1 << k] ^ base for k in range(self.field.n)]
 
     def ranks(self):
-        """bytes: entry a - 1 is rank(L_{f,a}) for each nonzero a."""
+        """bytes: entry a - 1 is rank(L_{f,a}) for each nonzero a.
+
+        Bit i of column k is T_i(a + e_k) + T_i(a) + bit i of f(e_k) + f(0),
+        where bit a of the plane T_i is bit i of f(a); translating a plane by
+        e_k swaps its halves along bit k, two masked shifts."""
         if self._ranks is None:
-            self._ranks = bytes(len(echelon(self._columns(a)))
-                                for a in range(1, self.field.order))
+            n, t = self.field.n, self.values
+            full = (1 << self.field.order) - 1
+            raw = struct.pack(f"<{len(t)}H", *t)
+            halves = raw[0::2], raw[1::2]  # the low and the high byte of each value
+            tables = [int(halves[i >> 3].translate(_BIT_ASCII[i & 7])[::-1], 2)
+                      for i in range(n)]
+            planes = []
+            for k, x in enumerate(_coordinate_planes(n)):
+                w, const = 1 << k, t[1 << k] ^ t[0]
+                planes.append([((plane >> w) & (full ^ x) | (plane << w) & x) ^ plane
+                               ^ (full if const >> i & 1 else 0)
+                               for i, plane in enumerate(tables)])
+            self._ranks = _family_ranks(planes)[1:]
         return self._ranks
 
     def _direction_classes(self):

@@ -218,6 +218,21 @@ def test_is_permutation_gold_condition():
     assert not FunctionTable(GF(3), [1] * 8).is_permutation()
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_is_permutation_against_sorted_values(n):
+    gf = GF(n)
+    rng = random.Random(70 + n)
+    for _ in range(5):
+        values = list(gf.elements())
+        rng.shuffle(values)
+        assert FunctionTable(gf, values).is_permutation()
+        x, y = rng.sample(range(gf.order), 2)
+        values[x] = values[y]  # one value twice, one missing
+        f = FunctionTable(gf, values)
+        assert not f.is_permutation()
+        assert sorted(f.values) != list(gf.elements())
+
+
 def test_table_validation_and_serialization():
     gf = GF(3)
     with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from vanishingflats import (
     FunctionTable,
     AffineSubspace,
     Cover,
+    cover_properties,
     rref_basis,
     trivial_cover,
     verify_cover,
@@ -262,12 +263,32 @@ def assert_matches_oracles(cover):
     if valid:
         assert verify_nonparallel(cover) == oracle_nonparallel(cover)
         assert verify_totally_skew(cover) == oracle_totally_skew(cover)
+        assert cover_properties(cover) == {"valid": True,
+                                           "nonparallel": oracle_nonparallel(cover),
+                                           "totally_skew": oracle_totally_skew(cover)}
     else:
+        assert cover_properties(cover) == {"valid": False}
         with pytest.raises(ValueError):
             verify_nonparallel(cover)
         with pytest.raises(ValueError):
             verify_totally_skew(cover)
     return valid
+
+
+def test_cover_properties_at_dimension_zero_and_n():
+    # dimension 0: no linear part has a nonzero point, so the cover is
+    # vacuously totally skew, yet its 8 flats share the linear part {0}
+    points = trivial_cover(GF(3), [])
+    assert (points.dimension, len(points.flats)) == (0, 8)
+    assert cover_properties(points) == {"valid": True, "nonparallel": False,
+                                        "totally_skew": True}
+    whole = trivial_cover(GF(3), [1, 2, 4])
+    assert (whole.dimension, len(whole.flats)) == (3, 1)
+    assert cover_properties(whole) == {"valid": True, "nonparallel": True,
+                                       "totally_skew": True}
+    # a skew cover of dimension >= 1 is nonparallel; a parallel one is neither
+    assert cover_properties(trivial_cover(GF(3), [1])) == {"valid": True, "nonparallel": False,
+                                                          "totally_skew": False}
 
 
 @pytest.mark.parametrize("n", range(3, 9))

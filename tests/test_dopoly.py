@@ -13,6 +13,8 @@ from vanishingflats import (
     enumerate_flats,
     count_via_spectrum,
 )
+from vanishingflats.dopoly import _family_ranks
+from vanishingflats.gf2n import echelon
 
 
 def test_evaluate_basics():
@@ -29,7 +31,8 @@ def univariate_terms(f):
 
 
 def pointwise_table(f):
-    """f evaluated at every point by gf.pow, independent of the exp table."""
+    """f evaluated at every point by its squaring chain, independent of the
+    exp table."""
     return FunctionTable(f.field, [f.evaluate(x) for x in f.field.elements()])
 
 
@@ -105,6 +108,36 @@ def test_gold_kernel_and_rank():
 def test_rank_basics():
     assert BinaryMatrix.identity(6).rank() == 6
     assert BinaryMatrix(6, [0] * 6).rank() == 0
+
+
+def matrix_at(planes, a):
+    """The columns of M_a, read bit by bit out of the planes."""
+    return [sum((plane >> a & 1) << i for i, plane in enumerate(column)) for column in planes]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_family_ranks_against_per_matrix_elimination(n):
+    """Random planes give a family that is not linear in a, so every 2^n
+    matrix is an independent case; echelon on each one is the oracle."""
+    q = 1 << n
+    full = (1 << q) - 1
+    rng = random.Random(900 + n)
+    families = [[[rng.getrandbits(q) for _ in range(n)] for _ in range(n)] for _ in range(3)]
+    # sparse planes leave many directions rank-deficient
+    families.append([[rng.getrandbits(q) & rng.getrandbits(q) & rng.getrandbits(q)
+                      for _ in range(n)] for _ in range(n)])
+    # every column repeats column 0 on the directions in mask: rank <= 1 there
+    mask = rng.getrandbits(q)
+    first = [rng.getrandbits(q) for _ in range(n)]
+    families.append([first] + [[p & mask | rng.getrandbits(q) & ~mask for p in first]
+                               for _ in range(1, n)])
+    for planes in families:
+        oracle = bytes(len(echelon(matrix_at(planes, a))) for a in range(q))
+        assert _family_ranks(planes) == oracle
+    zero = [[0] * n for _ in range(n)]
+    assert _family_ranks(zero) == bytes(q)
+    identity = [[full if i == k else 0 for i in range(n)] for k in range(n)]
+    assert _family_ranks(identity) == bytes([n]) * q
 
 
 def test_rank_multiset():

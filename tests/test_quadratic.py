@@ -16,6 +16,7 @@ from vanishingflats import (
     weight_counts_from_flats,
 )
 from vanishingflats.cli import build_parser, load_function
+from vanishingflats.gf2n import echelon
 
 
 def assert_matches_generic(poly, rng, samples=200):
@@ -74,6 +75,31 @@ def test_gold_matches_power_function(n, t):
     f, monomial = QuadraticFunction(gold), FunctionTable.from_monomial(gf, (1 << t) + 1)
     assert f.values == monomial.values
     assert f.spectrum() == monomial.spectrum()
+
+
+def per_direction_ranks(f):
+    """rank(L_{f,a}) for each nonzero a, one elimination of the table-read
+    columns per direction."""
+    return bytes(len(echelon(f._columns(a))) for a in range(1, f.field.order))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_ranks_match_per_direction_elimination(n):
+    gf = GF(n)
+    max_support = n * (n - 1) // 2
+    polys = [random_do_polynomial(gf, 1 + (7 * seed + n) % max_support, seed=300 + seed)
+             for seed in range(3)]
+    polys += [DOPolynomial(gf, {}), DOPolynomial.gold(gf, 1), DOPolynomial.gold(gf, n - 1)]
+    for poly in polys:
+        f = QuadraticFunction(poly)
+        assert f.ranks() == per_direction_ranks(f)
+
+
+def test_ranks_match_per_direction_elimination_n12():
+    f = QuadraticFunction(random_do_polynomial(GF(12), 9, seed=12))
+    ranks = f.ranks()
+    assert ranks == per_direction_ranks(f)
+    assert list(ranks) == f.poly.rank_multiset()
 
 
 def test_delta_argument_checks():
