@@ -19,7 +19,7 @@ from .vflats import (
     family_exponent,
     KNOWN_MONOMIAL_COUNTS,
 )
-from .dopoly import DOPolynomial, BinaryMatrix, QuadraticFunction, random_do_polynomial
+from .dopoly import DOPolynomial, QuadraticFunction, random_do_polynomial
 from .covers import (
     AffineSubspace,
     Cover,

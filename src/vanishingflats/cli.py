@@ -58,16 +58,21 @@ def parse_univariate_terms(text):
 
 
 def load_function(args):
+    """x^d, or the source's table: a QuadraticFunction if its degree is <= 2."""
     gf = GF(args.n, args.modulus)
     if args.monomial is not None:
         return FunctionTable.from_monomial(gf, args.monomial)
     if args.do is not None:
-        return QuadraticFunction(parse_do_terms(gf, args.do))
-    if args.univariate is not None:
-        return FunctionTable.from_univariate(gf, parse_univariate_terms(args.univariate))
-    with open(args.table_file) as fh:
-        values = [int(line) for line in fh if line.strip()]
-    return FunctionTable(gf, values)
+        table = parse_do_terms(gf, args.do).to_table()
+    elif args.univariate is not None:
+        table = FunctionTable.from_univariate(gf, parse_univariate_terms(args.univariate))
+    else:
+        with open(args.table_file) as fh:
+            table = FunctionTable(gf, [int(line) for line in fh if line.strip()])
+    try:
+        return QuadraticFunction(gf, table.values)
+    except ValueError:  # degree > 2: the table's entries are already checked
+        return table
 
 
 def _emit(args, payload, lines, rows):

@@ -14,19 +14,18 @@ bit a of a 2^n-bit int holds entry (i, k) of the matrix of L_{f,a}, so each
 big-int AND, OR or XOR acts on all 2^n matrices at once. That is about 2n^3
 such operations in all, instead of one elimination per direction.
 
-QuadraticFunction is the value table of a DO polynomial (what `--do` loads).
-It reads the columns of each L_{f,a} off the table instead, and its spectrum
-and count come from those ranks, against O(4^n) for the generic histogram
-pass. The two rank routes share only the elimination, so the polar-row count
-and the table-read spectrum cross-check each other.
+QuadraticFunction is any value table of algebraic degree <= 2, however it
+was given; an O(2^n) test, `_is_quadratic`, admits it. It reads the columns
+of each L_{f,a} off the table, and its spectrum and count come from those
+ranks, against O(4^n) for the generic pass. The two rank routes share only
+the elimination, so they cross-check each other.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 import random
 import struct
 
-from .gf2n import GF, as_int, as_list, echelon, require
+from .gf2n import GF, as_int, as_list, require
 from .boolfunc import FunctionTable
 
 _ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
@@ -85,32 +84,6 @@ def _coordinate_planes(n):
     return planes
 
 
-@dataclass
-class BinaryMatrix:
-    """An n x n matrix over F_2; columns[k] is the image of basis vector e_k."""
-
-    n: int
-    columns: list
-
-    def apply(self, x):
-        r = 0
-        k = 0
-        while x:
-            if x & 1:
-                r ^= self.columns[k]
-            x >>= 1
-            k += 1
-        return r
-
-    def rank(self):
-        """F_2 rank by elimination on bit-packed vectors."""
-        return len(echelon(self.columns))
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, [1 << k for k in range(n)])
-
-
 class DOPolynomial:
     """Sparse coefficient map (i, j) -> c_ij with 0 <= i < j < n, c_ij != 0.
 
@@ -137,27 +110,38 @@ class DOPolynomial:
             raise ValueError(f"gold exponent needs 1 <= t < {gf.n}")
         return cls(gf, {(0, t): 1})
 
-    def evaluate(self, x):
-        """f(x) from one squaring chain x, x^2, x^4, ..., then two products a term."""
+    def _chain(self, x):
+        """The Frobenius chain x, x^2, x^4, ... up to the highest power a term reads."""
         gf = self.field
-        squares = [x]
+        chain = [x]
         for _ in range(max((j for _, j in self.coeffs), default=0)):
-            squares.append(gf.mul(squares[-1], squares[-1]))
+            chain.append(gf.mul(chain[-1], chain[-1]))
+        return chain
+
+    def _at(self, chain):
+        """f at the point whose Frobenius chain this is: two products a term."""
+        mul = self.field.mul
         r = 0
         for (i, j), c in self.coeffs.items():
-            r ^= gf.mul(c, gf.mul(squares[i], squares[j]))
+            r ^= mul(c, mul(chain[i], chain[j]))
         return r
+
+    def evaluate(self, x):
+        return self._at(self._chain(x))
 
     @cached_property
     def polar_rows(self):
         """The n x n polar matrix: rows[m][k] = B(e_m, e_k), so column k of the
-        matrix of L_{f,a} is the XOR of rows[m][k] over the set bits m of a."""
+        matrix of L_{f,a} is the XOR of rows[m][k] over the set bits m of a.
+        Squaring is additive: the chain of e_m + e_k is the chains' XOR."""
         n = self.field.n
-        f_e = [self.evaluate(1 << k) for k in range(n)]
+        chains = [self._chain(1 << k) for k in range(n)]
+        f_e = [self._at(chain) for chain in chains]
         rows = [[0] * n for _ in range(n)]
         for m in range(n):
             for k in range(m):
-                rows[m][k] = rows[k][m] = self.evaluate(1 << m | 1 << k) ^ f_e[m] ^ f_e[k]
+                pair = [u ^ v for u, v in zip(chains[m], chains[k])]
+                rows[m][k] = rows[k][m] = self._at(pair) ^ f_e[m] ^ f_e[k]
         return rows
 
     def to_table(self):
@@ -174,18 +158,6 @@ class DOPolynomial:
             xi, xj = gf.pow(x, 1 << i), gf.pow(x, 1 << j)
             r ^= gf.mul(c, gf.mul(ai, xj) ^ gf.mul(aj, xi))
         return r
-
-    def linearized_matrix(self, a):
-        """The linear map x -> L_{f,a}(x) in the polynomial basis: the XOR of
-        the polar rows selected by the bits of a."""
-        if self.field._check(a) == 0:
-            raise ValueError("direction a must be nonzero")
-        n = self.field.n
-        columns = [0] * n
-        for m, row in enumerate(self.polar_rows):
-            if a >> m & 1:
-                columns = [c ^ r for c, r in zip(columns, row)]
-        return BinaryMatrix(n, columns)
 
     def rank_multiset(self):
         """[rank(L_{f,a}) for each nonzero a], 2^n - 1 values in the order of a.
@@ -232,8 +204,26 @@ class DOPolynomial:
                          require(t, "c", as_int)) for t in require(obj, "terms", as_list)])
 
 
+def _is_quadratic(t):
+    """True iff the value table t has algebraic degree <= 2, in O(2^n): then
+    f(x + e_k) + f(x) = f(e_k) + f(0) + B(x, e_k), with B(x, e_k) the XOR of
+    B(e_m, e_k) = f(e_m + e_k) + f(e_m) + f(e_k) + f(0) over the bits m of x.
+    Doubling over each top bit k rebuilds from f on 0, the e_k and the
+    e_m + e_k the one table of degree <= 2 they fix, and f must equal it."""
+    for k in range((len(t) - 1).bit_length()):
+        h = 1 << k
+        shift = [t[h] ^ t[0]]  # f(x + e_k) + f(x) for x < 2^k, doubled over each bit m < k
+        for m in range(k):
+            b = t[h | 1 << m] ^ t[h] ^ t[1 << m] ^ t[0]
+            shift += [v ^ b for v in shift]
+        if [v ^ s for v, s in zip(t, shift)] != t[h:2 * h]:
+            return False
+    return True
+
+
 class QuadraticFunction(FunctionTable):
-    """A DO polynomial as a value table whose statistics come from ranks.
+    """A table of algebraic degree <= 2 (a DO polynomial plus affine terms)
+    whose statistics come from ranks; a higher degree raises ValueError.
 
     D_a f(x) = L_{f,a}(x) + D_a f(0) is affine, so if h = rank(L_{f,a}) the
     derivative along a takes 2^h values, each 2^(n-h) times, and
@@ -249,12 +239,12 @@ class QuadraticFunction(FunctionTable):
     stays the generic oracle.
     """
 
-    __slots__ = ("poly", "_ranks")
+    __slots__ = ("_ranks",)
 
-    def __init__(self, poly):
-        table = poly.to_table()  # range-checked once, by FunctionTable
-        self.field, self.values = table.field, table.values
-        self.poly = poly
+    def __init__(self, gf, values):
+        super().__init__(gf, values)
+        if not _is_quadratic(self.values):
+            raise ValueError("table has algebraic degree > 2")
         self._ranks = None
 
     def _columns(self, a):

@@ -1,33 +1,45 @@
 """Shared test utilities: random tables, random affine maps and random covers
-over GF(2^n), the pairwise definitions of the cover predicates as oracles, the
-span, affinity and trivial-cover oracles for F_2 elimination, and two
-vanishing-flat oracles that share no code with the package's kernels: a brute
-force over all 2-flats and the Walsh fourth moment."""
+over GF(2^n), the algebraic degree from the normal form, the pairwise
+definitions of the cover predicates as oracles, the span, affinity and
+trivial-cover oracles for F_2 elimination, and two vanishing-flat oracles
+that share no code with the package's kernels: a brute force over all
+2-flats and the Walsh fourth moment."""
 
 from collections import defaultdict
 from itertools import combinations
 import random
 
-from vanishingflats import AffineSubspace, BinaryMatrix, Cover, FunctionTable, rref_basis
+from vanishingflats import AffineSubspace, Cover, FunctionTable, rref_basis
+from vanishingflats.gf2n import echelon
 
 
 def random_table(gf, rng):
     return FunctionTable(gf, [rng.randrange(gf.order) for _ in gf.elements()])
 
 
+def apply(columns, x):
+    """The F_2-linear map with columns[k] the image of e_k, at x: the XOR of
+    the columns selected by the bits of x."""
+    r = 0
+    for k, column in enumerate(columns):
+        if x >> k & 1:
+            r ^= column
+    return r
+
+
 def random_invertible_matrix(n, rng):
-    """Random invertible n x n matrix over F_2."""
+    """The columns of a random invertible n x n matrix over F_2."""
     while True:
-        m = BinaryMatrix(n, [rng.randrange(1, 1 << n) for _ in range(n)])
-        if m.rank() == n:
-            return m
+        columns = [rng.randrange(1, 1 << n) for _ in range(n)]
+        if len(echelon(columns)) == n:
+            return columns
 
 
 def random_affine_permutation(gf, rng):
     """(forward, inverse) point maps of a random affine permutation."""
     m = random_invertible_matrix(gf.n, rng)
     c = rng.randrange(gf.order)
-    fwd = [m.apply(x) ^ c for x in gf.elements()]
+    fwd = [apply(m, x) ^ c for x in gf.elements()]
     inv = [0] * gf.order
     for x, y in enumerate(fwd):
         inv[y] = x
@@ -36,14 +48,29 @@ def random_affine_permutation(gf, rng):
 
 def random_affine_map(gf, rng):
     """A random (not necessarily invertible) F_2-affine point map."""
-    m = BinaryMatrix(gf.n, [rng.randrange(gf.order) for _ in range(gf.n)])
+    m = [rng.randrange(gf.order) for _ in range(gf.n)]
     c = rng.randrange(gf.order)
-    return [m.apply(x) ^ c for x in gf.elements()]
+    return [apply(m, x) ^ c for x in gf.elements()]
 
 
-def _combine(basis, bits):
-    """The XOR of the basis vectors selected by the bits of bits."""
-    return BinaryMatrix(len(basis), list(basis)).apply(bits)
+def moebius(values):
+    """The binary Moebius transform of a table of 2^n entries, taking values
+    to normal-form coefficients and back (it is its own inverse). It is an
+    XOR, so it runs on all n coordinates at once."""
+    anf = list(values)
+    h = 1
+    while h < len(anf):
+        for u in range(len(anf)):
+            if u & h:
+                anf[u] ^= anf[u ^ h]
+        h *= 2
+    return anf
+
+
+def algebraic_degree(values):
+    """The largest weight of an exponent u whose normal-form coefficient is
+    nonzero, 0 for a constant."""
+    return max((bin(u).count("1") for u, c in enumerate(moebius(values)) if c), default=0)
 
 
 def random_cover(gf, d, rng):
@@ -60,9 +87,9 @@ def random_cover(gf, d, rng):
     while todo:
         base, basis = todo.pop()
         k = len(basis)
-        w = [_combine(basis, col) for col in random_invertible_matrix(k, rng).columns]
+        w = [apply(basis, col) for col in random_invertible_matrix(k, rng)]
         if k == d:  # a random base and basis, so parts meet in sums, not shared vectors
-            flats.append(AffineSubspace(base ^ _combine(w, rng.randrange(1 << k)), tuple(w)))
+            flats.append(AffineSubspace(base ^ apply(w, rng.randrange(1 << k)), tuple(w)))
         elif k >= max(3, d + 2) and rng.random() < 0.5:
             w1, w2, w3, *rest = w
             todo += [(base, [w1, *rest]), (base ^ w2, [w2 ^ w3, *rest]),

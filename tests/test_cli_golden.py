@@ -76,6 +76,10 @@ CASES = {
     "kloosterman": ["kloosterman"],
     "vflats-list-5-3-apn-csv": ["vflats", "list", "--n", "5", "--monomial", "3",
                                 "--format", "csv"],
+    # x^3 + 7x^36 + x + 5: degree 2 with affine terms, so it takes the rank
+    # route; recorded when every univariate ran the generic kernel
+    "spectrum-10-univariate-affine-json": ["spectrum", "--n", "10", "--univariate",
+                                           "3:3,7:36,1:1,5:0", "--format", "json"],
 }
 
 GOLDEN = {
@@ -111,6 +115,8 @@ GOLDEN = {
         "683662f7a48c12d100c10cf45c1c43cffdf23464c452aed68cee64358000bf8c",
     "kloosterman": "2a644a5bcc304a75444a902e7e9a887fd0178bdaaa1c136791cb833ade723501",
     "vflats-list-5-3-apn-csv": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "spectrum-10-univariate-affine-json":
+        "4683abc7eacc2b0d8aff562140003929d46e33d2503c8d6e2134df94a8b2286c",
 }
 
 

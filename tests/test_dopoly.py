@@ -8,13 +8,14 @@ from vanishingflats import (
     GF,
     FunctionTable,
     DOPolynomial,
-    BinaryMatrix,
+    QuadraticFunction,
     random_do_polynomial,
     enumerate_flats,
     count_via_spectrum,
 )
 from vanishingflats.dopoly import _family_ranks
 from vanishingflats.gf2n import echelon
+from helpers import apply
 
 
 def test_evaluate_basics():
@@ -73,41 +74,48 @@ def test_repeated_terms_add():
     assert f.to_table() == FunctionTable.from_univariate(gf, [(1, 3), (1, 3), (6, 10), (5, 10)])
 
 
-def test_linearized_matrix_matches_pointwise():
+def table_columns(f, a):
+    """The columns of L_{f,a} read off the value table of f."""
+    return QuadraticFunction(f.field, f.to_table().values)._columns(a)
+
+
+def polar_columns(f, a):
+    """The columns of L_{f,a}: the XOR of the polar rows selected by the bits of a."""
+    columns = [0] * f.field.n
+    for m, row in enumerate(f.polar_rows):
+        if a >> m & 1:
+            columns = [c ^ r for c, r in zip(columns, row)]
+    return columns
+
+
+def test_table_columns_match_direct_formula():
     gf = GF(5)
     f = random_do_polynomial(gf, 3, seed=8)
     for a in (1, 9, 31):
-        m = f.linearized_matrix(a)
+        columns = table_columns(f, a)
         for x in gf.elements():
-            assert m.apply(x) == f.linearized_at(a, x)
-        assert m.apply(a) == 0  # L_{f,a}(a) = 0 always
-    for a in (0, 32, -1):
-        with pytest.raises(ValueError):
-            f.linearized_matrix(a)
+            assert apply(columns, x) == f.linearized_at(a, x)
+        assert apply(columns, a) == 0  # L_{f,a}(a) = 0 always
 
 
-def test_linearized_matrix_additive():
+def test_linearized_at_additive():
     gf = GF(6)
     f = random_do_polynomial(gf, 4, seed=12)
-    m = f.linearized_matrix(7)
+    columns = table_columns(f, 7)
     for x in range(0, 64, 5):
         for y in range(0, 64, 7):
-            assert m.apply(x ^ y) == m.apply(x) ^ m.apply(y)
+            assert f.linearized_at(7, x ^ y) == f.linearized_at(7, x) ^ f.linearized_at(7, y)
+            assert f.linearized_at(7, x ^ y) == apply(columns, x ^ y)
 
 
 def test_gold_kernel_and_rank():
     gf = GF(6)
     gold = DOPolynomial.gold(gf, 3)  # s = 3
     for a in (1, 5, 44):
-        m = gold.linearized_matrix(a)
-        assert m.rank() == 3
-        kernel = {x for x in gf.elements() if m.apply(x) == 0}
+        columns = table_columns(gold, a)
+        assert len(echelon(columns)) == 3
+        kernel = {x for x in gf.elements() if apply(columns, x) == 0}
         assert kernel == {gf.mul(a, z) for z in gf.subfield(3)}
-
-
-def test_rank_basics():
-    assert BinaryMatrix.identity(6).rank() == 6
-    assert BinaryMatrix(6, [0] * 6).rank() == 0
 
 
 def matrix_at(planes, a):
@@ -153,7 +161,7 @@ def test_rank_multiset():
 def direct_rank_multiset(f):
     """Ranks of matrices built column by column from the direct formula."""
     n = f.field.n
-    return [BinaryMatrix(n, [f.linearized_at(a, 1 << k) for k in range(n)]).rank()
+    return [len(echelon([f.linearized_at(a, 1 << k) for k in range(n)]))
             for a in range(1, f.field.order)]
 
 
@@ -169,13 +177,22 @@ def test_rank_multiset_matches_direct_formula(n):
 
 
 def test_polar_rows_symmetric_with_zero_diagonal():
-    gf = GF(7)
-    f = random_do_polynomial(gf, 6, seed=31)
-    rows = f.polar_rows
-    for m in range(gf.n):
-        assert rows[m][m] == 0
-        for k in range(gf.n):
-            assert rows[m][k] == rows[k][m] == f.linearized_at(1 << m, 1 << k)
+    """The rows built from XORed Frobenius chains against L_{f,a} evaluated
+    by gf.pow, and f at each e_m + e_k against the exp-table expansion."""
+    polys = [random_do_polynomial(GF(7), 6, seed=31)]
+    for n in range(2, 11):
+        gf = GF(n)
+        max_support = n * (n - 1) // 2
+        polys += [random_do_polynomial(gf, 1 + (3 * seed + n) % max_support, seed=500 + seed)
+                  for seed in range(3)]
+        polys += [DOPolynomial(gf, {}), DOPolynomial.gold(gf, n - 1)]
+    for f in polys:
+        n, rows, table = f.field.n, f.polar_rows, f.to_table()
+        for m in range(n):
+            assert rows[m][m] == 0
+            for k in range(n):
+                assert rows[m][k] == rows[k][m] == f.linearized_at(1 << m, 1 << k)
+                assert f.evaluate(1 << m | 1 << k) == table[1 << m | 1 << k]
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -207,9 +224,9 @@ def test_derivative_identity():
     table = f.to_table()
     for a in range(1, gf.order):
         fa = table[a]
-        m = f.linearized_matrix(a)
+        columns = polar_columns(f, a)
         for x in gf.elements():
-            assert table[x ^ a] ^ table[x] == m.apply(x) ^ fa
+            assert table[x ^ a] ^ table[x] == apply(columns, x) ^ fa
 
 
 def test_image_size_is_power_of_rank():
@@ -217,7 +234,7 @@ def test_image_size_is_power_of_rank():
     f = random_do_polynomial(gf, 5, seed=41)
     table = f.to_table()
     for a in (1, 13, 50):
-        assert len(table.image_set(a)) == 1 << f.linearized_matrix(a).rank()
+        assert len(table.image_set(a)) == 1 << len(echelon(polar_columns(f, a)))
 
 
 def test_coset_closure():

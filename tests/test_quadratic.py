@@ -1,5 +1,7 @@
 """The quadratic fast path against the generic O(4^n) kernel, the polar-row
-rank walk and enumeration: QuadraticFunction must never be its own oracle."""
+rank walk, the Walsh fourth moment and the algebraic normal form:
+QuadraticFunction must never be its own oracle, and its degree test must
+admit exactly the tables of algebraic degree <= 2."""
 
 import random
 
@@ -16,15 +18,40 @@ from vanishingflats import (
     weight_counts_from_flats,
 )
 from vanishingflats.cli import build_parser, load_function
+from vanishingflats.dopoly import _is_quadratic
 from vanishingflats.gf2n import echelon
+from helpers import algebraic_degree, moebius, random_affine_permutation, walsh_flat_count
 
 
-def assert_matches_generic(poly, rng, samples=200):
-    """QuadraticFunction(poly) against FunctionTable(gf, f.values) on every
-    statistic the hook feeds, its ranks against the polar-row walk, and the
-    generic kernel against the rank identity the fast path rests on:
-    delta_f(a, .) takes only the values 0 and 2^(n - rank L_{f,a})."""
-    f = QuadraticFunction(poly)
+def quadratic(poly):
+    return QuadraticFunction(poly.field, poly.to_table().values)
+
+
+def load(n, *source):
+    return load_function(build_parser().parse_args(["vflats", "count", "--n", str(n), *source]))
+
+
+def with_affine_terms(poly, rng):
+    """The table of poly plus random linear terms c_k x^(2^k) and a random
+    constant: still of degree <= 2, with the polar form of poly."""
+    gf = poly.field
+    terms = [(c, (1 << i) + (1 << j)) for (i, j), c in poly.coeffs.items()]
+    terms += [(rng.randrange(gf.order), 1 << k) for k in range(gf.n)]
+    terms.append((rng.randrange(gf.order), 0))
+    return FunctionTable.from_univariate(gf, terms).values
+
+
+def table_of_degree(n, d, rng):
+    """A random table whose normal form uses only exponents of weight <= d."""
+    return moebius([rng.randrange(1 << n) if bin(u).count("1") <= d else 0
+                    for u in range(1 << n)])
+
+
+def assert_matches_generic(f, rng, samples=200):
+    """QuadraticFunction f against FunctionTable(gf, f.values) on every
+    statistic the hook feeds, and the generic kernel against the rank
+    identity the fast path rests on: delta_f(a, .) takes only the values 0
+    and 2^(n - rank L_{f,a}). Returns the block count."""
     gf = f.field
     generic = FunctionTable(gf, f.values)
     fast, slow = f.spectrum(), generic.spectrum()
@@ -34,9 +61,8 @@ def assert_matches_generic(poly, rng, samples=200):
     assert fast.per_direction == slow.per_direction
     assert fast.to_json() == slow.to_json()
     assert f.critical_directions() == generic.critical_directions()
-    assert list(f.ranks()) == poly.rank_multiset()
     count = count_via_spectrum(f)
-    assert count == count_via_spectrum(generic) == poly.count_vanishing_flats()
+    assert count == count_via_spectrum(generic)
     n3 = sum(flats_through_pair(generic, 0, a) for a in range(1, gf.order)) // 3
     assert weight_counts_from_flats(f) == weight_counts_from_flats(generic) == (n3, count - n3)
     for _ in range(samples):
@@ -46,6 +72,7 @@ def assert_matches_generic(poly, rng, samples=200):
     for a in rng.sample(range(1, gf.order), min(20, gf.order - 1)):
         b = f[a] ^ f[0]
         assert generic.delta(a, b) == 1 << (gf.n - f.ranks()[a - 1])
+    return count
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -54,25 +81,120 @@ def test_random_do_polynomials_match_generic_kernel(n):
     rng = random.Random(600 + n)
     max_support = n * (n - 1) // 2
     for seed in range(4 if n <= 7 else 2):
-        size = rng.randint(1, max_support)
-        assert_matches_generic(random_do_polynomial(gf, size, seed=seed), rng)
+        poly = random_do_polynomial(gf, rng.randint(1, max_support), seed=seed)
+        f = quadratic(poly)
+        assert assert_matches_generic(f, rng) == poly.count_vanishing_flats()
+        assert list(f.ranks()) == poly.rank_multiset()
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_affine_terms_and_affine_equivalence_match_generic_kernel(n):
+    """A DO polynomial plus linear and constant terms, and the same composed
+    with a random affine permutation x -> Mx + c, keep degree 2 and the
+    count. The first keeps the polar form, so its ranks are those of the
+    polynomial; the second has rank(L_{g,a}) = rank(L_{f,Ma}), a permutation
+    of them."""
+    gf = GF(n)
+    rng = random.Random(700 + n)
+    poly = random_do_polynomial(gf, rng.randint(1, n * (n - 1) // 2), seed=70 + n)
+    values = with_affine_terms(poly, rng)
+    fwd, _ = random_affine_permutation(gf, rng)
+    composed = [values[x] for x in fwd]
+    for table in (values, composed):
+        assert algebraic_degree(table) <= 2
+        f = QuadraticFunction(gf, table)
+        assert assert_matches_generic(f, rng, samples=50) == poly.count_vanishing_flats()
+        assert sorted(f.ranks()) == sorted(poly.rank_multiset())
+    assert list(QuadraticFunction(gf, values).ranks()) == poly.rank_multiset()
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_one_flipped_entry_leaves_the_fast_path(n, tmp_path):
+    """A point function has degree n > 2, so a quadratic table with one entry
+    changed must fail the degree test, and load as a generic table whose
+    count is the Walsh fourth moment's."""
+    gf = GF(n)
+    rng = random.Random(800 + n)
+    poly = random_do_polynomial(gf, rng.randint(1, n * (n - 1) // 2), seed=80 + n)
+    values = with_affine_terms(poly, rng)
+    path = tmp_path / "table.txt"
+    path.write_text("\n".join(map(str, values)) + "\n")
+    f = load(n, "--table-file", str(path))
+    assert type(f) is QuadraticFunction
+    assert count_via_spectrum(f) == walsh_flat_count(values)
+    for _ in range(3):
+        bad = list(values)
+        bad[rng.randrange(gf.order)] ^= rng.randrange(1, gf.order)
+        assert algebraic_degree(bad) == n
+        assert not _is_quadratic(bad)
+        with pytest.raises(ValueError, match="degree > 2"):
+            QuadraticFunction(gf, bad)
+        path.write_text("\n".join(map(str, bad)) + "\n")
+        f = load(n, "--table-file", str(path))
+        assert type(f) is FunctionTable
+        assert count_via_spectrum(f) == walsh_flat_count(bad)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_degree_test_against_normal_form(n):
+    """The degree test agrees with the algebraic normal form on tables of
+    every degree 0..n, on random tables and on near-misses of quadratics."""
+    rng = random.Random(900 + n)
+    tables = [table_of_degree(n, d, rng) for d in range(n + 1) for _ in range(4)]
+    tables += [[rng.randrange(1 << n) for _ in range(1 << n)] for _ in range(4)]
+    for t in tables[:3 * 4]:
+        for _ in range(2):
+            bad = list(t)
+            bad[rng.randrange(1 << n)] ^= rng.randrange(1, 1 << n)
+            tables.append(bad)
+    for t in tables:
+        assert _is_quadratic(t) == (algebraic_degree(t) <= 2)
+
+
+def test_every_table_at_n2_is_quadratic():
+    """Over GF(4) every function has degree <= 2: all 256 tables take the
+    rank route and agree with the generic kernel."""
+    gf = GF(2)
+    for code in range(256):
+        values = [code >> 2 * x & 3 for x in range(4)]
+        f = QuadraticFunction(gf, values)
+        generic = FunctionTable(gf, values)
+        assert f.spectrum() == generic.spectrum()
+        assert weight_counts_from_flats(f) == weight_counts_from_flats(generic)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_every_do_table_loads_as_quadratic(n):
+    """--do needs no branch of its own: every DO table passes the degree test."""
+    gf = GF(n)
+    max_support = n * (n - 1) // 2
+    rng = random.Random(1000 + n)
+    polys = [random_do_polynomial(gf, 1 + (5 * seed + n) % max_support, seed=seed)
+             for seed in range(4)]
+    polys += [DOPolynomial(gf, {}), DOPolynomial(gf, {(i, j): rng.randrange(1, gf.order)
+                                                      for i in range(n) for j in range(i + 1, n)})]
+    for poly in polys:
+        assert _is_quadratic(poly.to_table().values)
+        terms = ",".join(f"{i},{j}:{c}" for (i, j), c in sorted(poly.coeffs.items()))
+        f = load(n, "--do", terms)
+        assert type(f) is QuadraticFunction
+        assert f.values == poly.to_table().values
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_zero_polynomial(n):
     gf = GF(n)
-    zero = DOPolynomial(gf, {})
-    assert_matches_generic(zero, random.Random(n))
-    spec = QuadraticFunction(zero).spectrum()
-    assert spec.counts == {0: (gf.order - 1) ** 2, gf.order: gf.order - 1}
+    f = quadratic(DOPolynomial(gf, {}))
+    assert_matches_generic(f, random.Random(n))
+    assert f.spectrum().counts == {0: (gf.order - 1) ** 2, gf.order: gf.order - 1}
 
 
 @pytest.mark.parametrize("n,t", [(3, 1), (5, 2), (6, 2), (6, 3), (8, 2), (9, 3)])
 def test_gold_matches_power_function(n, t):
     gf = GF(n)
-    gold = DOPolynomial.gold(gf, t)
-    assert_matches_generic(gold, random.Random(n * 16 + t))
-    f, monomial = QuadraticFunction(gold), FunctionTable.from_monomial(gf, (1 << t) + 1)
+    f = quadratic(DOPolynomial.gold(gf, t))
+    assert_matches_generic(f, random.Random(n * 16 + t))
+    monomial = FunctionTable.from_monomial(gf, (1 << t) + 1)
     assert f.values == monomial.values
     assert f.spectrum() == monomial.spectrum()
 
@@ -91,19 +213,19 @@ def test_ranks_match_per_direction_elimination(n):
              for seed in range(3)]
     polys += [DOPolynomial(gf, {}), DOPolynomial.gold(gf, 1), DOPolynomial.gold(gf, n - 1)]
     for poly in polys:
-        f = QuadraticFunction(poly)
+        f = quadratic(poly)
         assert f.ranks() == per_direction_ranks(f)
 
 
 def test_ranks_match_per_direction_elimination_n12():
-    f = QuadraticFunction(random_do_polynomial(GF(12), 9, seed=12))
-    ranks = f.ranks()
-    assert ranks == per_direction_ranks(f)
-    assert list(ranks) == f.poly.rank_multiset()
+    poly = random_do_polynomial(GF(12), 9, seed=12)
+    ranks = quadratic(poly).ranks()
+    assert ranks == per_direction_ranks(quadratic(poly))
+    assert list(ranks) == poly.rank_multiset()
 
 
 def test_delta_argument_checks():
-    f = QuadraticFunction(DOPolynomial.gold(GF(4), 1))
+    f = quadratic(DOPolynomial.gold(GF(4), 1))
     with pytest.raises(ValueError):
         f.delta(0, 1)
     with pytest.raises(ValueError):
@@ -113,10 +235,16 @@ def test_delta_argument_checks():
 
 
 def test_do_terms_load_as_quadratic_function():
-    args = build_parser().parse_args(["vflats", "count", "--n", "6", "--do", "0,3:1"])
-    f = load_function(args)
+    f = load(6, "--do", "0,3:1")
     assert type(f) is QuadraticFunction
-    assert f.poly.coeffs == {(0, 3): 1}
+    assert f.values == DOPolynomial.gold(GF(6), 3).to_table().values
     assert count_via_spectrum(f) == 1008
-    args = build_parser().parse_args(["vflats", "count", "--n", "6", "--univariate", "1:9"])
-    assert type(load_function(args)) is FunctionTable
+    # x^9 is Gold, so as a univariate it takes the rank route as well
+    f = load(6, "--univariate", "1:9")
+    assert type(f) is QuadraticFunction
+    assert count_via_spectrum(f) == 1008
+    # x^3 + x^36 + x + 5: a quadratic part plus affine terms
+    assert type(load(10, "--univariate", "3:3,7:36,1:1,5:0")) is QuadraticFunction
+    # x^7 has degree 3; --monomial keeps the power-function path
+    assert type(load(6, "--univariate", "1:7")) is FunctionTable
+    assert type(load(6, "--monomial", "9")).__name__ == "PowerFunction"
