@@ -69,10 +69,7 @@ def load_function(args):
     else:
         with open(args.table_file) as fh:
             table = FunctionTable(gf, [int(line) for line in fh if line.strip()])
-    try:
-        return QuadraticFunction(gf, table.values)
-    except ValueError:  # degree > 2: the table's entries are already checked
-        return table
+    return QuadraticFunction.promote(table)
 
 
 def _emit(args, payload, lines, rows):

@@ -165,16 +165,14 @@ class DOPolynomial:
         Bit i of column k of L_{f,a} is the parity of the set bits m of a with
         bit i in polar row m, column k: the XOR of the coordinate planes X_m
         over those m."""
-        rows = self.polar_rows
         n = self.field.n
         xs = _coordinate_planes(n)
         planes = [[0] * n for _ in range(n)]
-        for m, row in enumerate(rows):
+        for m, row in enumerate(self.polar_rows):
             for k, entry in enumerate(row):
-                column = planes[k]
                 for i in range(n):
                     if entry >> i & 1:
-                        column[i] ^= xs[m]
+                        planes[k][i] ^= xs[m]
         return list(_family_ranks(planes)[1:])
 
     def count_vanishing_flats(self):
@@ -246,6 +244,15 @@ class QuadraticFunction(FunctionTable):
         if not _is_quadratic(self.values):
             raise ValueError("table has algebraic degree > 2")
         self._ranks = None
+
+    @classmethod
+    def promote(cls, table):
+        """table itself, or if its degree is <= 2 a QuadraticFunction sharing its values."""
+        if not _is_quadratic(table.values):
+            return table
+        f = object.__new__(cls)  # table's values are already checked: no copy
+        f.field, f.values, f._ranks = table.field, table.values, None
+        return f
 
     def _columns(self, a):
         """The images L_{f,a}(e_k), k < n, of the polynomial basis."""

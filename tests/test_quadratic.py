@@ -111,8 +111,9 @@ def test_affine_terms_and_affine_equivalence_match_generic_kernel(n):
 @pytest.mark.parametrize("n", range(3, 9))
 def test_one_flipped_entry_leaves_the_fast_path(n, tmp_path):
     """A point function has degree n > 2, so a quadratic table with one entry
-    changed must fail the degree test, and load as a generic table whose
-    count is the Walsh fourth moment's."""
+    changed must fail the degree test: the constructor raises, promote hands
+    the table back, and it loads as a generic table whose count is the Walsh
+    fourth moment's."""
     gf = GF(n)
     rng = random.Random(800 + n)
     poly = random_do_polynomial(gf, rng.randint(1, n * (n - 1) // 2), seed=80 + n)
@@ -122,6 +123,10 @@ def test_one_flipped_entry_leaves_the_fast_path(n, tmp_path):
     f = load(n, "--table-file", str(path))
     assert type(f) is QuadraticFunction
     assert count_via_spectrum(f) == walsh_flat_count(values)
+    table = FunctionTable(gf, values)
+    promoted = QuadraticFunction.promote(table)
+    assert type(promoted) is QuadraticFunction and promoted.values is table.values
+    assert promoted.ranks() == QuadraticFunction(gf, values).ranks()
     for _ in range(3):
         bad = list(values)
         bad[rng.randrange(gf.order)] ^= rng.randrange(1, gf.order)
@@ -129,6 +134,8 @@ def test_one_flipped_entry_leaves_the_fast_path(n, tmp_path):
         assert not _is_quadratic(bad)
         with pytest.raises(ValueError, match="degree > 2"):
             QuadraticFunction(gf, bad)
+        table = FunctionTable(gf, bad)
+        assert QuadraticFunction.promote(table) is table
         path.write_text("\n".join(map(str, bad)) + "\n")
         f = load(n, "--table-file", str(path))
         assert type(f) is FunctionTable
@@ -184,16 +191,20 @@ def test_every_do_table_loads_as_quadratic(n):
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_zero_polynomial(n):
     gf = GF(n)
-    f = quadratic(DOPolynomial(gf, {}))
-    assert_matches_generic(f, random.Random(n))
+    poly = DOPolynomial(gf, {})
+    f = quadratic(poly)
+    assert assert_matches_generic(f, random.Random(n)) == poly.count_vanishing_flats()
+    assert list(f.ranks()) == poly.rank_multiset()
     assert f.spectrum().counts == {0: (gf.order - 1) ** 2, gf.order: gf.order - 1}
 
 
 @pytest.mark.parametrize("n,t", [(3, 1), (5, 2), (6, 2), (6, 3), (8, 2), (9, 3)])
 def test_gold_matches_power_function(n, t):
     gf = GF(n)
-    f = quadratic(DOPolynomial.gold(gf, t))
-    assert_matches_generic(f, random.Random(n * 16 + t))
+    poly = DOPolynomial.gold(gf, t)
+    f = quadratic(poly)
+    assert assert_matches_generic(f, random.Random(n * 16 + t)) == poly.count_vanishing_flats()
+    assert list(f.ranks()) == poly.rank_multiset()
     monomial = FunctionTable.from_monomial(gf, (1 << t) + 1)
     assert f.values == monomial.values
     assert f.spectrum() == monomial.spectrum()
