@@ -2,9 +2,19 @@
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
+import struct
 
 from .gf2n import GF, as_int_list, require
+
+
+def pack_lanes(values):
+    """bytes holding each value as one little-endian lane: 1 byte wide for
+    at most 256 values, else 2. Values must fit their lane, as the entries
+    of a table over GF(2^n), n <= 16, do."""
+    if len(values) <= 256:
+        return bytes(values)
+    return struct.pack(f"<{len(values)}H", *values)
 
 
 class FunctionTable:
@@ -85,14 +95,38 @@ class FunctionTable:
         half lists the x with the top bit of a clear (the x < x+a) and values
         lists D_a f on half. D_a f(x) = D_a f(x+a), so each b occurs
         delta_f(a, b)/2 times. In increasing order, directions sharing a top
-        bit share one half list."""
-        t, q, top = self.values, self.field.order, 0
+        bit share one half list.
+
+        The table is packed once into one int, lane x holding f(x)
+        (pack_lanes). Lane x of moved holds f(x + a): going from one direction
+        to the next, each bit 2^k that changes swaps adjacent blocks of 2^k
+        lanes by two masked shifts. moved ^ packed holds D_a f, and one struct
+        format per top bit reads the lanes of half, skipping the others as pad
+        bytes; the struct module caches it compiled across calls."""
+        t, q = self.values, self.field.order
+        raw = pack_lanes(t)
+        width = len(raw) // q
+        packed = int.from_bytes(raw, "little")
+        masks = {}  # 2^k -> the lanes with bit k clear, all ones
+        moved, at, top = packed, 0, 0
         for a in range(1, q) if directions is None else directions:
             self._check_direction(a)
+            change, at = a ^ at, a
+            while change:
+                k = change & -change
+                change ^= k
+                lanes = k * width
+                mask = masks.get(k)
+                if mask is None:
+                    mask = masks[k] = int.from_bytes(
+                        (b"\xff" * lanes + bytes(lanes)) * (q // (2 * k)), "little")
+                moved = (moved >> 8 * lanes) & mask | (moved & mask) << 8 * lanes
             h = 1 << (a.bit_length() - 1)
             if h != top:
-                top, half = h, [x for x in range(q) if not x & h]
-            yield a, half, [t[x ^ a] ^ t[x] for x in half]
+                top, blocks = h, q // (2 * h)
+                half = list(compress(range(q), (b"\1" * h + bytes(h)) * blocks))
+                fmt = "<" + f"{h}{'BH'[width - 1]}{h * width}x" * blocks
+            yield a, half, list(struct.unpack(fmt, (moved ^ packed).to_bytes(len(raw), "little")))
 
     def histogram(self, a):
         """b -> delta_f(a, b) for each b taken: the half_derivatives counts, doubled."""
@@ -112,7 +146,7 @@ class FunctionTable:
         t = self.values
         for a, _, values in self.half_derivatives():
             hist = Counter(values)
-            shape = Counter({2 * k: l for k, l in Counter(hist.values()).items()})
+            shape = {2 * k: l for k, l in Counter(hist.values()).items()}
             yield (a,), shape, 2 * hist[t[a] ^ t[0]]
 
     def spectrum(self):

@@ -23,10 +23,9 @@ the elimination, so they cross-check each other.
 
 from functools import cached_property
 import random
-import struct
 
 from .gf2n import GF, as_int, as_list, require
-from .boolfunc import FunctionTable
+from .boolfunc import FunctionTable, pack_lanes
 
 _ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
 # _BIT_ASCII[b] maps each byte to b"0" or b"1" by its bit b
@@ -269,9 +268,10 @@ class QuadraticFunction(FunctionTable):
         if self._ranks is None:
             n, t = self.field.n, self.values
             full = (1 << self.field.order) - 1
-            raw = struct.pack(f"<{len(t)}H", *t)
-            halves = raw[0::2], raw[1::2]  # the low and the high byte of each value
-            tables = [int(halves[i >> 3].translate(_BIT_ASCII[i & 7])[::-1], 2)
+            raw = pack_lanes(t)
+            width = len(raw) // len(t)
+            octets = [raw[j::width] for j in range(width)]  # byte j of each value
+            tables = [int(octets[i >> 3].translate(_BIT_ASCII[i & 7])[::-1], 2)
                       for i in range(n)]
             planes = []
             for k, x in enumerate(_coordinate_planes(n)):

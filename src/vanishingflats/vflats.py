@@ -95,14 +95,16 @@ def enumerate_flats(f, limit=None):
     in increasing order, each bucket closed by last[v].
     More than limit blocks raise a ValueError that gives the exact count.
     """
-    t, blocks = f.values, []
+    t, blocks, shared = f.values, [], None
     for a, half, values in f.half_derivatives(range(1, f.field.order >> 1)):
         last = dict(zip(values, half))
         if len(last) == len(half):
             continue
+        if shared is not half:  # one set per shared half list, i.e. per top bit
+            shared, points = half, set(half)
         shift = a.bit_length()
         buckets = defaultdict(list)
-        for x in sorted(set(half).difference(last.values())):
+        for x in sorted(points.difference(last.values())):
             buckets[t[x ^ a] ^ t[x]].append(x)
         for v, xs in buckets.items():
             xs.append(last[v])

@@ -160,6 +160,84 @@ def test_half_derivatives_visit_each_pair_once():
             f.histogram(bad)
 
 
+def comprehension_half_derivatives(f, directions):
+    """The oracle: half and D_a f on it, one Python step per point."""
+    t, q, halves = f.values, f.field.order, {}
+    for a in directions:
+        h = 1 << (a.bit_length() - 1)
+        if h not in halves:
+            halves[h] = [x for x in range(q) if not x & h]
+        yield a, halves[h], [t[x] ^ t[x ^ a] for x in halves[h]]
+
+
+def lane_edge_tables(gf):
+    """Tables that put 0 and 2^n - 1 side by side at lane and block edges:
+    blocks of 2^k alternating, the parity of x (every neighbour under every
+    swap differs), and a single extreme entry at each end and the middle."""
+    q, top = gf.order, gf.order - 1
+    tables = [[top * (x >> k & 1) for x in range(q)] for k in range(gf.n)]
+    tables.append([top * (bin(x).count("1") & 1) for x in range(q)])
+    for x in (0, q // 2 - 1, q // 2, q - 1):
+        tables += [[top * (y == x) for y in range(q)], [top * (y != x) for y in range(q)]]
+    return [FunctionTable(gf, t) for t in tables]
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_half_derivatives_match_the_comprehension(n):
+    """Lanes are 1 byte up to n = 8 and 2 bytes from n = 9."""
+    gf = GF(n)
+    q = gf.order
+    rng = random.Random(1400 + n)
+    every = range(1, q)
+    f = random_table(gf, rng)
+    assert list(f.half_derivatives()) == list(comprehension_half_derivatives(f, every))
+    sample = every if n <= 9 else sorted(rng.sample(every, 48) + [1, q >> 1, q - 1])
+    edges = lane_edge_tables(gf)
+    for g in edges:
+        assert list(g.half_derivatives(sample)) == list(comprehension_half_derivatives(g, sample))
+    parity = edges[n]
+    assert list(parity.half_derivatives()) == list(comprehension_half_derivatives(parity, every))
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_half_derivatives_follow_any_direction_sequence(n):
+    gf = GF(n)
+    q = gf.order
+    rng = random.Random(1500 + n)
+    orders = [(5, 3, 5, 1, q - 1, 2), (q - 1, q - 1, 1, q >> 1, (q >> 1) - 1, 6),
+              [rng.randrange(1, q) for _ in range(40)]]
+    for f in [random_table(gf, rng)] + lane_edge_tables(gf)[-4:]:
+        for directions in orders:
+            got = list(f.half_derivatives(directions))
+            assert got == list(comprehension_half_derivatives(f, directions))
+            assert [type(half) for _, half, _ in got] == [list] * len(directions)
+            for (a, half, _), (b, next_half, _) in zip(got, got[1:]):  # shared per top bit
+                assert (half is next_half) == (a.bit_length() == b.bit_length())
+
+
+@pytest.mark.parametrize("bad", (0, -1, "q", "2q"))
+def test_half_derivatives_reject_a_bad_direction_mid_sequence(bad):
+    gf = GF(9)
+    q = gf.order
+    bad = {"q": q, "2q": 2 * q}.get(bad, bad)
+    f = random_table(gf, random.Random(1600))
+    walk = f.half_derivatives((3, 5, bad, 7))
+    assert [next(walk)[0], next(walk)[0]] == [3, 5]
+    with pytest.raises(ValueError):
+        next(walk)
+
+
+def test_half_derivatives_at_n16():
+    gf = GF(16)
+    q = gf.order
+    rng = random.Random(1616)
+    f = random_table(gf, rng)
+    directions = (1, q - 1, q >> 1, 0x1234, 0x1234, 3, (q >> 1) - 1, 0x8001, rng.randrange(1, q))
+    parity = FunctionTable(gf, [(q - 1) * (bin(x).count("1") & 1) for x in range(q)])
+    for g, spots in ((f, directions), (parity, directions[:4])):
+        assert list(g.half_derivatives(spots)) == list(comprehension_half_derivatives(g, spots))
+
+
 def test_partially_apn_matches_image_size():
     gf = GF(6)
     rng = random.Random(99)
