@@ -40,7 +40,7 @@ class FunctionTable:
                 and self.field == other.field and self.values == other.values)
 
     def __repr__(self):
-        return f"FunctionTable({self.field!r}, <{len(self.values)} values>)"
+        return f"FunctionTable({self.field!r}, <{self.field.order} values>)"
 
     @staticmethod
     def from_monomial(gf, d):
@@ -49,10 +49,11 @@ class FunctionTable:
 
     @classmethod
     def from_univariate(cls, gf, terms):
-        """Pointwise sum of monomials c * x^e for (c, e) in terms, from the exp
-        table: at x = alpha^k, c * x^e = alpha^(log c + k * e), an index taken
-        mod 2^n - 1. At x = 0 only the terms with e = 0 count (0^0 = 1)."""
-        exp = gf.alpha_powers()
+        """Pointwise sum of monomials c * x^e for (c, e) in terms, from the
+        field's exp and log lists: at x = alpha^k, c * x^e = alpha^(log c + k * e),
+        an index taken mod 2^n - 1. At x = 0 only the terms with e = 0 count
+        (0^0 = 1)."""
+        exp, log = gf.exp_log()
         q1 = len(exp)
         at_zero = 0
         acc = [0] * q1
@@ -64,7 +65,7 @@ class FunctionTable:
                 continue
             if e == 0:
                 at_zero ^= c
-            log_c, step = exp.index(c), e % q1
+            log_c, step = log[c], e % q1
             acc = [v ^ exp[(log_c + k * step) % q1] for k, v in enumerate(acc)]
         values = [at_zero] * gf.order
         for x, v in zip(exp, acc):
@@ -145,9 +146,7 @@ class FunctionTable:
         with the half-space counts of half_derivatives doubled."""
         t = self.values
         for a, _, values in self.half_derivatives():
-            hist = Counter(values)
-            shape = {2 * k: l for k, l in Counter(hist.values()).items()}
-            yield (a,), shape, 2 * hist[t[a] ^ t[0]]
+            yield _doubled_class((a,), Counter(values), t[a] ^ t[0])
 
     def spectrum(self):
         """Full differential spectrum, one histogram shape per direction class."""
@@ -184,6 +183,14 @@ class FunctionTable:
         return cls(GF.from_json(require(obj, "field")), require(obj, "values", as_int_list))
 
 
+def _doubled_class(directions, half_counts, b):
+    """(directions, shape, at_zero) for directions that share one histogram
+    shape, from the half counts b -> delta_f(a, b)/2 of one of them, a, and
+    b = f(a) + f(0)."""
+    shape = {2 * k: l for k, l in Counter(half_counts.values()).items()}
+    return directions, shape, 2 * half_counts[b]
+
+
 class PowerFunction(FunctionTable):
     """The power function x^d, whose statistics all come from direction 1.
 
@@ -192,35 +199,56 @@ class PowerFunction(FunctionTable):
     "Differential properties of power functions", 2010). spectrum() therefore
     costs O(2^n) once, against O(4^n) for a generic table; count_via_spectrum,
     bounds, critical_directions and the cyclic-code weights inherit that
-    through _direction_classes. delta(a, b) is the inherited kernel, and
-    FunctionTable(gf, f.values) stays the generic oracle.
+    through _direction_classes, none of them building the value table: it is
+    made on the first read of values (delta, enumerate_flats, covers, to_json)
+    and kept. delta(a, b) is the inherited kernel, and FunctionTable(gf,
+    f.values) stays the generic oracle.
     """
 
-    __slots__ = ("d", "_hist1")
+    __slots__ = ("d", "_hist1", "_values")
 
     def __init__(self, gf, d):
         if d < 1:
             raise ValueError("monomial exponent must be positive")
-        # walk x = alpha^i and x^d = (alpha^d)^i together, by table lookups
-        alpha = gf.primitive_element()
-        values = [0] * gf.order
-        for x, y in zip(gf.powers(alpha, gf.order - 1),
-                        gf.powers(gf.pow(alpha, d), gf.order - 1)):
-            values[x] = y
-        super().__init__(gf, values)
+        self.field = gf
         self.d = d
         self._hist1 = None
+        self._values = None
+
+    @property
+    def values(self):
+        """The value table, built on the first read and kept in _values (the
+        FunctionTable slot of the same name stays unset)."""
+        if self._values is None:
+            # walk x = alpha^i and x^d = (alpha^d)^i together, by table lookups
+            gf = self.field
+            alpha = gf.primitive_element()
+            values = [0] * gf.order
+            for x, y in zip(gf.powers(alpha, gf.order - 1),
+                            gf.powers(gf.pow(alpha, self.d), gf.order - 1)):
+                values[x] = y
+            self._values = FunctionTable(gf, values).values
+        return self._values
 
     def _histogram1(self):
+        """b -> delta_f(1, b)/2, from the field's exp and log lists. The pairs
+        {x, x + 1} are the even x with x + 1. For x != 0 their logs are
+        log[2::2] and log[3::2] (the Zech pairs), and x^d = exp[e * log x mod
+        2^n - 1] with e = d mod 2^n - 1. The pair {0, 1} adds b = 1."""
         if self._hist1 is None:
-            self._hist1 = self.histogram(1)
+            exp, log = self.field.exp_log()
+            q1 = len(exp)
+            e = self.d % q1
+            hist = Counter([exp[e * i % q1] ^ exp[e * j % q1]
+                            for i, j in zip(log[2::2], log[3::2])])
+            hist[1] += 1
+            self._hist1 = hist
         return self._hist1
 
     def _direction_classes(self):
         """One class: every direction has the histogram of a = 1, and
         f(a) + f(0) = a^d, so at_zero = delta_f(1, 1)."""
-        hist = self._histogram1()
-        yield range(1, self.field.order), Counter(hist.values()), hist[1]
+        yield _doubled_class(range(1, self.field.order), self._histogram1(), 1)
 
 
 @dataclass

@@ -22,6 +22,7 @@ the elimination, so they cross-check each other.
 """
 
 from functools import cached_property
+from itertools import compress
 import random
 
 from .gf2n import GF, as_int, as_list, require
@@ -284,13 +285,15 @@ class QuadraticFunction(FunctionTable):
 
     def _direction_classes(self):
         """One class per rank h: shape {2^(n-h): 2^h}, and D_a f(0) is a
-        value of the derivative, so at_zero = 2^(n-h)."""
-        n = self.field.n
-        classes = {}
-        for a, h in enumerate(self.ranks(), 1):
-            classes.setdefault(h, []).append(a)
-        for h, directions in classes.items():
-            yield directions, {1 << (n - h): 1 << h}, 1 << (n - h)
+        value of the derivative, so at_zero = 2^(n-h). The directions of rank
+        h are those whose ranks() byte translates to 1 by a table that is 1 at
+        h alone: one compress per rank present."""
+        n, ranks = self.field.n, self.ranks()
+        directions = list(range(1, self.field.order))
+        for h in range(n + 1):
+            if h in ranks:
+                is_h = ranks.translate(bytes(h) + b"\1" + bytes(255 - h))
+                yield list(compress(directions, is_h)), {1 << (n - h): 1 << h}, 1 << (n - h)
 
 
 def random_do_polynomial(gf, support_size, seed):

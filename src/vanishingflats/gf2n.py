@@ -119,7 +119,7 @@ class GF:
                 raise ValueError(f"modulus {modulus:#x} is reducible: it shares a factor "
                                  f"with x^(2^{i}) + x")
         self._primitive = None
-        self._exp = None
+        self._exp_log = None
 
     def __eq__(self, other):
         return isinstance(other, GF) and (self.n, self.modulus) == (other.n, other.modulus)
@@ -236,11 +236,27 @@ class GF:
             yield x
             x = lo[x & 255] ^ hi[x >> 8]
 
+    def exp_log(self):
+        """(exp, log) for alpha = primitive_element(): exp[i] = alpha^i for
+        0 <= i < 2^n - 1, and log[exp[i]] = i (log[0] = 0 is a placeholder).
+        Both come from one walk of products by alpha, read from
+        mul_tables(alpha), made once per field and shared, not copied:
+        callers must not modify them."""
+        if self._exp_log is None:
+            q1 = self.order - 1
+            lo, hi = self.mul_tables(self.primitive_element())
+            exp, log = [0] * q1, [0] * self.order
+            x = 1
+            for i in range(q1):
+                exp[i] = x
+                log[x] = i
+                x = lo[x & 255] ^ hi[x >> 8]
+            self._exp_log = exp, log
+        return self._exp_log
+
     def alpha_powers(self):
-        """[alpha^0, ..., alpha^(2^n - 2)] for alpha = primitive_element()."""
-        if self._exp is None:
-            self._exp = list(self.powers(self.primitive_element(), self.order - 1))
-        return list(self._exp)
+        """[alpha^0, ..., alpha^(2^n - 2)] for alpha = primitive_element(), a copy."""
+        return list(self.exp_log()[0])
 
     def to_json(self):
         return {"n": self.n, "modulus": self.modulus}

@@ -1,7 +1,10 @@
 """The power-function fast path against the generic O(4^n) kernel and the
 reference counts: PowerFunction must never be its own oracle."""
 
+import io
+import math
 import random
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -14,7 +17,8 @@ from vanishingflats import (
     count_via_spectrum,
     weight_counts_from_flats,
 )
-from vanishingflats.cli import build_parser, load_function
+from vanishingflats import vflats
+from vanishingflats.cli import build_parser, load_function, main
 
 
 def assert_matches_generic(f, rng, samples=200):
@@ -88,3 +92,149 @@ def test_tables_from_files_stay_generic(tmp_path):
     assert type(load_function(args)) is FunctionTable
     args = build_parser().parse_args(["vflats", "count", "--n", "5", "--monomial", "7"])
     assert type(load_function(args)) is PowerFunction
+
+
+def class_leaders(q1):
+    """The least d of each class d ~ 2d mod q1, 0 < d < q1."""
+    seen, leaders = set(), []
+    for d in range(1, q1):
+        if d not in seen:
+            leaders.append(d)
+            while d not in seen:
+                seen.add(d)
+                d = 2 * d % q1
+    return leaders
+
+
+def non_primitive_moduli(n):
+    """The irreducible moduli of degree n under which x = 2 is not primitive."""
+    out = []
+    for m in range(1 << n, 1 << (n + 1)):
+        try:
+            gf = GF(n, m)
+        except ValueError:
+            continue
+        if gf.primitive_element() != 2:
+            out.append(m)
+    return out
+
+
+def assert_kernel_matches_generic(f):
+    """_histogram1, spectrum() and the count of f against FunctionTable(gf,
+    f.values), the O(4^n) kernel, with one generic spectrum."""
+    gf = f.field
+    generic = FunctionTable(gf, f.values)
+    assert {b: 2 * c for b, c in f._histogram1().items()} == generic.histogram(1)
+    fast, slow = f.spectrum(), generic.spectrum()
+    assert (fast.counts, fast.uniformity, fast.per_direction, fast.through_zero) \
+        == (slow.counts, slow.uniformity, slow.per_direction, slow.through_zero)
+    assert count_via_spectrum(f) == vflats.count_from_spectrum(slow)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_every_class_matches_generic_kernel(n):
+    gf = GF(n)
+    for d in class_leaders(gf.order - 1):
+        assert_kernel_matches_generic(PowerFunction(gf, d))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_edge_exponents_match_generic_kernel(n):
+    gf = GF(n)
+    q, q1 = gf.order, gf.order - 1
+    not_invertible = [d for d in range(2, q1) if math.gcd(d, q1) > 1]
+    edges = [1, 2, 6, q - 2, q1, q, 2 * q1, 2 * q + 1, 5 * q + 3, *not_invertible[:3]]
+    for d in edges:
+        f = PowerFunction(gf, d)
+        assert_kernel_matches_generic(f)
+        assert f.values == [gf.pow(x, d) for x in gf.elements()]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_non_primitive_modulus(n):
+    moduli = non_primitive_moduli(n)
+    assert moduli and (n != 4 or 31 in moduli)
+    gf = GF(n, moduli[0])
+    assert gf.primitive_element() != 2
+    for d in class_leaders(gf.order - 1) + [gf.order - 1, 3 * gf.order]:
+        f = PowerFunction(gf, d)
+        assert f.values == [gf.pow(x, d) for x in gf.elements()]
+        assert_kernel_matches_generic(f)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 15])
+def test_cli_count_under_modulus_31(d):
+    gf = GF(4, 31)
+    want = count_via_spectrum(FunctionTable(gf, [gf.pow(x, d) for x in gf.elements()]))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["vflats", "count", "--n", "4", "--modulus", "31", "--monomial", str(d)]) == 0
+    assert out.getvalue() == f"{want}\n"
+
+
+def count_table_builds(monkeypatch):
+    """A list that gains one entry per FunctionTable.__init__ call from now on."""
+    calls = []
+    init = FunctionTable.__init__
+
+    def counted(self, gf, values):
+        calls.append(gf)
+        init(self, gf, values)
+
+    monkeypatch.setattr(FunctionTable, "__init__", counted)
+    return calls
+
+
+def test_statistics_leave_the_table_unbuilt(monkeypatch):
+    builds = count_table_builds(monkeypatch)
+    f = PowerFunction(GF(10), 7)
+    f.spectrum()
+    count_via_spectrum(f)
+    weight_counts_from_flats(f)
+    f.critical_directions()
+    repr(f)
+    assert f._values is None and builds == []
+    for argv in (["vflats", "count", "--n", "12", "--monomial", "7"],
+                 ["spectrum", "--n", "10", "--monomial", "13", "--format", "json"],
+                 ["table", "table1", "--family", "d7", "--n", "10"],
+                 ["table", "table2", "--n", "6"],
+                 ["codeweights", "--n", "9", "--d", "9"]):
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    assert builds == []
+
+
+@pytest.mark.parametrize("n", [3, 8, 11])
+def test_values_built_once_and_equal_pointwise_pow(n, monkeypatch):
+    gf = GF(n)
+    f = PowerFunction(gf, 7)
+    before = f.spectrum()
+    builds = count_table_builds(monkeypatch)
+    table = f.values
+    assert table == [gf.pow(x, 7) for x in gf.elements()]
+    assert f.values is table and f[3] == table[3]
+    f.delta(1, 1)
+    assert f.to_json()["values"] == table
+    assert builds == [gf]
+    assert f.spectrum() == before
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_exp_and_log_match_pow(n):
+    gf = GF(n)
+    alpha, q1 = gf.primitive_element(), gf.order - 1
+    exp, log = gf.exp_log()
+    assert gf.exp_log() == (exp, log) and gf.exp_log()[0] is exp and gf.exp_log()[1] is log
+    assert exp == [gf.pow(alpha, i) for i in range(q1)]
+    assert len(log) == gf.order and all(log[exp[i]] == i for i in range(q1))
+    assert gf.alpha_powers() == exp and gf.alpha_powers() is not exp
+
+
+@pytest.mark.parametrize("n, modulus", [(16, None), (4, 31), (6, non_primitive_moduli(6)[0])])
+def test_exp_and_log_sampled(n, modulus):
+    gf = GF(n, modulus)
+    alpha, q1 = gf.primitive_element(), gf.order - 1
+    exp, log = gf.exp_log()
+    assert len(exp) == q1 and sorted(log[1:]) == list(range(q1))
+    for i in random.Random(n).sample(range(q1), min(q1, 200)):
+        assert exp[i] == gf.pow(alpha, i) and log[gf.pow(alpha, i)] == i
