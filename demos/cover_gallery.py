@@ -6,18 +6,17 @@ Run with: python3 demos/cover_gallery.py
 from vanishingflats import (
     gold_cover,
     theorem8_cover,
-    verify_cover,
-    verify_nonparallel,
-    verify_totally_skew,
+    cover_properties,
     parallel_decomposition,
 )
 
 
 def summarize(name, cover):
     print(f"{name}: {len(cover)} flats of dimension {cover.dimension}")
-    print(f"  cover valid:   {verify_cover(cover)}")
-    print(f"  nonparallel:   {verify_nonparallel(cover)}")
-    print(f"  totally skew:  {verify_totally_skew(cover)}")
+    props = cover_properties(cover)
+    print(f"  cover valid:   {props['valid']}")
+    print(f"  nonparallel:   {props['nonparallel']}")
+    print(f"  totally skew:  {props['totally_skew']}")
     groups = parallel_decomposition(cover)
     sizes = sorted(set(len(g) for g in groups))
     print(f"  parallel classes: {len(groups)} of sizes {sizes}")

@@ -28,8 +28,6 @@ from .covers import (
     overlapping_flats,
     image_cover,
     verify_cover,
-    verify_nonparallel,
-    verify_totally_skew,
     cover_properties,
     parallel_decomposition,
     gold_cover,
@@ -40,7 +38,6 @@ from .cycliccode import (
     ParityCheckSpec,
     weight_counts_from_flats,
     direct_low_weight_counts,
-    generalized_weight4_count,
 )
 
 __version__ = "0.1.0"

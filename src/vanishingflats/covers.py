@@ -180,20 +180,6 @@ def overlapping_flats(cover):
                    for pair in combinations(own, 2)})
 
 
-def verify_nonparallel(cover):
-    """True iff all linear parts are pairwise distinct."""
-    if not verify_cover(cover):
-        raise ValueError("not a valid cover")
-    return _nonparallel(cover)
-
-
-def verify_totally_skew(cover):
-    """True iff every pair of linear parts intersects only in 0."""
-    if not verify_cover(cover):
-        raise ValueError("not a valid cover")
-    return _totally_skew(cover)
-
-
 def cover_properties(cover):
     """{"valid", "nonparallel", "totally_skew"} from one validity pass; an
     invalid cover gives {"valid": False} alone."""

@@ -101,12 +101,6 @@ def direct_low_weight_counts(spec, max_weight):
     return {3: counts[3]}
 
 
-def generalized_weight4_count(f):
-    """Weight-4 codeword count of the generalized (length 2^n) code: equals the
-    number of vanishing flats of f."""
-    return vflats.count_via_spectrum(f)
-
-
 def report(gf, d, method="flats"):
     """JSON-ready weight report for the cyclic code of x^d."""
     out = {"n": gf.n, "d": d, "method": method}

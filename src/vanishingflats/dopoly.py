@@ -1,4 +1,4 @@
-"""Dembowski-Ostrom polynomials: evaluation, linearized derivatives, rank counts.
+"""Dembowski-Ostrom polynomials and the rank route for tables of degree <= 2.
 
 A DO polynomial is f = sum over 0 <= i < j < n of c_ij * x^(2^i + 2^j). Its
 derivative along a is the affine map L_{f,a}(x) + f(a), where
@@ -6,8 +6,7 @@ L_{f,a}(x) = sum c_ij (a^(2^i) x^(2^j) + a^(2^j) x^(2^i)) is F_2-linear.
 
 L_{f,a}(x) = B(a, x) for the polar form B(x, y) = f(x + y) + f(x) + f(y),
 which is symmetric and F_2-bilinear since f(0) = 0. So column k of the matrix
-of L_{f,a} is the XOR of the polar rows B(e_m, e_k) over the set bits m of a.
-The n x n polar rows come from O(n^2) evaluations of f.
+of L_{f,a} is f(a + e_k) + f(a) + f(e_k), read off the value table.
 
 Every rank(L_{f,a}) comes from one bitsliced elimination, `_family_ranks`:
 bit a of a 2^n-bit int holds entry (i, k) of the matrix of L_{f,a}, so each
@@ -17,11 +16,10 @@ such operations in all, instead of one elimination per direction.
 QuadraticFunction is any value table of algebraic degree <= 2, however it
 was given; an O(2^n) test, `_is_quadratic`, admits it. It reads the columns
 of each L_{f,a} off the table, and its spectrum and count come from those
-ranks, against O(4^n) for the generic pass. The two rank routes share only
-the elimination, so they cross-check each other.
+ranks, against O(4^n) for the generic pass. DOPolynomial.count_vanishing_flats
+sums the same ranks in the closed rank formula.
 """
 
-from functools import cached_property
 from itertools import compress
 import random
 
@@ -110,86 +108,21 @@ class DOPolynomial:
             raise ValueError(f"gold exponent needs 1 <= t < {gf.n}")
         return cls(gf, {(0, t): 1})
 
-    def _chain(self, x):
-        """The Frobenius chain x, x^2, x^4, ... up to the highest power a term reads."""
-        gf = self.field
-        chain = [x]
-        for _ in range(max((j for _, j in self.coeffs), default=0)):
-            chain.append(gf.mul(chain[-1], chain[-1]))
-        return chain
-
-    def _at(self, chain):
-        """f at the point whose Frobenius chain this is: two products a term."""
-        mul = self.field.mul
-        r = 0
-        for (i, j), c in self.coeffs.items():
-            r ^= mul(c, mul(chain[i], chain[j]))
-        return r
-
-    def evaluate(self, x):
-        return self._at(self._chain(x))
-
-    @cached_property
-    def polar_rows(self):
-        """The n x n polar matrix: rows[m][k] = B(e_m, e_k), so column k of the
-        matrix of L_{f,a} is the XOR of rows[m][k] over the set bits m of a.
-        Squaring is additive: the chain of e_m + e_k is the chains' XOR."""
-        n = self.field.n
-        chains = [self._chain(1 << k) for k in range(n)]
-        f_e = [self._at(chain) for chain in chains]
-        rows = [[0] * n for _ in range(n)]
-        for m in range(n):
-            for k in range(m):
-                pair = [u ^ v for u, v in zip(chains[m], chains[k])]
-                rows[m][k] = rows[k][m] = self._at(pair) ^ f_e[m] ^ f_e[k]
-        return rows
-
     def to_table(self):
         """Value table of the univariate expansion, built from the exp table."""
         return FunctionTable.from_univariate(
             self.field, [(c, (1 << i) + (1 << j)) for (i, j), c in self.coeffs.items()])
 
-    def linearized_at(self, a, x):
-        """L_{f,a}(x), evaluated directly."""
-        gf = self.field
-        r = 0
-        for (i, j), c in self.coeffs.items():
-            ai, aj = gf.pow(a, 1 << i), gf.pow(a, 1 << j)
-            xi, xj = gf.pow(x, 1 << i), gf.pow(x, 1 << j)
-            r ^= gf.mul(c, gf.mul(ai, xj) ^ gf.mul(aj, xi))
-        return r
-
-    def rank_multiset(self):
-        """[rank(L_{f,a}) for each nonzero a], 2^n - 1 values in the order of a.
-
-        Bit i of column k of L_{f,a} is the parity of the set bits m of a with
-        bit i in polar row m, column k: the XOR of the coordinate planes X_m
-        over those m."""
-        n = self.field.n
-        xs = _coordinate_planes(n)
-        planes = [[0] * n for _ in range(n)]
-        for m, row in enumerate(self.polar_rows):
-            for k, entry in enumerate(row):
-                for i in range(n):
-                    if entry >> i & 1:
-                        planes[k][i] ^= xs[m]
-        return list(_family_ranks(planes)[1:])
-
     def count_vanishing_flats(self):
-        """Block count via the rank multiset: (2^(n-2)/3) * sum(2^(n-h-1) - 1)."""
+        """Block count from the ranks h = rank(L_{f,a}) of the value table:
+        (2^(n-2)/3) * sum over a != 0 of (2^(n-h-1) - 1)."""
         n = self.field.n
-        total = sum((1 << (n - h - 1)) - 1 for h in self.rank_multiset())
+        ranks = QuadraticFunction.promote(self.to_table()).ranks()
+        total = sum(((1 << (n - h - 1)) - 1) * ranks.count(h) for h in range(n))
         scaled = (1 << (n - 2)) * total
         if scaled % 3 != 0:
             raise ArithmeticError("rank-count formula did not produce an exact integer")
         return scaled // 3
-
-    def is_vanishing_pair(self, x1, x2):
-        """True iff {0, x1, x2, x1+x2} (and hence each coset) is a vanishing flat,
-        that is iff B(x1, x2) = 0."""
-        if x1 == 0 or x2 == 0 or x1 == x2:
-            raise ValueError("x1, x2, x1+x2 must be nonzero and distinct")
-        return self.evaluate(x1) ^ self.evaluate(x2) ^ self.evaluate(x1 ^ x2) == 0
 
     def to_json(self):
         return {"field": self.field.to_json(),
@@ -232,9 +165,7 @@ class QuadraticFunction(FunctionTable):
     operations on 2^n-bit ints gives every rank. spectrum(), count_via_spectrum
     and the cyclic-code weights inherit that through _direction_classes,
     against O(4^n) for a generic table. delta(a, b) is the inherited kernel.
-    This route shares only the elimination with DOPolynomial.rank_multiset,
-    which builds its planes from the polar rows; FunctionTable(gf, f.values)
-    stays the generic oracle.
+    FunctionTable(gf, f.values) stays the generic oracle.
     """
 
     __slots__ = ("_ranks",)

@@ -1,9 +1,11 @@
 """Shared test utilities: random tables, random affine maps and random covers
 over GF(2^n), the algebraic degree from the normal form, the pairwise
 definitions of the cover predicates as oracles, the span, affinity and
-trivial-cover oracles for F_2 elimination, and two vanishing-flat oracles
-that share no code with the package's kernels: a brute force over all
-2-flats and the Walsh fourth moment."""
+trivial-cover oracles for F_2 elimination, the pointwise values, linearized
+derivatives and per-direction ranks of a DO polynomial by gf.pow and gf.mul
+alone, a counter of value-table builds, and two vanishing-flat oracles that
+share no code with the package's kernels: a brute force over all 2-flats and
+the Walsh fourth moment."""
 
 from collections import defaultdict
 from itertools import combinations
@@ -11,6 +13,19 @@ import random
 
 from vanishingflats import AffineSubspace, Cover, FunctionTable, rref_basis
 from vanishingflats.gf2n import echelon
+
+
+def count_table_builds(monkeypatch):
+    """A list that gains one entry per FunctionTable.__init__ call from now on."""
+    calls = []
+    init = FunctionTable.__init__
+
+    def counted(self, gf, values):
+        calls.append(gf)
+        init(self, gf, values)
+
+    monkeypatch.setattr(FunctionTable, "__init__", counted)
+    return calls
 
 
 def random_table(gf, rng):
@@ -182,6 +197,39 @@ def oracle_trivial_cover(gf, basis):
             flats.append(AffineSubspace(x, basis))
             covered |= {x ^ v for v in linear}
     return Cover(gf, len(basis), flats)
+
+
+def do_value(poly, x):
+    """The DO polynomial poly at x, term by term by gf.pow and gf.mul: no
+    exp or log list and no value table."""
+    gf = poly.field
+    r = 0
+    for (i, j), c in poly.coeffs.items():
+        r ^= gf.mul(c, gf.mul(gf.pow(x, 1 << i), gf.pow(x, 1 << j)))
+    return r
+
+
+def linearized_at(poly, a, x):
+    """L_{f,a}(x) = sum c_ij (a^(2^i) x^(2^j) + a^(2^j) x^(2^i)), evaluated
+    directly."""
+    gf = poly.field
+    r = 0
+    for (i, j), c in poly.coeffs.items():
+        ai, aj = gf.pow(a, 1 << i), gf.pow(a, 1 << j)
+        xi, xj = gf.pow(x, 1 << i), gf.pow(x, 1 << j)
+        r ^= gf.mul(c, gf.mul(ai, xj) ^ gf.mul(aj, xi))
+    return r
+
+
+def linearized_columns(poly, a):
+    """The images L_{f,a}(e_k), k < n, by the direct formula."""
+    return [linearized_at(poly, a, 1 << k) for k in range(poly.field.n)]
+
+
+def direct_rank_multiset(poly):
+    """[rank(L_{f,a}) for each nonzero a]: one elimination per direction of
+    the columns given by the direct formula."""
+    return [len(echelon(linearized_columns(poly, a))) for a in range(1, poly.field.order)]
 
 
 def brute_force_flats(f):

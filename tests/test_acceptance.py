@@ -22,12 +22,10 @@ from vanishingflats import (
     random_do_polynomial,
     gold_cover,
     theorem8_cover,
-    verify_cover,
-    verify_totally_skew,
+    cover_properties,
     parallel_decomposition,
     weight_counts_from_flats,
     direct_low_weight_counts,
-    generalized_weight4_count,
     KNOWN_MONOMIAL_COUNTS,
 )
 
@@ -159,6 +157,7 @@ def test_ac_07_kloosterman_and_d7():
 
 def test_ac_08_covers():
     ok = True
+    skew = {"valid": True, "nonparallel": True, "totally_skew": True}
     # (a): one totally skew cover per coset x * GF(4), 21 in total
     gf = GF(6)
     z = gf.subfield(2)[2]
@@ -169,7 +168,7 @@ def test_ac_08_covers():
             continue
         seen.add(subspace)
         _, img = gold_cover(6, 2, x=x, y=gf.mul(x, z))
-        if not (verify_cover(img) and verify_totally_skew(img)):
+        if cover_properties(img) != skew:
             ok = False
     if len(seen) != (gf.order - 1) // 3:
         ok = False
@@ -177,14 +176,14 @@ def test_ac_08_covers():
     # (b): the (9, 3) image cover splits into 64 parallel pairs
     _, img93 = gold_cover(9, 3)
     groups = parallel_decomposition(img93)
-    if not (verify_cover(img93) and not verify_totally_skew(img93)
+    if not (cover_properties(img93) == {"valid": True, "nonparallel": False, "totally_skew": False}
             and len(groups) == 64 and all(len(g) == 2 for g in groups)):
         ok = False
 
     # (c): the dimension-3 construction at (9, 3) is totally skew
     c93 = theorem8_cover(9, 3)
     if not (len(c93) == 64 and c93.dimension == 3
-            and verify_cover(c93) and verify_totally_skew(c93)):
+            and cover_properties(c93) == skew):
         ok = False
     _verdict("AC-8", ok)
 
@@ -234,7 +233,7 @@ def test_ac_10_code_weight_correspondence():
     for seed in range(50):
         f = random_table(gf5, random.Random(1000 + seed))
         direct = direct_low_weight_counts(ParityCheckSpec.generalized(gf5, f), 4)
-        if generalized_weight4_count(f) != direct[4]:
+        if count_via_spectrum(f) != direct[4]:
             ok = False
     _verdict("AC-10", ok)
 

@@ -17,8 +17,6 @@ from vanishingflats import (
     rref_basis,
     trivial_cover,
     verify_cover,
-    verify_nonparallel,
-    verify_totally_skew,
     overlapping_flats,
     parallel_decomposition,
     image_cover,
@@ -112,7 +110,7 @@ def test_trivial_cover():
     assert len(cover) == 4
     assert cover.dimension == 2
     assert verify_cover(cover)
-    assert not verify_nonparallel(cover)
+    assert not cover_properties(cover)["nonparallel"]
     assert [f.base for f in cover.flats] == [0, 4, 8, 12]
     assert len(parallel_decomposition(cover)) == 1
 
@@ -127,8 +125,7 @@ def test_verify_cover_rejects_bad_families():
     missing = Cover(gf, 1, good.flats[:-1])
     assert not verify_cover(missing)
     assert overlapping_flats(good) == []
-    with pytest.raises(ValueError):
-        verify_totally_skew(missing)
+    assert cover_properties(missing) == {"valid": False}
 
 
 def test_image_cover_requires_permutation_and_flat_images():
@@ -149,7 +146,7 @@ def test_gold_cover_basic():
     assert len(triv) == 16 and len(img) == 16
     assert verify_cover(triv) and verify_cover(img)
     assert img.dimension == 2
-    assert verify_totally_skew(img)
+    assert cover_properties(img)["totally_skew"]
     # every flat of the trivial cover is a vanishing flat of the Gold function
     gf = GF(6)
     f = FunctionTable.from_monomial(gf, 5)
@@ -167,9 +164,10 @@ def test_gold_image_skew_or_parallel_pairs(n, t):
     _, img = gold_cover(n, t)
     assert verify_cover(img)
     groups = parallel_decomposition(img)
-    if verify_totally_skew(img):
+    props = cover_properties(img)
+    if props["totally_skew"]:
         assert all(len(g) == 1 for g in groups)
-        assert verify_nonparallel(img)
+        assert props["nonparallel"]
     else:
         assert all(len(g) == 2 for g in groups)
         assert len(groups) * 2 == len(img)
@@ -193,7 +191,7 @@ def test_gold_cover_explicit_pair():
     z = gf.subfield(2)[2]
     triv, img = gold_cover(6, 2, x=3, y=gf.mul(3, z))
     assert verify_cover(triv) and verify_cover(img)
-    assert verify_totally_skew(img)
+    assert cover_properties(img)["totally_skew"]
 
 
 @pytest.mark.parametrize("n,t", [(6, 2), (9, 3), (10, 2)])
@@ -203,7 +201,7 @@ def test_theorem8_cover_totally_skew(n, t):
     assert cover.dimension == s
     assert len(cover) == 1 << (n - s)
     assert verify_cover(cover)
-    assert verify_totally_skew(cover)
+    assert cover_properties(cover)["totally_skew"]
 
 
 def test_theorem8_zero_coset_linear_part():
@@ -261,17 +259,11 @@ def assert_matches_oracles(cover):
     assert verify_cover(cover) == valid
     assert overlapping_flats(cover) == oracle_overlapping_pairs(cover)
     if valid:
-        assert verify_nonparallel(cover) == oracle_nonparallel(cover)
-        assert verify_totally_skew(cover) == oracle_totally_skew(cover)
         assert cover_properties(cover) == {"valid": True,
                                            "nonparallel": oracle_nonparallel(cover),
                                            "totally_skew": oracle_totally_skew(cover)}
     else:
         assert cover_properties(cover) == {"valid": False}
-        with pytest.raises(ValueError):
-            verify_nonparallel(cover)
-        with pytest.raises(ValueError):
-            verify_totally_skew(cover)
     return valid
 
 

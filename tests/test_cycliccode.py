@@ -8,7 +8,7 @@ from vanishingflats import (
     ParityCheckSpec,
     weight_counts_from_flats,
     direct_low_weight_counts,
-    generalized_weight4_count,
+    count_via_spectrum,
     enumerate_flats,
     DOPolynomial,
     KNOWN_MONOMIAL_COUNTS,
@@ -93,8 +93,8 @@ def test_generalized_code_counts_all_flats():
     f = random_table(gf, random.Random(13))
     spec = ParityCheckSpec.generalized(gf, f)
     direct = direct_low_weight_counts(spec, 4)
-    assert generalized_weight4_count(f) == direct[4]
-    assert generalized_weight4_count(f) == len(enumerate_flats(f))
+    assert count_via_spectrum(f) == direct[4]
+    assert count_via_spectrum(f) == len(enumerate_flats(f))
 
 
 def test_do_monomial_n3_fraction():

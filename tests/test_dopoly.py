@@ -1,6 +1,8 @@
+import io
 import json
 import math
 import random
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -13,15 +15,17 @@ from vanishingflats import (
     enumerate_flats,
     count_via_spectrum,
 )
+from vanishingflats.cli import main
 from vanishingflats.dopoly import _family_ranks
 from vanishingflats.gf2n import echelon
-from helpers import apply
+from helpers import (apply, count_table_builds, direct_rank_multiset, do_value, linearized_at,
+                     linearized_columns)
 
 
 def test_evaluate_basics():
     gf = GF(6)
     f = random_do_polynomial(gf, 4, seed=3)
-    assert f.evaluate(0) == 0
+    assert do_value(f, 0) == 0
     gold = DOPolynomial.gold(gf, 3)
     table = gold.to_table()
     assert table == FunctionTable.from_monomial(gf, 9)
@@ -32,9 +36,8 @@ def univariate_terms(f):
 
 
 def pointwise_table(f):
-    """f evaluated at every point by its squaring chain, independent of the
-    exp table."""
-    return FunctionTable(f.field, [f.evaluate(x) for x in f.field.elements()])
+    """f evaluated at every point by gf.pow, independent of the exp table."""
+    return FunctionTable(f.field, [do_value(f, x) for x in f.field.elements()])
 
 
 def test_to_table_matches_univariate_expansion():
@@ -79,13 +82,13 @@ def table_columns(f, a):
     return QuadraticFunction(f.field, f.to_table().values)._columns(a)
 
 
-def polar_columns(f, a):
-    """The columns of L_{f,a}: the XOR of the polar rows selected by the bits of a."""
-    columns = [0] * f.field.n
-    for m, row in enumerate(f.polar_rows):
-        if a >> m & 1:
-            columns = [c ^ r for c, r in zip(columns, row)]
-    return columns
+def table_ranks(f):
+    return QuadraticFunction.promote(f.to_table()).ranks()
+
+
+def vanishes(table, x1, x2):
+    """True iff f sums to 0 on {0, x1, x2, x1 + x2}."""
+    return table[0] ^ table[x1] ^ table[x2] ^ table[x1 ^ x2] == 0
 
 
 def test_table_columns_match_direct_formula():
@@ -94,7 +97,7 @@ def test_table_columns_match_direct_formula():
     for a in (1, 9, 31):
         columns = table_columns(f, a)
         for x in gf.elements():
-            assert apply(columns, x) == f.linearized_at(a, x)
+            assert apply(columns, x) == linearized_at(f, a, x)
         assert apply(columns, a) == 0  # L_{f,a}(a) = 0 always
 
 
@@ -104,8 +107,8 @@ def test_linearized_at_additive():
     columns = table_columns(f, 7)
     for x in range(0, 64, 5):
         for y in range(0, 64, 7):
-            assert f.linearized_at(7, x ^ y) == f.linearized_at(7, x) ^ f.linearized_at(7, y)
-            assert f.linearized_at(7, x ^ y) == apply(columns, x ^ y)
+            assert linearized_at(f, 7, x ^ y) == linearized_at(f, 7, x) ^ linearized_at(f, 7, y)
+            assert linearized_at(f, 7, x ^ y) == apply(columns, x ^ y)
 
 
 def test_gold_kernel_and_rank():
@@ -151,34 +154,31 @@ def test_family_ranks_against_per_matrix_elimination(n):
 def test_rank_multiset():
     gf5 = GF(5)
     apn = DOPolynomial.gold(gf5, 1)  # x^3, APN
-    assert apn.rank_multiset() == [4] * 31
+    assert table_ranks(apn) == bytes([4] * 31)
     gf6 = GF(6)
-    assert DOPolynomial.gold(gf6, 3).rank_multiset() == [3] * 63
+    assert table_ranks(DOPolynomial.gold(gf6, 3)) == bytes([3] * 63)
     f = random_do_polynomial(gf6, 6, seed=77)
-    assert len(f.rank_multiset()) == 63
-
-
-def direct_rank_multiset(f):
-    """Ranks of matrices built column by column from the direct formula."""
-    n = f.field.n
-    return [len(echelon([f.linearized_at(a, 1 << k) for k in range(n)]))
-            for a in range(1, f.field.order)]
+    assert len(table_ranks(f)) == 63
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_rank_multiset_matches_direct_formula(n):
+    """QuadraticFunction.ranks against one elimination per direction of the
+    columns L_{f,a}(e_k) evaluated by gf.pow, which reads neither the exp
+    and log lists nor the value table."""
     gf = GF(n)
     max_support = n * (n - 1) // 2
     polys = [random_do_polynomial(gf, 1 + seed % max_support, seed=seed) for seed in range(4)]
     polys += [DOPolynomial(gf, {}), DOPolynomial.gold(gf, n - 1)]
     for f in polys:
-        assert f.rank_multiset() == direct_rank_multiset(f)
-    assert DOPolynomial(gf, {}).rank_multiset() == [0] * (gf.order - 1)
+        assert list(table_ranks(f)) == direct_rank_multiset(f)
+    assert table_ranks(DOPolynomial(gf, {})) == bytes(gf.order - 1)
 
 
 def test_polar_rows_symmetric_with_zero_diagonal():
-    """The rows built from XORed Frobenius chains against L_{f,a} evaluated
-    by gf.pow, and f at each e_m + e_k against the exp-table expansion."""
+    """The polar matrix B(e_m, e_k) read off the value table against
+    L_{f,a} evaluated by gf.pow, and f at each e_m + e_k by gf.pow against
+    the exp-table expansion."""
     polys = [random_do_polynomial(GF(7), 6, seed=31)]
     for n in range(2, 11):
         gf = GF(n)
@@ -187,12 +187,13 @@ def test_polar_rows_symmetric_with_zero_diagonal():
                   for seed in range(3)]
         polys += [DOPolynomial(gf, {}), DOPolynomial.gold(gf, n - 1)]
     for f in polys:
-        n, rows, table = f.field.n, f.polar_rows, f.to_table()
+        n, table = f.field.n, f.to_table()
+        rows = [table_columns(f, 1 << m) for m in range(n)]
         for m in range(n):
             assert rows[m][m] == 0
             for k in range(n):
-                assert rows[m][k] == rows[k][m] == f.linearized_at(1 << m, 1 << k)
-                assert f.evaluate(1 << m | 1 << k) == table[1 << m | 1 << k]
+                assert rows[m][k] == rows[k][m] == linearized_at(f, 1 << m, 1 << k)
+                assert do_value(f, 1 << m | 1 << k) == table[1 << m | 1 << k]
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -218,13 +219,28 @@ def test_count_formula_matches_enumeration():
         assert f.count_vanishing_flats() == len(enumerate_flats(f.to_table()))
 
 
+def test_count_builds_one_table(monkeypatch):
+    """The count promotes the one table it builds, with no copy; so does
+    vflats count --do."""
+    f = random_do_polynomial(GF(10), 12, seed=5)
+    terms = ",".join(f"{i},{j}:{c}" for (i, j), c in sorted(f.coeffs.items()))
+    builds = count_table_builds(monkeypatch)
+    count = f.count_vanishing_flats()
+    assert builds == [f.field]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["vflats", "count", "--n", "10", "--do", terms]) == 0
+    assert len(builds) == 2 and builds[1] == f.field
+    assert out.getvalue() == f"{count}\n"
+
+
 def test_derivative_identity():
     gf = GF(5)
     f = random_do_polynomial(gf, 4, seed=5)
     table = f.to_table()
     for a in range(1, gf.order):
         fa = table[a]
-        columns = polar_columns(f, a)
+        columns = linearized_columns(f, a)
         for x in gf.elements():
             assert table[x ^ a] ^ table[x] == apply(columns, x) ^ fa
 
@@ -234,7 +250,7 @@ def test_image_size_is_power_of_rank():
     f = random_do_polynomial(gf, 5, seed=41)
     table = f.to_table()
     for a in (1, 13, 50):
-        assert len(table.image_set(a)) == 1 << len(echelon(polar_columns(f, a)))
+        assert len(table.image_set(a)) == 1 << len(echelon(linearized_columns(f, a)))
 
 
 def test_coset_closure():
@@ -251,44 +267,46 @@ def test_coset_closure():
 
 
 def test_is_vanishing_pair_gold():
-    gf = GF(9)
-    gold = DOPolynomial.gold(gf, 3)
-    sub = gf.subfield(3)
-    x1 = 5
-    for z in sub:
-        if z in (0, 1):
-            continue
-        assert gold.is_vanishing_pair(x1, gf.mul(x1, z))
-    # ratio outside the subfield
-    for x2 in (2, 3, 9):
-        ratio = gf.div(x1, x2)
-        if gf.pow(ratio, 1 << 3) != ratio:
-            assert not gold.is_vanishing_pair(x1, x2)
-    with pytest.raises(ValueError):
-        gold.is_vanishing_pair(0, 3)
-    with pytest.raises(ValueError):
-        gold.is_vanishing_pair(3, 3)
+    """For Gold x^(2^t + 1), {0, x1, x2, x1 + x2} vanishes on the table
+    exactly when x2 / x1 lies in GF(2^s), s = gcd(n, t): every pair at
+    n = 6, and at n = 9 sampled pairs plus every multiple of the sampled x1
+    by the subfield, which random pairs would rarely hit."""
+    rng = random.Random(90)
+    for n, t in [(6, t) for t in range(1, 6)] + [(9, 1), (9, 3), (9, 6)]:
+        gf = GF(n)
+        table = DOPolynomial.gold(gf, t).to_table()
+        sub = gf.subfield(math.gcd(n, t))
+        x1s = range(1, gf.order) if n == 6 else rng.sample(range(1, gf.order), 40)
+        for x1 in x1s:
+            multiples = {gf.mul(x1, z) for z in sub}
+            x2s = range(1, gf.order) if n == 6 else \
+                [rng.randrange(1, gf.order) for _ in range(20)] + sorted(multiples - {0})
+            for x2 in x2s:
+                if x2 != x1:
+                    assert vanishes(table, x1, x2) == (x2 in multiples)
 
 
 def test_is_vanishing_pair_matches_direct_formula():
     gf = GF(6)
     f = random_do_polynomial(gf, 5, seed=44)
+    table = f.to_table()
     for x1 in range(1, gf.order):
         for x2 in range(1, gf.order, 7):
             if x2 != x1:
-                assert f.is_vanishing_pair(x1, x2) == (f.linearized_at(x1, x2) == 0)
+                assert vanishes(table, x1, x2) == (linearized_at(f, x1, x2) == 0)
 
 
 def test_is_vanishing_pair_matches_enumeration():
     gf = GF(5)
     f = random_do_polynomial(gf, 3, seed=91)
-    blocks = enumerate_flats(f.to_table()).block_set()
+    table = f.to_table()
+    blocks = enumerate_flats(table).block_set()
     for x1 in range(1, gf.order, 3):
         for x2 in range(1, gf.order, 5):
             if x2 in (x1, 0) or x1 == 0:
                 continue
             member = tuple(sorted((0, x1, x2, x1 ^ x2))) in blocks
-            assert f.is_vanishing_pair(x1, x2) == member
+            assert vanishes(table, x1, x2) == member == (linearized_at(f, x1, x2) == 0)
 
 
 def test_serialization_roundtrip():

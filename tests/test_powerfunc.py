@@ -19,6 +19,7 @@ from vanishingflats import (
 )
 from vanishingflats import vflats
 from vanishingflats.cli import build_parser, load_function, main
+from helpers import count_table_builds
 
 
 def assert_matches_generic(f, rng, samples=200):
@@ -170,19 +171,6 @@ def test_cli_count_under_modulus_31(d):
     with redirect_stdout(out):
         assert main(["vflats", "count", "--n", "4", "--modulus", "31", "--monomial", str(d)]) == 0
     assert out.getvalue() == f"{want}\n"
-
-
-def count_table_builds(monkeypatch):
-    """A list that gains one entry per FunctionTable.__init__ call from now on."""
-    calls = []
-    init = FunctionTable.__init__
-
-    def counted(self, gf, values):
-        calls.append(gf)
-        init(self, gf, values)
-
-    monkeypatch.setattr(FunctionTable, "__init__", counted)
-    return calls
 
 
 def test_statistics_leave_the_table_unbuilt(monkeypatch):
