@@ -22,7 +22,7 @@ def main():
     print(f"x^14 over GF(2^4) has {len(pqs)} vanishing flats, all through 0:")
     for b in pqs.blocks:
         print(f"  {b}")
-    lo, hi = bounds(inverse, is_monomial=True)
+    lo, hi = bounds(inverse)
     print(f"bounds for a non-APN monomial at n=4: [{lo}, {hi}]"
           f" (upper = {hi} is the linear-function count)")
     print()

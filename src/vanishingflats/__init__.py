@@ -13,8 +13,6 @@ from .vflats import (
     count_from_spectrum,
     flats_through_pair,
     bounds,
-    map_blocks,
-    isomorphism_witness_check,
     closed_form_count,
     family_exponent,
     KNOWN_MONOMIAL_COUNTS,
@@ -32,7 +30,6 @@ from .covers import (
     parallel_decomposition,
     gold_cover,
     theorem8_cover,
-    skew_condition_check,
 )
 from .cycliccode import (
     ParityCheckSpec,

@@ -87,10 +87,6 @@ class FunctionTable:
         self.field._check(b)
         return self.derivative(a).count(b)
 
-    def image_set(self, a):
-        """E_f(a), the image set of the derivative along a."""
-        return set(self.derivative(a))
-
     def half_derivatives(self, directions=None):
         """Yield (a, half, values) for each direction a, all a != 0 by default:
         half lists the x with the top bit of a clear (the x < x+a) and values
@@ -133,10 +129,6 @@ class FunctionTable:
         """b -> delta_f(a, b) for each b taken: the half_derivatives counts, doubled."""
         (_, _, values), = self.half_derivatives((a,))
         return Counter({b: 2 * c for b, c in Counter(values).items()})
-
-    def is_partially_apn(self, a):
-        """True iff delta_f(a) = 2, i.e. the derivative along a is 2-to-1."""
-        return max(self.histogram(a).values()) == 2
 
     def _direction_classes(self):
         """Yield (directions, shape, at_zero) for classes of directions a that

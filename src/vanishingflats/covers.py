@@ -55,15 +55,8 @@ class AffineSubspace:
     def points(self):
         return sorted(_coset(self.base, self.basis))
 
-    def linear_part(self):
-        """The associated linear subspace {p + base}, as a point set."""
-        return frozenset(p ^ self.base for p in self.points())
-
     def canonical_linear_basis(self):
         return rref_basis(self.basis)
-
-    def __contains__(self, x):
-        return len(echelon([*self.basis, x ^ self.base])) == len(self.basis)
 
     def to_json(self):
         return {"base": self.base, "basis": list(self.basis)}
@@ -287,20 +280,3 @@ def theorem8_cover(n, t, alpha=1, modulus=None):
     triv = trivial_cover(gf, basis)
     f = FunctionTable.from_monomial(gf, d)
     return image_cover(f, triv)
-
-
-def skew_condition_check(f, x, y):
-    """Direct test that the image of the trivial cover on {0, x, y, x+y} is
-    totally skew: delta_f along x, y, x+y is 4 and the three derivative image
-    sets are pairwise disjoint."""
-    if x == 0 or y == 0 or x == y:
-        raise ValueError("x, y, x+y must be nonzero and distinct")
-    if f[0] ^ f[x] ^ f[y] ^ f[x ^ y] != 0:
-        raise ValueError("{0, x, y, x+y} is not a vanishing flat of f")
-    images = []
-    for a in (x, y, x ^ y):
-        hist = f.histogram(a)
-        if max(hist.values()) != 4:
-            return False
-        images.append(set(hist))
-    return len(set().union(*images)) == sum(map(len, images))

@@ -36,14 +36,15 @@ class ParityCheckSpec:
 
     @classmethod
     def cyclic(cls, gf, d):
-        """Length 2^n - 1, coordinates alpha^0 .. alpha^(2^n - 2)."""
-        labels = gf.alpha_powers()
+        """Length 2^n - 1, coordinates alpha^0 .. alpha^(2^n - 2). labels is a
+        copy: the field's exp list is shared and must not be modified."""
+        labels = list(gf.exp_log()[0])
         return cls(gf, labels, [gf.pow(x, d) for x in labels])
 
     @classmethod
     def generalized(cls, gf, f):
         """Length 2^n: the cyclic coordinates prefixed by the zero column."""
-        labels = [0] + gf.alpha_powers()
+        labels = [0, *gf.exp_log()[0]]
         return cls(gf, labels, [f[x] for x in labels])
 
 

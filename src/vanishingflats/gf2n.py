@@ -179,12 +179,6 @@ class GF:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def frobenius(self, a, i):
-        """a^(2^i), the i-th power of the Frobenius automorphism."""
-        if not 0 <= i < self.n:
-            raise ValueError(f"Frobenius power {i} out of range [0, {self.n})")
-        return self.pow(a, 1 << i)
-
     def primitive_element(self):
         """Smallest element of multiplicative order 2^n - 1."""
         if self._primitive is None:
@@ -197,12 +191,6 @@ class GF:
                     self._primitive = g
                     break
         return self._primitive
-
-    def cube_root_of_unity(self):
-        """zeta = alpha^((2^n - 1)/3); requires n even so that 3 | 2^n - 1."""
-        if self.n % 2 != 0:
-            raise ValueError(f"no primitive cube root of unity in GF(2^{self.n}): n must be even")
-        return self.pow(self.primitive_element(), (self.order - 1) // 3)
 
     def subfield(self, s):
         """Elements of the subfield GF(2^s), sorted. Requires s | n."""
@@ -253,10 +241,6 @@ class GF:
                 x = lo[x & 255] ^ hi[x >> 8]
             self._exp_log = exp, log
         return self._exp_log
-
-    def alpha_powers(self):
-        """[alpha^0, ..., alpha^(2^n - 2)] for alpha = primitive_element(), a copy."""
-        return list(self.exp_log()[0])
 
     def to_json(self):
         return {"n": self.n, "modulus": self.modulus}

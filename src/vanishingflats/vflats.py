@@ -16,7 +16,7 @@ from itertools import combinations, starmap
 import math
 
 from .gf2n import GF, as_int, as_int_list, as_list, kloosterman, require
-from .boolfunc import FunctionTable
+from .boolfunc import FunctionTable, PowerFunction
 
 def canonical_block(points):
     """Sorted 4-tuple form of a block; validates the 2-flat conditions."""
@@ -42,13 +42,6 @@ class PartialQuadrupleSystem:
 
     def __len__(self):
         return len(self.blocks)
-
-    def block_set(self):
-        return set(self.blocks)
-
-    def blocks_through(self, *points):
-        want = set(points)
-        return [b for b in self.blocks if want <= set(b)]
 
     def to_json(self):
         return {"field": self.field.to_json(),
@@ -150,40 +143,20 @@ def flats_through_pair(f, x, a):
     return f.delta(a, b) // 2 - 1
 
 
-def bounds(f, is_monomial):
+def bounds(f):
     """(lower, upper) bounds on the block count.
 
-    Monomial non-APN functions need at least ceil((2^n - 1)/3) flats, i.e.
-    (2^n + 1)/3 for odd n; for other functions the lower bound is 0. The upper
-    bound is the total number of 2-flats, attained by x^1.
+    A non-APN PowerFunction x^d needs at least ceil((2^n - 1)/3) flats, i.e.
+    (2^n + 1)/3 for odd n; for any other table the lower bound is 0. The
+    upper bound is the total number of 2-flats, attained by x^1.
     """
     n = f.field.n
     q = f.field.order
     upper = (q // 4) * ((q // 2) - 1) * (q - 1) // 3
     lower = 0
-    if is_monomial and f.spectrum().uniformity > 2:
+    if isinstance(f, PowerFunction) and f.spectrum().uniformity > 2:
         lower = (q + 1) // 3 if n % 2 else (q - 1) // 3
     return lower, upper
-
-
-def map_blocks(pqs, point_map):
-    """Apply a point permutation to every block and re-canonicalize."""
-    q = pqs.field.order
-    if callable(point_map):
-        perm = [point_map(x) for x in range(q)]
-    else:
-        perm = list(point_map)
-    if sorted(perm) != list(range(q)):
-        raise ValueError("point map is not a bijection on the field")
-    return PartialQuadrupleSystem(
-        pqs.field, [tuple(perm[x] for x in b) for b in pqs.blocks])
-
-
-def isomorphism_witness_check(p, q, point_map):
-    """True iff the point permutation maps the blocks of p onto the blocks of q."""
-    if p.field != q.field:
-        raise ValueError("partial quadruple systems live over different fields")
-    return map_blocks(p, point_map).blocks == q.blocks
 
 
 # Known vanishing-flat counts of x^d over GF(2^n), one representative d per
@@ -320,10 +293,3 @@ def family_exponent(family, n, t=None):
         t = n // 2
         return (1 << (t + 1)) + 3
     raise ValueError(family)
-
-
-def twin_odd_t_exponents(n):
-    """Both exponents sharing the twin-odd-t spectrum: 2^t + 2^((t+1)/2) + 1
-    and 2^(t+1) + 3, for n = 2t with t odd (verified by brute force)."""
-    t = n // 2
-    return (1 << t) + (1 << ((t + 1) // 2)) + 1, (1 << (t + 1)) + 3

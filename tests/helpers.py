@@ -3,15 +3,20 @@ over GF(2^n), the algebraic degree from the normal form, the pairwise
 definitions of the cover predicates as oracles, the span, affinity and
 trivial-cover oracles for F_2 elimination, the pointwise values, linearized
 derivatives and per-direction ranks of a DO polynomial by gf.pow and gf.mul
-alone, a counter of value-table builds, and two vanishing-flat oracles that
-share no code with the package's kernels: a brute force over all 2-flats and
-the Walsh fourth moment."""
+alone, a counter of value-table builds, two vanishing-flat oracles that
+share no code with the package's kernels (a brute force over all 2-flats and
+the Walsh fourth moment), and the direct slow paths that only tests call: the
+linear part of a flat and membership by elimination, the blocks through given
+points, block maps and isomorphism witnesses, the primitive cube root of
+unity, the twin-odd-t exponents and the skew test of one flat image."""
 
 from collections import defaultdict
 from itertools import combinations
 import random
 
-from vanishingflats import AffineSubspace, Cover, FunctionTable, rref_basis
+from vanishingflats import (
+    AffineSubspace, Cover, FunctionTable, PartialQuadrupleSystem, rref_basis,
+)
 from vanishingflats.gf2n import echelon
 
 
@@ -153,14 +158,23 @@ def oracle_is_cover(cover):
             and len(set().union(*sets)) == q)
 
 
+def linear_part(flat):
+    """The associated linear subspace {p + base}, as a point set."""
+    return frozenset(p ^ flat.base for p in flat.points())
+
+
+def contains(flat, x):
+    return len(echelon([*flat.basis, x ^ flat.base])) == len(flat.basis)
+
+
 def oracle_nonparallel(cover):
     """No two flats have the same linear part."""
-    return all(f.linear_part() != g.linear_part() for f, g in combinations(cover.flats, 2))
+    return all(linear_part(f) != linear_part(g) for f, g in combinations(cover.flats, 2))
 
 
 def oracle_totally_skew(cover):
     """Every two linear parts meet only in 0."""
-    return all(f.linear_part() & g.linear_part() == {0}
+    return all(linear_part(f) & linear_part(g) == {0}
                for f, g in combinations(cover.flats, 2))
 
 
@@ -281,3 +295,59 @@ def walsh_flat_count(values):
     count, rem24 = divmod(s - 3 * q * q + 2 * q, 24)
     assert rem == 0 and rem24 == 0, "fourth moment is not a flat count"
     return count
+
+
+def blocks_through(pqs, *points):
+    want = set(points)
+    return [b for b in pqs.blocks if want <= set(b)]
+
+
+def map_blocks(pqs, point_map):
+    """Apply a point permutation to every block and re-canonicalize."""
+    q = pqs.field.order
+    if callable(point_map):
+        perm = [point_map(x) for x in range(q)]
+    else:
+        perm = list(point_map)
+    if sorted(perm) != list(range(q)):
+        raise ValueError("point map is not a bijection on the field")
+    return PartialQuadrupleSystem(
+        pqs.field, [tuple(perm[x] for x in b) for b in pqs.blocks])
+
+
+def isomorphism_witness_check(p, q, point_map):
+    """True iff the point permutation maps the blocks of p onto the blocks of q."""
+    if p.field != q.field:
+        raise ValueError("partial quadruple systems live over different fields")
+    return map_blocks(p, point_map).blocks == q.blocks
+
+
+def twin_odd_t_exponents(n):
+    """Both exponents sharing the twin-odd-t spectrum: 2^t + 2^((t+1)/2) + 1
+    and 2^(t+1) + 3, for n = 2t with t odd (verified by brute force)."""
+    t = n // 2
+    return (1 << t) + (1 << ((t + 1) // 2)) + 1, (1 << (t + 1)) + 3
+
+
+def cube_root_of_unity(gf):
+    """zeta = alpha^((2^n - 1)/3); requires n even so that 3 | 2^n - 1."""
+    if gf.n % 2 != 0:
+        raise ValueError(f"no primitive cube root of unity in GF(2^{gf.n}): n must be even")
+    return gf.pow(gf.primitive_element(), (gf.order - 1) // 3)
+
+
+def skew_condition_check(f, x, y):
+    """Direct test that the image of the trivial cover on {0, x, y, x+y} is
+    totally skew: delta_f along x, y, x+y is 4 and the three derivative image
+    sets are pairwise disjoint."""
+    if x == 0 or y == 0 or x == y:
+        raise ValueError("x, y, x+y must be nonzero and distinct")
+    if f[0] ^ f[x] ^ f[y] ^ f[x ^ y] != 0:
+        raise ValueError("{0, x, y, x+y} is not a vanishing flat of f")
+    images = []
+    for a in (x, y, x ^ y):
+        hist = f.histogram(a)
+        if max(hist.values()) != 4:
+            return False
+        images.append(set(hist))
+    return len(set().union(*images)) == sum(map(len, images))

@@ -30,6 +30,18 @@ def test_cyclic_spec_structure():
     assert gen.labels[0] == 0
 
 
+def test_spec_labels_do_not_share_the_exp_list():
+    # the field's exp list is shared by every caller: a spec must hold a copy
+    gf = GF(5)
+    exp = gf.exp_log()[0]
+    before = list(exp)
+    for spec in (ParityCheckSpec.cyclic(gf, 3),
+                 ParityCheckSpec.generalized(gf, FunctionTable.from_monomial(gf, 3))):
+        spec.labels.reverse()
+        spec.labels[0] ^= 1
+        assert gf.exp_log()[0] is exp and exp == before
+
+
 def test_spec_validation():
     gf = GF(3)
     with pytest.raises(ValueError):

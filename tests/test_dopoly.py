@@ -250,13 +250,13 @@ def test_image_size_is_power_of_rank():
     f = random_do_polynomial(gf, 5, seed=41)
     table = f.to_table()
     for a in (1, 13, 50):
-        assert len(table.image_set(a)) == 1 << len(echelon(linearized_columns(f, a)))
+        assert len(set(table.derivative(a))) == 1 << len(echelon(linearized_columns(f, a)))
 
 
 def test_coset_closure():
     gf = GF(5)
     f = random_do_polynomial(gf, 4, seed=23)
-    blocks = enumerate_flats(f.to_table()).block_set()
+    blocks = set(enumerate_flats(f.to_table()).blocks)
     count = len(blocks)
     if count:
         assert count % (1 << (gf.n - 2)) == 0
@@ -300,7 +300,7 @@ def test_is_vanishing_pair_matches_enumeration():
     gf = GF(5)
     f = random_do_polynomial(gf, 3, seed=91)
     table = f.to_table()
-    blocks = enumerate_flats(table).block_set()
+    blocks = set(enumerate_flats(table).blocks)
     for x1 in range(1, gf.order, 3):
         for x2 in range(1, gf.order, 5):
             if x2 in (x1, 0) or x1 == 0:

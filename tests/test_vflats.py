@@ -13,8 +13,6 @@ from vanishingflats import (
     count_via_spectrum,
     flats_through_pair,
     bounds,
-    map_blocks,
-    isomorphism_witness_check,
     closed_form_count,
     family_exponent,
     KNOWN_MONOMIAL_COUNTS,
@@ -22,11 +20,16 @@ from vanishingflats import (
 from vanishingflats.dopoly import random_do_polynomial
 
 from helpers import (
+    blocks_through,
     brute_force_flats,
+    cube_root_of_unity,
     direction_emits,
+    isomorphism_witness_check,
+    map_blocks,
     random_table,
     random_affine_permutation,
     random_affine_map,
+    twin_odd_t_exponents,
     walsh_flat_count,
 )
 
@@ -47,12 +50,12 @@ def test_enumerate_inverse_f16():
     gf = GF(4)
     pqs = enumerate_flats(FunctionTable.from_monomial(gf, 14))
     assert len(pqs) == 5
-    z = gf.cube_root_of_unity()
+    z = cube_root_of_unity(gf)
     z2 = gf.mul(z, z)
     expected = set()
     for beta in range(1, gf.order):
         expected.add(canonical_block((0, beta, gf.mul(beta, z), gf.mul(beta, z2))))
-    assert pqs.block_set() == expected
+    assert set(pqs.blocks) == expected
     assert all(b[0] == 0 for b in pqs.blocks)
 
 
@@ -77,7 +80,7 @@ def test_triple_cover():
         emitted = direction_emits(f)
         assert len(emitted) == 3 * len(set(emitted))
         assert Counter(Counter(emitted).values()) in (Counter(), Counter({3: len(set(emitted))}))
-        assert set(emitted) == enumerate_flats(f).block_set()
+        assert set(emitted) == set(enumerate_flats(f).blocks)
 
 
 def _oracle_functions(gf, rng):
@@ -184,7 +187,7 @@ def test_flats_through_pair():
     g9 = FunctionTable.from_monomial(gf, 9)
     pqs = enumerate_flats(g9)
     for x, a in ((0, 1), (5, 17), (33, 60)):
-        expect = len(pqs.blocks_through(x, x ^ a))
+        expect = len(blocks_through(pqs, x, x ^ a))
         assert flats_through_pair(g9, x, a) == expect
     # delta(a, b) = 8 along every direction for x^9 over GF(2^6)
     assert flats_through_pair(g9, 0, 1) == 3
@@ -207,22 +210,22 @@ def test_block_directions_are_critical():
 def test_bounds():
     gf4 = GF(4)
     inv = FunctionTable.from_monomial(gf4, 14)
-    lo, hi = bounds(inv, is_monomial=True)
+    lo, hi = bounds(inv)
     assert lo == 5
     assert len(enumerate_flats(inv)) == lo
 
     ident = FunctionTable.from_monomial(gf4, 1)
-    lo1, hi1 = bounds(ident, is_monomial=True)
+    lo1, hi1 = bounds(ident)
     assert hi1 == 140
     assert len(enumerate_flats(ident)) == hi1
 
     gf5 = GF(5)
     non_apn = FunctionTable.from_monomial(gf5, 1)
-    lo5, _ = bounds(non_apn, is_monomial=True)
+    lo5, _ = bounds(non_apn)
     assert lo5 == 11
 
     rnd = random_table(gf4, random.Random(1))
-    assert bounds(rnd, is_monomial=False)[0] == 0
+    assert bounds(rnd)[0] == 0
 
 
 def test_affine_addition_preserves_blocks():
@@ -257,7 +260,7 @@ def test_frobenius_composition_keeps_blocks():
     f = FunctionTable.from_monomial(gf, 9)
     pqs = enumerate_flats(f)
     for i in range(1, gf.n):
-        sf = FunctionTable(gf, [gf.frobenius(v, i) for v in f.values])
+        sf = FunctionTable(gf, [gf.pow(v, 1 << i) for v in f.values])
         assert enumerate_flats(sf).blocks == pqs.blocks
         assert isomorphism_witness_check(pqs, enumerate_flats(sf), list(gf.elements()))
 
@@ -318,7 +321,6 @@ def test_closed_form_brute_force_beyond_reference():
         got = count_via_spectrum(FunctionTable.from_monomial(gf9, d))
         assert got == closed_form_count(family, 9)
     gf10 = GF(10)
-    from vanishingflats.vflats import twin_odd_t_exponents
     for d in twin_odd_t_exponents(10):
         assert (count_via_spectrum(FunctionTable.from_monomial(gf10, d))
                 == closed_form_count("twin-odd-t", 10))
