@@ -24,7 +24,6 @@ from .covers import (
     rref_basis,
     trivial_cover,
     overlapping_flats,
-    image_cover,
     verify_cover,
     cover_properties,
     parallel_decomposition,

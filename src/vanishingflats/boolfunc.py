@@ -192,7 +192,7 @@ class PowerFunction(FunctionTable):
     costs O(2^n) once, against O(4^n) for a generic table; count_via_spectrum,
     bounds, critical_directions and the cyclic-code weights inherit that
     through _direction_classes, none of them building the value table: it is
-    made on the first read of values (delta, enumerate_flats, covers, to_json)
+    made on the first read of values (delta, enumerate_flats, to_json)
     and kept. delta(a, b) is the inherited kernel, and FunctionTable(gf,
     f.values) stays the generic oracle.
     """

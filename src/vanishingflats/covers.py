@@ -9,8 +9,7 @@ from dataclasses import dataclass
 from itertools import combinations
 import math
 
-from .gf2n import GF, as_int, as_int_list, as_list, echelon, require
-from .boolfunc import FunctionTable
+from .gf2n import GF, as_int, as_int_list, as_list, echelon, linear_map_tables, require
 
 
 def _coset(base, basis):
@@ -65,25 +64,6 @@ class AffineSubspace:
     def from_json(cls, obj):
         return cls(require(obj, "base", as_int), tuple(require(obj, "basis", as_int_list)))
 
-    @classmethod
-    def from_points(cls, pts):
-        """Recover (base, basis) from a point set; raises if not an affine subspace."""
-        pts = set(pts)
-        base = min(pts)
-        # the span of the differences p + base doubles with each one outside
-        # it; pts is base + span exactly when the span ends as large as pts
-        span, basis = {0}, []
-        for p in pts:
-            v = p ^ base
-            if v not in span:
-                span |= {w ^ v for w in span}
-                basis.append(v)
-                if len(span) > len(pts):
-                    break
-        if len(span) != len(pts):
-            raise ValueError("point set is not an affine subspace")
-        return cls(base, rref_basis(basis))
-
 
 @dataclass
 class Cover:
@@ -131,9 +111,21 @@ def trivial_cover(gf, basis):
     bit clear.
     """
     basis = rref_basis(basis)
-    pivots = sum(1 << (b.bit_length() - 1) for b in basis)
     return Cover(gf, len(basis),
-                 [AffineSubspace(x, basis) for x in gf.elements() if not x & pivots])
+                 [AffineSubspace(x, basis) for x in _coset_leaders(gf.order, basis)])
+
+
+def _coset_leaders(q, rref):
+    """The points of [0, q) with every pivot bit of rref clear, ascending: the
+    least point of each coset of span(rref). With free the other bits, the
+    next one is (x - free) & free, so the walk takes q >> len(rref) steps."""
+    free = q - 1 - sum(1 << (b.bit_length() - 1) for b in rref)
+    x = 0
+    while True:
+        yield x
+        x = (x - free) & free
+        if not x:
+            return
 
 
 def verify_cover(cover):
@@ -213,24 +205,6 @@ def parallel_decomposition(cover):
     return [groups[k] for k in sorted(groups)]
 
 
-def image_cover(f, cover):
-    """The cover formed by the pointwise images of each flat under f.
-
-    Requires f to be a permutation and every flat's image to again be an
-    affine subspace (i.e. each flat is a vanishing flat of f).
-    """
-    if not f.is_permutation():
-        raise ValueError("f must be a permutation")
-    t, flats = f.values, []
-    for idx, flat in enumerate(cover.flats):
-        try:
-            flats.append(AffineSubspace.from_points([t[p] for p in _coset(flat.base, flat.basis)]))
-        except ValueError:
-            raise ValueError(f"image of flat #{idx} (base {flat.base}) "
-                             "is not an affine subspace") from None
-    return Cover(cover.field, cover.dimension, flats)
-
-
 def _gold_preconditions(gf, t):
     n = gf.n
     if not 1 <= t < n:
@@ -242,7 +216,55 @@ def _gold_preconditions(gf, t):
     s = math.gcd(n, t)
     if s <= 1:
         raise ValueError(f"gcd(n, t) = {s}: the Gold function is APN, no flats to cover with")
-    return d, s
+    return s
+
+
+def gold_image(gf, t, basis):
+    """The image of trivial_cover(gf, basis) under the Gold function
+    f(x) = x^(2^t + 1), flat by flat in the same order, with no value table.
+
+    f is quadratic: f(c + v) = f(c) + f(v) + B(c, v) with B bilinear. On a
+    totally isotropic V = span(basis), one with B = 0 on V x V, the
+    derivative D_v f(c) = f(v) + B(c, v) is linear in v, so f(c + V) is
+    f(c) + span{D_v f(c) : v in rref(V)}, fixed by s + 1 values for
+    s = dim V. As a function of c, D_v f is affine: it is read from the
+    linear_map_tables of c -> B(c, v), built from f at the unit vectors,
+    and f(c) is the product of c^(2^t), read from the Frobenius's tables,
+    and c. That is O(2^(n-s) * s) products and table reads.
+
+    Raises ValueError if V is not totally isotropic, or if an image flat has
+    dimension below s (f is not injective on that coset).
+    """
+    n = gf.n
+    basis = rref_basis(basis)
+    lo, hi = linear_map_tables([gf.pow(1 << k, 1 << t) for k in range(n)])
+
+    def f(x):
+        return gf.mul(lo[x & 255] ^ hi[x >> 8], x)
+
+    at_basis = [f(v) for v in basis]
+    # B is bilinear, so B = 0 on V x V iff f is additive on each pair of basis vectors
+    for (u, fu), (v, fv) in combinations(zip(basis, at_basis), 2):
+        if f(u ^ v) != fu ^ fv:
+            raise ValueError(f"span{{{u}, {v}}} is not totally isotropic for x^{(1 << t) + 1}")
+    at_units = [f(1 << k) for k in range(n)]
+    # (f(v), tables of c -> B(c, v)), with B(e_k, v) = f(e_k + v) + f(e_k) + f(v)
+    derivatives = [(fv, *linear_map_tables([f((1 << k) ^ v) ^ fe ^ fv
+                                            for k, fe in enumerate(at_units)]))
+                   for v, fv in zip(basis, at_basis)]
+    flats = []
+    for c in _coset_leaders(gf.order, basis):
+        image = rref_basis([fv ^ dlo[c & 255] ^ dhi[c >> 8] for fv, dlo, dhi in derivatives])
+        if len(image) != len(basis):
+            raise ValueError(f"the image of the coset of {c} has dimension {len(image)}, "
+                             f"not {len(basis)}")
+        # the least point of the image: f(c) with every pivot bit of image cleared
+        base = f(c)
+        for b in image:
+            if base >> (b.bit_length() - 1) & 1:
+                base ^= b
+        flats.append(AffineSubspace(base, image))
+    return Cover(gf, len(basis), flats)
 
 
 def gold_cover(n, t, x=None, y=None, modulus=None):
@@ -253,7 +275,7 @@ def gold_cover(n, t, x=None, y=None, modulus=None):
     dimension-2 cover. Defaults: x = 1, y = a generator choice in GF(2^s).
     """
     gf = GF(n, modulus)
-    d, s = _gold_preconditions(gf, t)
+    s = _gold_preconditions(gf, t)
     sub = gf.subfield(s)
     if x is None:
         x = 1
@@ -264,19 +286,14 @@ def gold_cover(n, t, x=None, y=None, modulus=None):
     ratio = gf.div(x, y)
     if gf.pow(ratio, 1 << s) != ratio or ratio == 1:
         raise ValueError(f"x/y = {ratio} must lie in GF(2^{s}) minus {{0, 1}}")
-    triv = trivial_cover(gf, (x, y))
-    f = FunctionTable.from_monomial(gf, d)
-    return triv, image_cover(f, triv)
+    return trivial_cover(gf, (x, y)), gold_image(gf, t, (x, y))
 
 
 def theorem8_cover(n, t, alpha=1, modulus=None):
     """Totally skew cover of dimension s = gcd(n, t): images of the cosets of
     alpha * GF(2^s) under the Gold permutation."""
     gf = GF(n, modulus)
-    d, s = _gold_preconditions(gf, t)
+    s = _gold_preconditions(gf, t)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    basis = rref_basis([gf.mul(alpha, z) for z in gf.subfield(s)])
-    triv = trivial_cover(gf, basis)
-    f = FunctionTable.from_monomial(gf, d)
-    return image_cover(f, triv)
+    return gold_image(gf, t, [gf.mul(alpha, z) for z in gf.subfield(s)])

@@ -56,6 +56,19 @@ def echelon(vectors):
     return basis
 
 
+def linear_map_tables(columns):
+    """(lo, hi), two 256-entry tables with L(x) = lo[x & 255] ^ hi[x >> 8] for
+    every x < 2^16, where L is the F_2-linear map taking e_k to columns[k]
+    (and e_k to 0 for k >= len(columns), at most 16): each table is the
+    XOR-span of its eight columns, built by doubling."""
+    columns = [*columns, *[0] * (16 - len(columns))]
+    tables = ([0], [0])
+    for k, c in enumerate(columns):
+        table = tables[k >> 3]
+        table += [v ^ c for v in table]
+    return tables
+
+
 def require(obj, key, kind=None):
     """obj[key] of a parsed JSON object, or a ValueError naming the missing field;
     kind(key, value), such as as_int, checks the value's type."""
@@ -202,18 +215,17 @@ class GF:
 
     def mul_tables(self, c):
         """(lo, hi), two 256-entry tables with c * x = lo[x & 255] ^ hi[x >> 8]
-        for every x in the field: x -> c * x is F_2-linear, so each table is
-        the XOR-span of the products c * x^k, k < 8 for lo and 8 <= k < 16 for hi."""
+        for every x in the field: the linear_map_tables of x -> c * x, whose
+        columns are the products c * x^k, k < 16."""
         self._check(c)
         n, mod = self.n, self.modulus
-        tables = ([0], [0])
-        for k in range(16):
-            table = tables[k >> 3]
-            table += [v ^ c for v in table]
+        columns = []
+        for _ in range(16):
+            columns.append(c)
             c <<= 1
             if c >> n & 1:
                 c ^= mod
-        return tables
+        return linear_map_tables(columns)
 
     def powers(self, g, count):
         """Iterator over g^0, g^1, ..., g^(count - 1): each step is one product

@@ -8,7 +8,9 @@ share no code with the package's kernels (a brute force over all 2-flats and
 the Walsh fourth moment), and the direct slow paths that only tests call: the
 linear part of a flat and membership by elimination, the blocks through given
 points, block maps and isomorphism witnesses, the primitive cube root of
-unity, the twin-odd-t exponents and the skew test of one flat image."""
+unity, the twin-odd-t exponents, the skew test of one flat image, and the
+pointwise image of a cover under a value table, the oracle for the Gold
+image kernel, with the recovery of a flat from its points."""
 
 from collections import defaultdict
 from itertools import combinations
@@ -17,6 +19,7 @@ import random
 from vanishingflats import (
     AffineSubspace, Cover, FunctionTable, PartialQuadrupleSystem, rref_basis,
 )
+from vanishingflats.covers import _coset
 from vanishingflats.gf2n import echelon
 
 
@@ -351,3 +354,40 @@ def skew_condition_check(f, x, y):
             return False
         images.append(set(hist))
     return len(set().union(*images)) == sum(map(len, images))
+
+
+def from_points(pts):
+    """Recover (base, basis) from a point set; raises if not an affine subspace."""
+    pts = set(pts)
+    base = min(pts)
+    # the span of the differences p + base doubles with each one outside
+    # it; pts is base + span exactly when the span ends as large as pts
+    span, basis = {0}, []
+    for p in pts:
+        v = p ^ base
+        if v not in span:
+            span |= {w ^ v for w in span}
+            basis.append(v)
+            if len(span) > len(pts):
+                break
+    if len(span) != len(pts):
+        raise ValueError("point set is not an affine subspace")
+    return AffineSubspace(base, rref_basis(basis))
+
+
+def image_cover(f, cover):
+    """The cover formed by the pointwise images of each flat under f.
+
+    Requires f to be a permutation and every flat's image to again be an
+    affine subspace (i.e. each flat is a vanishing flat of f).
+    """
+    if not f.is_permutation():
+        raise ValueError("f must be a permutation")
+    t, flats = f.values, []
+    for idx, flat in enumerate(cover.flats):
+        try:
+            flats.append(from_points([t[p] for p in _coset(flat.base, flat.basis)]))
+        except ValueError:
+            raise ValueError(f"image of flat #{idx} (base {flat.base}) "
+                             "is not an affine subspace") from None
+    return Cover(cover.field, cover.dimension, flats)

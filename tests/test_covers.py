@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from helpers import (contains, corrupt_cover, linear_part, oracle_is_affine, oracle_is_cover,
-                     oracle_nonparallel, oracle_overlapping_pairs, oracle_totally_skew,
-                     oracle_trivial_cover, random_basis, random_cover, skew_condition_check,
-                     span_closure)
+from helpers import (contains, corrupt_cover, count_table_builds, from_points, image_cover,
+                     linear_part, oracle_is_affine, oracle_is_cover, oracle_nonparallel,
+                     oracle_overlapping_pairs, oracle_totally_skew, oracle_trivial_cover,
+                     random_basis, random_cover, skew_condition_check, span_closure)
 
 from vanishingflats import (
     GF,
@@ -20,11 +20,11 @@ from vanishingflats import (
     verify_cover,
     overlapping_flats,
     parallel_decomposition,
-    image_cover,
     gold_cover,
     theorem8_cover,
     enumerate_flats,
 )
+from vanishingflats.covers import gold_image
 
 
 def test_rref_basis_canonical():
@@ -51,12 +51,12 @@ def test_affine_subspace_points_and_contains():
 
 def test_from_points_roundtrip():
     flat = AffineSubspace(9, (1, 6))
-    back = AffineSubspace.from_points(flat.points())
+    back = from_points(flat.points())
     assert set(back.points()) == set(flat.points())
     with pytest.raises(ValueError):
-        AffineSubspace.from_points([0, 1, 2, 4])
+        from_points([0, 1, 2, 4])
     with pytest.raises(ValueError):
-        AffineSubspace.from_points([0, 1, 2])
+        from_points([0, 1, 2])
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -71,7 +71,7 @@ def test_from_points_against_basis_and_near_misses(n):
         base = rng.randrange(1 << n)
         pts = [base ^ v for v in span_closure(basis)]
         rng.shuffle(pts)
-        flat = AffineSubspace.from_points(pts)
+        flat = from_points(pts)
         assert (flat.base, flat.basis) == (min(pts), rref_basis(basis))
 
         inside = set(pts)
@@ -93,7 +93,7 @@ def test_from_points_against_basis_and_near_misses(n):
         for miss in misses:
             assert not oracle_is_affine(miss)
             with pytest.raises(ValueError):
-                AffineSubspace.from_points(miss)
+                from_points(miss)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -217,6 +217,43 @@ def test_theorem8_zero_coset_linear_part():
     assert linear_part(through_zero) == expected
     with pytest.raises(ValueError):
         theorem8_cover(n, t, alpha=0)
+
+
+@pytest.mark.parametrize("n,t", [*GOLD_PAIRS, (12, 4), (12, 8), (15, 5)])
+def test_constructions_match_the_pointwise_image(n, t):
+    """thm8 and gold2 from the quadratic identity give, flat for flat and in
+    the same order, the pointwise image of the trivial cover under a value
+    table of x^(2^t + 1) made by gf.pow."""
+    gf, s = GF(n), math.gcd(n, t)
+    f = FunctionTable(gf, [gf.pow(x, (1 << t) + 1) for x in gf.elements()])
+    sub = gf.subfield(s)
+    rng = random.Random(100 * n + t)
+    for alpha in (1, rng.randrange(2, gf.order), rng.randrange(2, gf.order)):
+        triv = trivial_cover(gf, [gf.mul(alpha, z) for z in sub])
+        assert theorem8_cover(n, t, alpha).to_json() == image_cover(f, triv).to_json()
+    for _ in range(3):
+        x = rng.randrange(1, gf.order)
+        y = gf.mul(x, rng.choice(sub[2:]))
+        _, img = gold_cover(n, t, x, y)
+        assert img.to_json() == image_cover(f, trivial_cover(gf, (x, y))).to_json()
+
+
+def test_constructions_build_no_value_table(monkeypatch):
+    builds = count_table_builds(monkeypatch)
+    theorem8_cover(12, 4, alpha=5)
+    gold_cover(12, 4)
+    assert builds == []
+
+
+def test_gold_image_rejects_a_span_that_is_not_isotropic():
+    gf = GF(6)
+    assert 2 not in gf.subfield(2)
+    with pytest.raises(ValueError, match="totally isotropic"):
+        gold_image(gf, 2, (1, 2))
+    # x^9 is additive on GF(8), but not injective on the cosets of GF(8)
+    # outside it: there D_v f(c) = v^2 + (c^8 + c) v vanishes at v = c^8 + c
+    with pytest.raises(ValueError, match="dimension 2, not 3"):
+        gold_image(gf, 3, gf.subfield(3))
 
 
 def test_skew_condition_check_matches_cover_predicate():

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 import re
 
-from helpers import cube_root_of_unity, span_closure
+from helpers import apply, cube_root_of_unity, span_closure
 
 from vanishingflats import (GF, AffineSubspace, Cover, DOPolynomial, FunctionTable,
                             PartialQuadrupleSystem, kloosterman)
-from vanishingflats.gf2n import DEFAULT_MODULI, echelon
+from vanishingflats.gf2n import DEFAULT_MODULI, echelon, linear_map_tables
 
 
 GF8 = GF(3, 0b1011)
@@ -226,6 +226,22 @@ def test_mul_tables_sampled_at_n16():
             assert lo[x & 255] ^ hi[x >> 8] == gf.mul(c, x)
     with pytest.raises(ValueError):
         gf.mul_tables(gf.order)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_linear_map_tables_match_apply(n):
+    """Seeded random images of e_0..e_(n-1); every x below 2^n for n <= 12,
+    sampled ones above. Units past the given columns map to 0."""
+    rng = random.Random(300 + n)
+    columns = [rng.randrange(1 << n) for _ in range(n)]
+    lo, hi = linear_map_tables(columns)
+    assert len(lo) == len(hi) == 256
+    xs = range(1 << n) if n <= 12 else [0, 1, 255, 256, (1 << n) - 1] + \
+        [rng.randrange(1 << n) for _ in range(2000)]
+    for x in xs:
+        assert lo[x & 255] ^ hi[x >> 8] == apply(columns, x)
+    if n <= 8:
+        assert hi == [0] * 256
 
 
 def test_powers_walk():
