@@ -144,28 +144,25 @@ class FunctionTable:
         """Full differential spectrum, one histogram shape per direction class."""
         q = self.field.order
         counts = Counter()
-        per_direction = {}
+        classes = []
         through_zero = 0
         for directions, shape, at_zero in self._direction_classes():
             m = len(directions)
             counts[0] += m * (q - sum(shape.values()))
             for k, l in shape.items():
                 counts[k] += m * l
-            per_direction.update(zip(directions, repeat(max(shape))))
+            classes.append((directions, max(shape)))
             through_zero += m * at_zero
         return DifferentialSpectrum(
             counts=dict(sorted(counts.items())),
-            uniformity=max(per_direction.values()),
-            per_direction=per_direction,
+            uniformity=max(u for _, u in classes),
+            classes=classes,
             through_zero=through_zero,
         )
 
     def critical_directions(self):
         """D_f = {a != 0 : delta_f(a) >= 4}; empty iff f is APN."""
-        return {a for a, d in self.spectrum().per_direction.items() if d >= 4}
-
-    def is_permutation(self):
-        return len(set(self.values)) == self.field.order  # entries are range-checked
+        return {a for directions, u in self.spectrum().classes if u >= 4 for a in directions}
 
     def to_json(self):
         return {"field": self.field.to_json(), "values": list(self.values)}
@@ -243,17 +240,39 @@ class PowerFunction(FunctionTable):
         yield _doubled_class(range(1, self.field.order), self._histogram1(), 1)
 
 
-@dataclass
+@dataclass(eq=False)
 class DifferentialSpectrum:
     """counts maps each even value 2i to its frequency l_{2i} over all (a, b).
 
-    through_zero is the sum over a != 0 of delta_f(a, f(a) + f(0)); each
-    vanishing flat through 0 holds three pairs (0, a), so it gives N3."""
+    classes lists (directions, uniformity) pairs that partition the nonzero
+    directions, as _direction_classes groups them: directions is a range for
+    a PowerFunction, a list per rank for a QuadraticFunction and a 1-tuple
+    per direction for a generic table, and uniformity is max_b delta_f(a, b)
+    for each a in it. through_zero is the sum over a != 0 of
+    delta_f(a, f(a) + f(0)); each vanishing flat through 0 holds three pairs
+    (0, a), so it gives N3. Two spectra are equal when their counts,
+    uniformity, through_zero and per_direction map are, however their
+    directions are grouped."""
 
     counts: dict
     uniformity: int
-    per_direction: dict = field(repr=False)
+    classes: list = field(repr=False)
     through_zero: int = field(repr=False)
+
+    @property
+    def per_direction(self):
+        """a -> max_b delta_f(a, b) for each a != 0: a new dict built from
+        the classes on each read, 2^n - 1 entries, so only to_json reads it."""
+        per_direction = {}
+        for directions, u in self.classes:
+            per_direction.update(zip(directions, repeat(u)))
+        return per_direction
+
+    def __eq__(self, other):
+        if not isinstance(other, DifferentialSpectrum):
+            return NotImplemented
+        return ((self.counts, self.uniformity, self.through_zero, self.per_direction)
+                == (other.counts, other.uniformity, other.through_zero, other.per_direction))
 
     def to_json(self):
         return {

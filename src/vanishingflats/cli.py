@@ -97,7 +97,7 @@ def cmd_spectrum(args):
         for k, l in spec.csv_rows():
             w = f"  (w={l // q1})" if l % q1 == 0 else ""
             yield f"l_{k} = {l}{w}"
-        dirs = sorted(set(spec.per_direction.values()))
+        dirs = sorted({u for _, u in spec.classes})
         yield "per-direction uniformities: " + ", ".join(map(str, dirs))
 
     _emit(args, spec.to_json, lines(), spec.csv_rows())

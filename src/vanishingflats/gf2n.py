@@ -197,9 +197,9 @@ class GF:
         if self._primitive is None:
             q1 = self.order - 1
             cofactors = [q1 // p for p in _prime_factors(q1)]
+            # every g != 0 has g^q1 = 1 (Lagrange), so its order is q1 unless
+            # it divides some q1 / p
             for g in range(2, self.order):
-                if self.pow(g, q1) != 1:
-                    continue
                 if all(self.pow(g, c) != 1 for c in cofactors):
                     self._primitive = g
                     break

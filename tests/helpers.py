@@ -5,14 +5,16 @@ trivial-cover oracles for F_2 elimination, the pointwise values, linearized
 derivatives and per-direction ranks of a DO polynomial by gf.pow and gf.mul
 alone, a counter of value-table builds, two vanishing-flat oracles that
 share no code with the package's kernels (a brute force over all 2-flats and
-the Walsh fourth moment), and the direct slow paths that only tests call: the
+the Walsh fourth moment), the pointwise per-direction uniformities that
+a spectrum must report, and the direct slow paths that only tests call: the
 linear part of a flat and membership by elimination, the blocks through given
 points, block maps and isomorphism witnesses, the primitive cube root of
-unity, the twin-odd-t exponents, the skew test of one flat image, and the
-pointwise image of a cover under a value table, the oracle for the Gold
-image kernel, with the recovery of a flat from its points."""
+unity, the twin-odd-t exponents, the skew test of one flat image, the
+permutation test of a table, and the pointwise image of a cover under a
+value table, the oracle for the Gold image kernel, with the recovery of a
+flat from its points."""
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import combinations
 import random
 
@@ -257,6 +259,28 @@ def brute_force_flats(f):
             if x ^ y ^ z > z and t[x] ^ t[y] ^ t[z] ^ t[x ^ y ^ z] == 0]
 
 
+def pointwise_per_direction(f):
+    """a -> max_b delta_f(a, b) for each a != 0, in increasing order of a,
+    counting f(x + a) + f(x) over every x."""
+    t = f.values
+    return {a: max(Counter([t[x ^ a] ^ t[x] for x in range(len(t))]).values())
+            for a in range(1, len(t))}
+
+
+def assert_per_direction_pointwise(f):
+    """f.spectrum() against pointwise_per_direction: its per_direction map,
+    the JSON form of it (keys in increasing order), the uniformity, the
+    values its direction classes carry and the critical directions; and the
+    classes must partition the nonzero directions."""
+    spec, want = f.spectrum(), pointwise_per_direction(f)
+    assert spec.per_direction == want
+    assert list(spec.to_json()["per_direction"].items()) == [(str(a), u) for a, u in want.items()]
+    assert spec.uniformity == max(want.values())
+    assert sorted(a for directions, _ in spec.classes for a in directions) == list(want)
+    assert {u for _, u in spec.classes} == set(want.values())
+    assert f.critical_directions() == {a for a, u in want.items() if u >= 4}
+
+
 def direction_emits(f):
     """Each vanishing flat once per direction it lies along: for every a != 0,
     all points x bucketed by f(x) + f(x+a), and every two pairs {x, x+a} of a
@@ -375,13 +399,17 @@ def from_points(pts):
     return AffineSubspace(base, rref_basis(basis))
 
 
+def is_permutation(f):
+    return len(set(f.values)) == f.field.order  # entries are range-checked
+
+
 def image_cover(f, cover):
     """The cover formed by the pointwise images of each flat under f.
 
     Requires f to be a permutation and every flat's image to again be an
     affine subspace (i.e. each flat is a vanishing flat of f).
     """
-    if not f.is_permutation():
+    if not is_permutation(f):
         raise ValueError("f must be a permutation")
     t, flats = f.values, []
     for idx, flat in enumerate(cover.flats):

@@ -6,7 +6,7 @@ import pytest
 
 from vanishingflats import GF, FunctionTable
 
-from helpers import random_table
+from helpers import assert_per_direction_pointwise, is_permutation, random_table
 
 
 def test_from_monomial_identity_and_inverse():
@@ -23,7 +23,7 @@ def test_from_monomial_identity_and_inverse():
 
 def test_cube_is_permutation_of_f8():
     f = FunctionTable.from_monomial(GF(3), 3)
-    assert f.is_permutation()
+    assert is_permutation(f)
 
 
 def test_from_univariate():
@@ -118,6 +118,17 @@ def test_spectrum_mass_identities():
         assert sum(spec.counts.values()) == (q - 1) * q
         assert sum(k * v for k, v in spec.counts.items()) == (q - 1) * q
         assert all(k % 2 == 0 for k in spec.counts)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_random_tables_per_direction_match_pointwise(n):
+    """A generic table keeps one class, a 1-tuple, per direction."""
+    gf = GF(n)
+    rng = random.Random(80 + n)
+    for f in [random_table(gf, rng) for _ in range(3)] + [FunctionTable(gf, [5 % gf.order] * gf.order)]:
+        assert [directions for directions, _ in f.spectrum().classes] == \
+            [(a,) for a in range(1, gf.order)]
+        assert_per_direction_pointwise(f)
 
 
 def test_image_set():
@@ -293,8 +304,8 @@ def test_is_permutation_gold_condition():
         for t in range(1, n):
             f = FunctionTable.from_monomial(gf, (1 << t) + 1)
             expect = (n // math.gcd(n, t)) % 2 == 1
-            assert f.is_permutation() == expect
-    assert not FunctionTable(GF(3), [1] * 8).is_permutation()
+            assert is_permutation(f) == expect
+    assert not is_permutation(FunctionTable(GF(3), [1] * 8))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -304,11 +315,11 @@ def test_is_permutation_against_sorted_values(n):
     for _ in range(5):
         values = list(gf.elements())
         rng.shuffle(values)
-        assert FunctionTable(gf, values).is_permutation()
+        assert is_permutation(FunctionTable(gf, values))
         x, y = rng.sample(range(gf.order), 2)
         values[x] = values[y]  # one value twice, one missing
         f = FunctionTable(gf, values)
-        assert not f.is_permutation()
+        assert not is_permutation(f)
         assert sorted(f.values) != list(gf.elements())
 
 

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from vanishingflats import GF, PartialQuadrupleSystem, cli, covers, kloosterman, vflats
+from vanishingflats import (
+    GF, DifferentialSpectrum, FunctionTable, PartialQuadrupleSystem, PowerFunction,
+    QuadraticFunction, cli, covers, kloosterman, vflats, weight_counts_from_flats,
+)
 from vanishingflats.cli import main, parse_do_terms, parse_univariate_terms
 
 
@@ -92,6 +95,49 @@ def test_spectrum_w_values(capsys):
     assert "l_0 = 2079  (w=33)" in out
     assert "l_2 = 1890  (w=30)" in out
     assert "l_4 = 63  (w=1)" in out
+
+
+@pytest.mark.parametrize("source", [["--monomial", "7"], ["--do", "0,1:3,2,4:5"],
+                                    ["--univariate", "1:7,3:11"]])
+def test_spectrum_text_lists_the_values_of_per_direction(capsys, source):
+    _, out = run(capsys, "spectrum", "--n", "6", *source, "--format", "json")
+    values = sorted(set(json.loads(out)["per_direction"].values()))
+    _, out = run(capsys, "spectrum", "--n", "6", *source)
+    assert out.splitlines()[-1] == "per-direction uniformities: " + ", ".join(map(str, values))
+    assert len(values) > 1 or source[0] == "--monomial"
+
+
+def test_only_to_json_reads_per_direction(capsys, monkeypatch, tmp_path):
+    """per_direction builds a 2^n - 1 entry dict: every statistic and every
+    command but JSON spectrum output must take what it needs from the
+    direction classes, for power, quadratic and generic functions alike."""
+    def no_map(spec):
+        raise AssertionError("per_direction read")
+    monkeypatch.setattr(DifferentialSpectrum, "per_direction", property(no_map))
+    gf = GF(6)
+    table = tmp_path / "table.txt"
+    table.write_text("".join(f"{(x * 37 + x * x * x) % 64}\n" for x in range(64)))
+    functions = [PowerFunction(gf, 7), FunctionTable.from_univariate(gf, [(3, 1), (5, 7)]),
+                 QuadraticFunction(gf, FunctionTable.from_univariate(gf, [(3, 3), (9, 5)]).values)]
+    for f in functions:
+        vflats.count_via_spectrum(f)
+        vflats.bounds(f)
+        f.critical_directions()
+        weight_counts_from_flats(f)
+        with pytest.raises(AssertionError, match="per_direction read"):
+            f.spectrum().to_json()
+    sources = [["--monomial", "7"], ["--do", "0,1:3,2,4:5"], ["--univariate", "3:1,5:7"],
+               ["--table-file", str(table)]]
+    for source in sources:
+        for argv in (["vflats", "count"], ["spectrum"], ["spectrum", "--format", "csv"]):
+            code, out = run(capsys, *argv, "--n", "6", *source)
+            assert code == 0 and out
+    for argv in (["table", "table1", "--family", "d7", "--n", "9"], ["table", "table2", "--n", "6"],
+                 ["codeweights", "--n", "6", "--d", "7", "--method", "both"]):
+        code, out = run(capsys, *argv)
+        assert code == 0 and out
+    with pytest.raises(AssertionError, match="per_direction read"):
+        main(["spectrum", "--n", "6", "--monomial", "7", "--format", "json"])
 
 
 def test_table2_all_pass(capsys):

@@ -19,7 +19,7 @@ from vanishingflats import (
 )
 from vanishingflats import vflats
 from vanishingflats.cli import build_parser, load_function, main
-from helpers import count_table_builds
+from helpers import assert_per_direction_pointwise, count_table_builds
 
 
 def assert_matches_generic(f, rng, samples=200):
@@ -140,6 +140,17 @@ def test_every_class_matches_generic_kernel(n):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
+def test_every_class_per_direction_matches_pointwise(n):
+    """One direction class, a range, must give the same per_direction map
+    and JSON as counting each direction's derivative."""
+    gf = GF(n)
+    for d in class_leaders(gf.order - 1):
+        f = PowerFunction(gf, d)
+        assert f.spectrum().classes[0][0] == range(1, gf.order)
+        assert_per_direction_pointwise(f)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
 def test_edge_exponents_match_generic_kernel(n):
     gf = GF(n)
     q, q1 = gf.order, gf.order - 1
@@ -161,6 +172,7 @@ def test_non_primitive_modulus(n):
         f = PowerFunction(gf, d)
         assert f.values == [gf.pow(x, d) for x in gf.elements()]
         assert_kernel_matches_generic(f)
+        assert_per_direction_pointwise(f)
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 15])

@@ -12,6 +12,7 @@ import pytest
 from vanishingflats import (
     GF,
     FunctionTable,
+    DifferentialSpectrum,
     DOPolynomial,
     QuadraticFunction,
     count_via_spectrum,
@@ -22,8 +23,8 @@ from vanishingflats import (
 from vanishingflats.cli import build_parser, load_function
 from vanishingflats.dopoly import _is_quadratic
 from vanishingflats.gf2n import echelon
-from helpers import (algebraic_degree, direct_rank_multiset, moebius, random_affine_permutation,
-                     walsh_flat_count)
+from helpers import (algebraic_degree, assert_per_direction_pointwise, direct_rank_multiset,
+                     moebius, random_affine_permutation, walsh_flat_count)
 
 
 def quadratic(poly):
@@ -110,6 +111,8 @@ def test_affine_terms_and_affine_equivalence_match_generic_kernel(n):
         f = QuadraticFunction(gf, table)
         assert assert_matches_generic(f, rng, samples=50) == poly.count_vanishing_flats()
         assert sorted(f.ranks()) == sorted(ranks)
+        if n <= 9:
+            assert_per_direction_pointwise(f)
     assert list(QuadraticFunction(gf, values).ranks()) == ranks
 
 
@@ -173,6 +176,27 @@ def test_every_table_at_n2_is_quadratic():
         generic = FunctionTable(gf, values)
         assert f.spectrum() == generic.spectrum()
         assert weight_counts_from_flats(f) == weight_counts_from_flats(generic)
+
+
+def test_spectra_compare_by_content_not_partition():
+    """A QuadraticFunction groups its directions by rank, the generic table
+    one per direction: their spectra are equal. A spectrum that differs
+    from either in one direction's uniformity alone is not."""
+    gf = GF(6)
+    rng = random.Random(66)
+    poly = random_do_polynomial(gf, 6, seed=66)
+    f = QuadraticFunction(gf, with_affine_terms(poly, rng))
+    fast, slow = f.spectrum(), FunctionTable(gf, f.values).spectrum()
+    assert len(fast.classes) < len(slow.classes) == gf.order - 1
+    assert fast == slow and not fast != slow
+    top = max(u for _, u in fast.classes)
+    a = next(a for directions, u in fast.classes if u < top for a in directions)
+    classes = [((b,), top if b == a else u) for b, u in slow.per_direction.items()]
+    changed = DifferentialSpectrum(counts=slow.counts, uniformity=slow.uniformity,
+                                   classes=classes, through_zero=slow.through_zero)
+    assert changed.per_direction != slow.per_direction
+    assert changed != fast and changed != slow and fast != changed
+    assert fast != fast.to_json()
 
 
 @pytest.mark.parametrize("n", range(2, 11))

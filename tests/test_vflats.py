@@ -24,6 +24,7 @@ from helpers import (
     brute_force_flats,
     cube_root_of_unity,
     direction_emits,
+    is_permutation,
     isomorphism_witness_check,
     map_blocks,
     random_table,
@@ -268,7 +269,7 @@ def test_frobenius_composition_keeps_blocks():
 def test_inverse_permutation_isomorphism():
     gf = GF(6)
     f = FunctionTable.from_monomial(gf, 5)  # gcd(5, 63) = 1, so a permutation
-    assert f.is_permutation()
+    assert is_permutation(f)
     finv = [0] * gf.order
     for x in gf.elements():
         finv[f[x]] = x
