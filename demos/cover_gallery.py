@@ -4,6 +4,8 @@ Run with: python3 demos/cover_gallery.py
 """
 
 from vanishingflats import (
+    GF,
+    trivial_cover,
     gold_cover,
     theorem8_cover,
     cover_properties,
@@ -24,17 +26,17 @@ def summarize(name, cover):
 
 
 def main():
-    trivial, image = gold_cover(6, 2)
+    gf = GF(6)
+    trivial = trivial_cover(gf, (1, gf.subfield(2)[2]))  # gold_cover's default plane
     print("the trivial cover is just the cosets of one plane:")
     print(trivial.describe().splitlines()[0])
     print()
 
     # its image under x^5 is again a cover, and a totally skew one
-    summarize("gold_cover(6, 2) image", image)
+    summarize("gold_cover(6, 2) image", gold_cover(6, 2))
 
     # at (9, 3) skewness fails in a structured way: parallel pairs
-    _, image93 = gold_cover(9, 3)
-    summarize("gold_cover(9, 3) image", image93)
+    summarize("gold_cover(9, 3) image", gold_cover(9, 3))
 
     # the dimension-3 construction restores total skewness
     summarize("theorem8_cover(9, 3)", theorem8_cover(9, 3))

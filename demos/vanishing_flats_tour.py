@@ -9,8 +9,7 @@ from vanishingflats import (
     enumerate_flats,
     count_via_spectrum,
     bounds,
-    closed_form_count,
-    family_exponent,
+    closed_form,
     KNOWN_MONOMIAL_COUNTS,
 )
 
@@ -38,8 +37,7 @@ def main():
     print("closed forms evaluated without any enumeration:")
     for family, n, t in (("gold", 6, 3), ("d7", 8, None), ("inverse", 10, None),
                          ("half", 12, None), ("twin-odd-t", 14, None)):
-        count = closed_form_count(family, n, t=t)
-        d = family_exponent(family, n, t=t)
+        d, count = closed_form(family, n, t=t)
         print(f"  {family} (x^{d}) at n={n}: {count}")
 
 

@@ -13,8 +13,7 @@ from .vflats import (
     count_from_spectrum,
     flats_through_pair,
     bounds,
-    closed_form_count,
-    family_exponent,
+    closed_form,
     KNOWN_MONOMIAL_COUNTS,
 )
 from .dopoly import DOPolynomial, QuadraticFunction, random_do_polynomial

@@ -125,11 +125,6 @@ class FunctionTable:
                 fmt = "<" + f"{h}{'BH'[width - 1]}{h * width}x" * blocks
             yield a, half, list(struct.unpack(fmt, (moved ^ packed).to_bytes(len(raw), "little")))
 
-    def histogram(self, a):
-        """b -> delta_f(a, b) for each b taken: the half_derivatives counts, doubled."""
-        (_, _, values), = self.half_derivatives((a,))
-        return Counter({b: 2 * c for b, c in Counter(values).items()})
-
     def _direction_classes(self):
         """Yield (directions, shape, at_zero) for classes of directions a that
         share one histogram shape: shape maps each nonzero value of

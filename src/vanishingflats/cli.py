@@ -135,11 +135,10 @@ def cmd_pqs_export(args):
 
 
 def cmd_table1(args):
-    count = vflats.closed_form_count(args.family, args.n, t=args.t)
+    d, count = vflats.closed_form(args.family, args.n, t=args.t)
     line = f"{args.family} n={args.n}" + (f" t={args.t}" if args.t else "") + f": {count}"
     status = "unchecked"  # no field, so no brute force, beyond MAX_DEGREE
     if args.n <= MAX_DEGREE:
-        d = vflats.family_exponent(args.family, args.n, t=args.t)
         gf = GF(args.n, args.modulus)
         brute = vflats.count_via_spectrum(FunctionTable.from_monomial(gf, d))
         status = "PASS" if brute == count else "FAIL"
@@ -181,8 +180,7 @@ def cmd_cover_verify(args):
 
 def cmd_cover_build(args):
     if args.kind == "gold2":
-        _, cover = covers.gold_cover(args.n, args.t, x=args.x, y=args.y,
-                                     modulus=args.modulus)
+        cover = covers.gold_cover(args.n, args.t, x=args.x, y=args.y, modulus=args.modulus)
     else:
         cover = covers.theorem8_cover(args.n, args.t, alpha=args.alpha, modulus=args.modulus)
     props = covers.cover_properties(cover)
@@ -256,7 +254,8 @@ def build_parser():
     p = _leaf(tables, "table1", cmd_table1, "closed-form count of a monomial family",
               _add_field_args, _add_format_arg)
     p.add_argument("--family", required=True, choices=[m.value for m in vflats.MonomialFamily])
-    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--t", type=int, default=None,
+                   help="the t of gold, kasami and niho; no other family takes one")
     _leaf(tables, "table2", cmd_table2, "every monomial class for 2 <= n <= 8",
           _add_field_args, _add_format_arg)
 

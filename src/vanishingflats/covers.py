@@ -54,9 +54,6 @@ class AffineSubspace:
     def points(self):
         return sorted(_coset(self.base, self.basis))
 
-    def canonical_linear_basis(self):
-        return rref_basis(self.basis)
-
     def to_json(self):
         return {"base": self.base, "basis": list(self.basis)}
 
@@ -178,7 +175,7 @@ def cover_properties(cover):
 
 
 def _nonparallel(cover):
-    parts = [f.canonical_linear_basis() for f in cover.flats]
+    parts = [rref_basis(f.basis) for f in cover.flats]
     return len(set(parts)) == len(parts)
 
 
@@ -201,7 +198,7 @@ def parallel_decomposition(cover):
         raise ValueError("not a valid cover")
     groups = {}
     for flat in cover.flats:
-        groups.setdefault(flat.canonical_linear_basis(), []).append(flat)
+        groups.setdefault(rref_basis(flat.basis), []).append(flat)
     return [groups[k] for k in sorted(groups)]
 
 
@@ -268,11 +265,9 @@ def gold_image(gf, t, basis):
 
 
 def gold_cover(n, t, x=None, y=None, modulus=None):
-    """(trivial, image) covers from the Gold permutation x^(2^t + 1).
-
-    The trivial cover is built on {0, x, y, x+y} with x/y in the subfield
-    GF(2^s) minus {0, 1}; its image under the Gold function is again a
-    dimension-2 cover. Defaults: x = 1, y = a generator choice in GF(2^s).
+    """The image under the Gold permutation x^(2^t + 1) of the trivial
+    cover on {0, x, y, x+y}, x/y in the subfield GF(2^s) minus {0, 1}: again
+    a dimension-2 cover. Defaults: x = 1, y = a generator choice in GF(2^s).
     """
     gf = GF(n, modulus)
     s = _gold_preconditions(gf, t)
@@ -286,7 +281,7 @@ def gold_cover(n, t, x=None, y=None, modulus=None):
     ratio = gf.div(x, y)
     if gf.pow(ratio, 1 << s) != ratio or ratio == 1:
         raise ValueError(f"x/y = {ratio} must lie in GF(2^{s}) minus {{0, 1}}")
-    return trivial_cover(gf, (x, y)), gold_image(gf, t, (x, y))
+    return gold_image(gf, t, (x, y))
 
 
 def theorem8_cover(n, t, alpha=1, modulus=None):

@@ -151,11 +151,6 @@ class GF:
             raise ValueError(f"element {a} out of range for {self!r}")
         return a
 
-    def add(self, a, b):
-        self._check(a)
-        self._check(b)
-        return a ^ b
-
     def mul(self, a, b):
         """Carry-less shift-and-XOR product, reduced by the modulus."""
         self._check(a)

@@ -195,6 +195,9 @@ class MonomialFamily(str, Enum):
     TWIN_ODD_T = "twin-odd-t"  # n = 2t, t odd, d = 2^t + 2^((t+1)/2) + 1 or 2^(t+1) + 3
 
 
+_TAKES_T = (MonomialFamily.GOLD, MonomialFamily.KASAMI, MonomialFamily.NIHO)
+
+
 def _need(condition, message):
     if not condition:
         raise ValueError(f"side condition violated: {message}")
@@ -204,92 +207,76 @@ def _divides(a, b):
     return 1 if b % a == 0 else 0
 
 
-def closed_form_count(family, n, t=None):
-    """Exact closed-form vanishing-flat count for the given monomial family.
+def closed_form(family, n, t=None):
+    """(d, count): a representative exponent d of the family at n, and the
+    exact closed-form number of vanishing flats of x^d over GF(2^n).
 
-    All arithmetic is exact-rational; a non-integer result signals a
-    transcription bug and raises.
+    Only gold, kasami and niho take t; t given to any other family, n < 2,
+    or a violated side condition raises a ValueError. All arithmetic is
+    exact-rational; a non-integer count signals a transcription bug and
+    raises.
     """
     family = MonomialFamily(family)
+    if n < 2:
+        raise ValueError(f"n = {n}: the closed forms need n >= 2")
+    if t is not None and family not in _TAKES_T:
+        raise ValueError(f"the {family.value} family takes no t, got t = {t}")
     q1 = (1 << n) - 1
-    result = None
 
-    if family is MonomialFamily.GOLD:
-        _need(n >= 2, "gold requires n >= 2")
-        _need(t is not None and 1 <= t <= n // 2, "gold requires 1 <= t <= n/2")
+    if family in (MonomialFamily.GOLD, MonomialFamily.KASAMI):
+        if family is MonomialFamily.GOLD:
+            _need(t is not None and 1 <= t <= n // 2, "gold requires 1 <= t <= n/2")
+            d = (1 << t) + 1
+        else:
+            _need(t is not None and 2 <= t <= n // 2, "kasami requires 2 <= t <= n/2")
+            _need(n != 3 * t, "kasami requires n != 3t")
+            _need((n // math.gcd(n, t)) % 2 == 1, "kasami requires n/gcd(n,t) odd")
+            d = (1 << (2 * t)) - (1 << t) + 1
         s = math.gcd(n, t)
-        result = Fraction((1 << (n - 2)) * ((1 << (s - 1)) - 1) * q1, 3)
-    elif family is MonomialFamily.KASAMI:
-        _need(t is not None and 2 <= t <= n // 2, "kasami requires 2 <= t <= n/2")
-        _need(n != 3 * t, "kasami requires n != 3t")
-        s = math.gcd(n, t)
-        _need((n // s) % 2 == 1, "kasami requires n/gcd(n,t) odd")
-        result = Fraction((1 << (n - 2)) * ((1 << (s - 1)) - 1) * q1, 3)
+        count = Fraction((1 << (n - 2)) * ((1 << (s - 1)) - 1) * q1, 3)
     elif family is MonomialFamily.INVERSE:
         _need(n % 2 == 0, "inverse count requires n even")
-        result = Fraction(q1, 3)
+        d, count = (1 << n) - 2, Fraction(q1, 3)
     elif family is MonomialFamily.NIHO:
         _need(t is not None and n == 4 * t, "requires n = 4t")
-        result = Fraction(((1 << (n - 3)) - (1 << (3 * t - 3))) * q1, 3)
+        d = (1 << (2 * t)) + (1 << t) + 1
+        count = Fraction(((1 << (n - 3)) - (1 << (3 * t - 3))) * q1, 3)
     elif family is MonomialFamily.D7:
         _need(n >= 6, "d = 7 row requires n >= 6")
         w4 = _divides(2, n)
         k = kloosterman(n)
-        result = (Fraction((1 << (n - 2)) + 1 - 3 * w4, 6)
-                  + Fraction((-1) ** n * k, 8)) * q1
+        d = 7
+        count = (Fraction((1 << (n - 2)) + 1 - 3 * w4, 6)
+                 + Fraction((-1) ** n * k, 8)) * q1
     elif family is MonomialFamily.ODD_LOW:
         # Table header admits n >= 6 but the row needs n odd; enabled for odd n >= 7.
         _need(n % 2 == 1 and n >= 7, "requires n odd, n >= 7")
         w8 = _divides(3, n)
         k = kloosterman(n)
-        result = (Fraction((1 << (n - 1)) - 3 - (-1) ** n * 5, 12)
-                  + Fraction((-1) ** n * k, 8) + w8) * q1
+        d = (1 << (n - 2)) - 1
+        count = (Fraction((1 << (n - 1)) - 3 - (-1) ** n * 5, 12)
+                 + Fraction((-1) ** n * k, 8) + w8) * q1
     elif family is MonomialFamily.HALF:
         _need(n % 2 == 0 and n >= 6, "requires n even, n >= 6")
         w4 = 1 - _divides(4, n)
         h = n // 2
-        result = Fraction((((1 << (h - 1)) - 1) * ((1 << (h - 2)) - 1) + w4) * q1, 3)
+        d = (1 << h) - 1
+        count = Fraction((((1 << (h - 1)) - 1) * ((1 << (h - 2)) - 1) + w4) * q1, 3)
     elif family is MonomialFamily.HALF_PLUS:
         _need(n % 2 == 0 and n >= 6, "requires n even, n >= 6")
         h = n // 2
-        result = Fraction((1 << (h - 2)) * ((1 << (h - 1)) - 1) * q1, 3)
+        d = (1 << (h + 1)) - 1
+        count = Fraction((1 << (h - 2)) * ((1 << (h - 1)) - 1) * q1, 3)
     elif family is MonomialFamily.ODD_PLUS:
         _need(n % 2 == 1 and n >= 7, "requires n odd, n >= 7")
         k = kloosterman(n)
-        result = (Fraction((1 << (n - 2)) + 1, 6) - Fraction(k, 8)) * q1
-    elif family is MonomialFamily.TWIN_ODD_T:
-        _need(n % 2 == 0, "requires n = 2t")
-        t = n // 2
-        _need(t >= 5 and t % 2 == 1, "requires t >= 5 odd")
-        result = Fraction((1 << (n - 2)) * q1, 3)
+        d = (1 << ((n + 3) // 2)) - 1
+        count = (Fraction((1 << (n - 2)) + 1, 6) - Fraction(k, 8)) * q1
+    else:  # MonomialFamily.TWIN_ODD_T: t is n/2, not a parameter
+        _need(n % 2 == 0 and n // 2 >= 5 and n // 2 % 2 == 1, "requires n = 2t, t >= 5 odd")
+        d = (1 << (n // 2 + 1)) + 3
+        count = Fraction((1 << (n - 2)) * q1, 3)
 
-    if result.denominator != 1:
-        raise ArithmeticError(f"closed form for {family} at n={n} is not an integer: {result}")
-    return int(result)
-
-
-def family_exponent(family, n, t=None):
-    """A representative exponent d for the family at the given parameters."""
-    family = MonomialFamily(family)
-    if family is MonomialFamily.GOLD:
-        return (1 << t) + 1
-    if family is MonomialFamily.KASAMI:
-        return (1 << (2 * t)) - (1 << t) + 1
-    if family is MonomialFamily.INVERSE:
-        return (1 << n) - 2
-    if family is MonomialFamily.NIHO:
-        return (1 << (2 * t)) + (1 << t) + 1
-    if family is MonomialFamily.D7:
-        return 7
-    if family is MonomialFamily.ODD_LOW:
-        return (1 << (n - 2)) - 1
-    if family is MonomialFamily.HALF:
-        return (1 << (n // 2)) - 1
-    if family is MonomialFamily.HALF_PLUS:
-        return (1 << (n // 2 + 1)) - 1
-    if family is MonomialFamily.ODD_PLUS:
-        return (1 << ((n + 3) // 2)) - 1
-    if family is MonomialFamily.TWIN_ODD_T:
-        t = n // 2
-        return (1 << (t + 1)) + 3
-    raise ValueError(family)
+    if count.denominator != 1:
+        raise ArithmeticError(f"closed form for {family} at n={n} is not an integer: {count}")
+    return d, int(count)

@@ -169,10 +169,22 @@ def test_table1_csv_rows_carry_t_and_status(capsys, monkeypatch):
     assert (code, out) == (0, "gold,6,3,1008,PASS\n")
     # beyond n = 16 no field is built, so there is no brute force to compare
     code, out = run(capsys, "table", "table1", "--n", "20", "--family", "d7", "--format", "csv")
-    assert (code, out) == (0, f"d7,20,,{vflats.closed_form_count('d7', 20)},unchecked\n")
-    monkeypatch.setattr(vflats, "closed_form_count", lambda family, n, t=None: 890)
+    assert (code, out) == (0, f"d7,20,,{vflats.closed_form('d7', 20)[1]},unchecked\n")
+    monkeypatch.setattr(vflats, "closed_form", lambda family, n, t=None: (7, 890))
     code, out = run(capsys, "table", "table1", "--n", "7", "--family", "d7", "--format", "csv")
     assert (code, out) == (1, "d7,7,,890,FAIL\n")
+
+
+def test_table1_rejects_t_for_a_family_that_takes_none(capsys):
+    for family in ("inverse", "d7", "odd-low", "half", "half-plus", "odd-plus", "twin-odd-t"):
+        code = main(["table", "table1", "--family", family, "--n", "10", "--t", "3"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: the {family} family takes no t, got t = 3\n"
+    code = main(["table", "table1", "--family", "inverse", "--n", "-2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: n = -2: the closed forms need n >= 2\n"
 
 
 def test_cover_build_gold2(capsys):

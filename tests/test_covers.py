@@ -142,14 +142,17 @@ def test_image_cover_requires_permutation_and_flat_images():
 
 
 def test_gold_cover_basic():
-    triv, img = gold_cover(6, 2)
+    gf = GF(6)
+    img = gold_cover(6, 2)
+    # the default pair is x = 1, y = the least element of GF(4) beyond {0, 1}
+    triv = trivial_cover(gf, (1, gf.subfield(2)[2]))
     assert len(triv) == 16 and len(img) == 16
     assert verify_cover(triv) and verify_cover(img)
     assert img.dimension == 2
     assert cover_properties(img)["totally_skew"]
-    # every flat of the trivial cover is a vanishing flat of the Gold function
-    gf = GF(6)
     f = FunctionTable.from_monomial(gf, 5)
+    assert img.to_json() == image_cover(f, triv).to_json()
+    # every flat of the trivial cover is a vanishing flat of the Gold function
     blocks = set(enumerate_flats(f).blocks)
     for flat in triv.flats:
         assert tuple(flat.points()) in blocks
@@ -161,7 +164,7 @@ GOLD_PAIRS = [(6, 2), (6, 4), (9, 3), (9, 6), (10, 2), (10, 4), (10, 6), (10, 8)
 @pytest.mark.parametrize("n,t", GOLD_PAIRS)
 def test_gold_image_skew_or_parallel_pairs(n, t):
     # dichotomy for n <= 10: either totally skew, or parallel classes of size 2
-    _, img = gold_cover(n, t)
+    img = gold_cover(n, t)
     assert verify_cover(img)
     groups = parallel_decomposition(img)
     props = cover_properties(img)
@@ -189,8 +192,8 @@ def test_gold_cover_parameter_validation():
 def test_gold_cover_explicit_pair():
     gf = GF(6)
     z = gf.subfield(2)[2]
-    triv, img = gold_cover(6, 2, x=3, y=gf.mul(3, z))
-    assert verify_cover(triv) and verify_cover(img)
+    img = gold_cover(6, 2, x=3, y=gf.mul(3, z))
+    assert verify_cover(trivial_cover(gf, (3, gf.mul(3, z)))) and verify_cover(img)
     assert cover_properties(img)["totally_skew"]
 
 
@@ -234,7 +237,7 @@ def test_constructions_match_the_pointwise_image(n, t):
     for _ in range(3):
         x = rng.randrange(1, gf.order)
         y = gf.mul(x, rng.choice(sub[2:]))
-        _, img = gold_cover(n, t, x, y)
+        img = gold_cover(n, t, x, y)
         assert img.to_json() == image_cover(f, trivial_cover(gf, (x, y))).to_json()
 
 
@@ -340,8 +343,9 @@ def test_cover_checks_match_pairwise_oracles(n):
 
 @pytest.mark.parametrize("n,t", [(6, 2), (9, 3), (10, 2)])
 def test_built_covers_match_pairwise_oracles(n, t):
-    triv, img = gold_cover(n, t)
-    for cover in (triv, img, theorem8_cover(n, t, alpha=3)):
+    gf = GF(n)
+    triv = trivial_cover(gf, (1, gf.subfield(math.gcd(n, t))[2]))
+    for cover in (triv, gold_cover(n, t), theorem8_cover(n, t, alpha=3)):
         assert assert_matches_oracles(cover)
 
 

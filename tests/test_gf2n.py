@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import re
 
-from helpers import apply, cube_root_of_unity, span_closure
+from helpers import apply, cube_root_of_unity, gf_add, span_closure
 
 from vanishingflats import (GF, AffineSubspace, Cover, DOPolynomial, FunctionTable,
                             PartialQuadrupleSystem, kloosterman)
@@ -51,10 +51,10 @@ def test_echelon_against_span_closure():
 
 
 def test_add_is_xor():
-    assert GF8.add(0b011, 0b101) == 0b110
+    assert gf_add(GF8, 0b011, 0b101) == 0b110
     for a in GF8.elements():
-        assert GF8.add(a, 0) == a
-        assert GF8.add(a, a) == 0
+        assert gf_add(GF8, a, 0) == a
+        assert gf_add(GF8, a, a) == 0
 
 
 def test_mul_known_products():
@@ -74,7 +74,7 @@ def test_field_axioms_exhaustive(n):
         for b in sample:
             assert gf.mul(a, b) == gf.mul(b, a)
             for c in sample[:6]:
-                assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
+                assert gf.mul(a, gf_add(gf, b, c)) == gf_add(gf, gf.mul(a, b), gf.mul(a, c))
                 assert gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
 
 
@@ -83,7 +83,7 @@ def test_field_axioms_exhaustive(n):
        st.integers(min_value=0, max_value=255))
 def test_distributivity_gf256(a, b, c):
     gf = GF(8)
-    assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
+    assert gf.mul(a, gf_add(gf, b, c)) == gf_add(gf, gf.mul(a, b), gf.mul(a, c))
 
 
 def test_pow_conventions():

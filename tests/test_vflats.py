@@ -13,9 +13,10 @@ from vanishingflats import (
     count_via_spectrum,
     flats_through_pair,
     bounds,
-    closed_form_count,
-    family_exponent,
+    closed_form,
     KNOWN_MONOMIAL_COUNTS,
+    MonomialFamily,
+    PowerFunction,
 )
 from vanishingflats.dopoly import random_do_polynomial
 
@@ -297,54 +298,77 @@ GOLD_CASES = [(6, 2, 336), (6, 3, 1008), (8, 4, 38080), (9, 3, 65408)]
 
 @pytest.mark.parametrize("n,t,expected", GOLD_CASES)
 def test_gold_closed_form(n, t, expected):
-    assert closed_form_count("gold", n, t=t) == expected
+    assert closed_form("gold", n, t=t)[1] == expected
 
 
 def test_closed_forms_match_reference_counts():
-    assert closed_form_count("inverse", 8) == 85
-    assert closed_form_count("d7", 6) == 84
-    assert closed_form_count("d7", 7) == 889
-    assert closed_form_count("d7", 8) == 3655
-    assert closed_form_count("niho", 8, t=2) == 2040
-    assert closed_form_count("half", 6) == 84
-    assert closed_form_count("half", 8) == 1785
-    assert closed_form_count("half-plus", 6) == 126
-    assert closed_form_count("half-plus", 8) == 2380
-    assert closed_form_count("odd-plus", 7) == 889
-    assert closed_form_count("kasami", 7, t=2) == 0
+    assert closed_form("inverse", 8)[1] == 85
+    assert closed_form("d7", 6)[1] == 84
+    assert closed_form("d7", 7)[1] == 889
+    assert closed_form("d7", 8)[1] == 3655
+    assert closed_form("niho", 8, t=2)[1] == 2040
+    assert closed_form("half", 6)[1] == 84
+    assert closed_form("half", 8)[1] == 1785
+    assert closed_form("half-plus", 6)[1] == 126
+    assert closed_form("half-plus", 8)[1] == 2380
+    assert closed_form("odd-plus", 7)[1] == 889
+    assert closed_form("kasami", 7, t=2)[1] == 0
 
 
 def test_closed_form_brute_force_beyond_reference():
-    # rows whose exponents exceed the embedded reference table
-    gf9 = GF(9)
-    for family in ("odd-low", "odd-plus"):
-        d = family_exponent(family, 9)
-        got = count_via_spectrum(FunctionTable.from_monomial(gf9, d))
-        assert got == closed_form_count(family, 9)
+    # both twin-odd-t exponents share the count; closed_form names one of them
     gf10 = GF(10)
+    d, count = closed_form("twin-odd-t", 10)
+    assert d in twin_odd_t_exponents(10)
     for d in twin_odd_t_exponents(10):
-        assert (count_via_spectrum(FunctionTable.from_monomial(gf10, d))
-                == closed_form_count("twin-odd-t", 10))
-    assert family_exponent("twin-odd-t", 10) in twin_odd_t_exponents(10)
+        assert count_via_spectrum(FunctionTable.from_monomial(gf10, d)) == count
+
+
+def test_every_closed_form_up_to_n14_matches_the_spectrum_count():
+    """Each (family, n, t) that closed_form accepts with n <= 14 and t None
+    or 1..n-1: the count is that of its own exponent d, by the spectrum."""
+    accepted = []
+    for family in MonomialFamily:
+        for n in range(2, 15):
+            for t in (None, *range(1, n)):
+                try:
+                    accepted.append((family, n, t, *closed_form(family, n, t=t)))
+                except ValueError:
+                    pass
+    assert len(accepted) == 107
+    assert {family for family, *_ in accepted} == set(MonomialFamily)
+    for family, n, t, d, count in accepted:
+        assert count_via_spectrum(PowerFunction(GF(n), d)) == count, (family.value, n, t, d)
+
+
+def test_closed_form_rejects_t_where_unused_and_n_below_2():
+    takes_t = {MonomialFamily.GOLD, MonomialFamily.KASAMI, MonomialFamily.NIHO}
+    # t is rejected before the side conditions, which odd-low and odd-plus fail at n = 10
+    for family in set(MonomialFamily) - takes_t:
+        with pytest.raises(ValueError, match=f"the {family.value} family takes no t, got t = 3"):
+            closed_form(family, 10, t=3)
+    for n in (1, 0, -2):
+        with pytest.raises(ValueError, match=f"n = {n}: the closed forms need n >= 2"):
+            closed_form("inverse", n)
 
 
 def test_closed_form_side_conditions():
     with pytest.raises(ValueError):
-        closed_form_count("gold", 6, t=4)
+        closed_form("gold", 6, t=4)
     with pytest.raises(ValueError):
-        closed_form_count("inverse", 5)
+        closed_form("inverse", 5)
     with pytest.raises(ValueError):
-        closed_form_count("kasami", 9, t=3)  # n = 3t
+        closed_form("kasami", 9, t=3)  # n = 3t
     with pytest.raises(ValueError):
-        closed_form_count("kasami", 8, t=2)  # n/s even
+        closed_form("kasami", 8, t=2)  # n/s even
     with pytest.raises(ValueError):
-        closed_form_count("d7", 5)
+        closed_form("d7", 5)
     with pytest.raises(ValueError):
-        closed_form_count("odd-low", 6)  # enabled only for odd n >= 7
+        closed_form("odd-low", 6)  # enabled only for odd n >= 7
     with pytest.raises(ValueError):
-        closed_form_count("twin-odd-t", 12)  # t = 6 even
+        closed_form("twin-odd-t", 12)  # t = 6 even
     with pytest.raises(ValueError):
-        closed_form_count("no-such-family", 6)
+        closed_form("no-such-family", 6)
 
 
 def test_pqs_serialization_roundtrip():
