@@ -143,6 +143,8 @@ def cmd_table1(args):
         brute = vflats.count_via_spectrum(FunctionTable.from_monomial(gf, d))
         status = "PASS" if brute == count else "FAIL"
         line += " PASS" if brute == count else f" FAIL (brute force {brute})"
+    elif args.modulus is not None:
+        raise ValueError(f"--modulus given, but no field is built at n = {args.n} > {MAX_DEGREE}")
     row = (args.family, args.n, "" if args.t is None else args.t, count, status)
     failures = int(status == "FAIL")
     _emit(args, lambda: {"results": [line], "failures": failures}, [line], [row])

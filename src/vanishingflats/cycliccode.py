@@ -4,18 +4,21 @@ The binary cyclic code of length 2^n - 1 with zeroes alpha and alpha^d has a
 two-row parity-check matrix whose columns are (alpha^i, alpha^(d i)). Its
 weight-3 codewords correspond to vanishing flats of x^d through 0, and its
 weight-4 codewords to vanishing flats avoiding 0. Prepending the zero column
-generalizes the weight-4 correspondence to arbitrary f.
+generalizes the weight-4 correspondence to arbitrary f. The direct counts
+read the parity check alone: a weight-4 support splits three ways into two
+column pairs of equal sum, so N4 is a third of the colliding pair sums, found
+in O(4^n) time and memory.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .gf2n import GF
 from .boolfunc import FunctionTable
 from . import vflats
 
-# brute-force enumeration limits; beyond them use the flat-based path
-MAX_N_WEIGHT3 = 8
-MAX_N_WEIGHT4 = 6
+# direct enumeration limit; beyond it use the flat-based path
+MAX_N_DIRECT = 8
 
 
 @dataclass
@@ -62,24 +65,23 @@ def weight_counts_from_flats(f):
 
 
 def direct_low_weight_counts(spec, max_weight):
-    """Brute-force weight-3/4 codeword counts from the parity-check rows.
+    """Weight-3/4 codeword counts from the parity-check rows, in O(4^n).
 
-    Supports are enumerated by solving the first row for the last coordinate
-    (so candidate subsets already sum to zero there) and checking the second
-    row. Serves as the independent oracle for the flat-based counts.
-    """
+    Two pairs of columns with equal sums are disjoint, as the labels are
+    distinct, and make a weight-4 support; each support splits into three
+    such pairs of pairs, so N4 is a third of the sum of C(c, 2) over the
+    counts c of the pair sums. The independent oracle of the flat counts."""
     if max_weight not in (3, 4):
         raise ValueError("max_weight must be 3 or 4")
     n = spec.field.n
-    limit = MAX_N_WEIGHT4 if max_weight == 4 else MAX_N_WEIGHT3
-    if n > limit:
-        raise ValueError(f"direct enumeration capped at n <= {limit} for "
-                         f"weight {max_weight}; use the flat-based counts instead")
+    if n > MAX_N_DIRECT:
+        raise ValueError(f"direct enumeration capped at n <= {MAX_N_DIRECT}; "
+                         "use the flat-based counts instead")
 
     labels, images = spec.labels, spec.images
     index_of = {lab: i for i, lab in enumerate(labels)}
     m = len(labels)
-    counts = {3: 0, 4: 0}
+    counts = {3: 0}
 
     for i in range(m):
         for j in range(i + 1, m):
@@ -89,17 +91,13 @@ def direct_low_weight_counts(spec, max_weight):
                 counts[3] += 1
 
     if max_weight == 4:
-        for i in range(m):
-            for j in range(i + 1, m):
-                lab_ij = labels[i] ^ labels[j]
-                img_ij = images[i] ^ images[j]
-                for k in range(j + 1, m):
-                    fourth = lab_ij ^ labels[k]
-                    l = index_of.get(fourth)
-                    if l is not None and l > k and img_ij ^ images[k] ^ images[l] == 0:
-                        counts[4] += 1
-        return counts
-    return {3: counts[3]}
+        cols = [lab << n | img for lab, img in zip(labels, images)]
+        pair_sums = Counter(a ^ b for i, a in enumerate(cols) for b in cols[i + 1:])
+        splits = sum(c * (c - 1) // 2 for c in pair_sums.values())
+        if splits % 3 != 0:
+            raise ArithmeticError("weight-4 supports not split three ways each")
+        counts[4] = splits // 3
+    return counts
 
 
 def report(gf, d, method="flats"):

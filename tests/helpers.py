@@ -5,15 +5,16 @@ trivial-cover oracles for F_2 elimination, the pointwise values, linearized
 derivatives and per-direction ranks of a DO polynomial by gf.pow and gf.mul
 alone, a counter of value-table builds, two vanishing-flat oracles that
 share no code with the package's kernels (a brute force over all 2-flats and
-the Walsh fourth moment), the pointwise per-direction uniformities that
-a spectrum must report, and the direct slow paths that only tests call: the
-range-checked field sum, the b-by-b derivative histogram of one direction, the
-linear part of a flat and membership by elimination, the blocks through given
-points, block maps and isomorphism witnesses, the primitive cube root of
-unity, the twin-odd-t exponents, the skew test of one flat image, the
-permutation test of a table, and the pointwise image of a cover under a
-value table, the oracle for the Gold image kernel, with the recovery of a
-flat from its points."""
+the Walsh fourth moment), the O(m^3) weight-3/4 codeword enumerator that the
+pair-sum kernel of cycliccode replaced, the cyclotomic class representatives,
+the pointwise per-direction uniformities that a spectrum must report, and the
+direct slow paths that only tests call: the range-checked field sum, the b-by-b
+derivative histogram of one direction, the linear part of a flat and
+membership by elimination, the blocks through given points, block maps and
+isomorphism witnesses, the primitive cube root of unity, the twin-odd-t
+exponents, the skew test of one flat image, the permutation test of a table,
+and the pointwise image of a cover under a value table, the oracle for the
+Gold image kernel, with the recovery of a flat from its points."""
 
 from collections import Counter, defaultdict
 from itertools import combinations
@@ -271,6 +272,48 @@ def brute_force_flats(f):
     t = f.values
     return [(x, y, z, x ^ y ^ z) for x, y, z in combinations(range(len(t)), 3)
             if x ^ y ^ z > z and t[x] ^ t[y] ^ t[z] ^ t[x ^ y ^ z] == 0]
+
+
+def triple_loop_weight_counts(spec):
+    """{3: N3, 4: N4} of a ParityCheckSpec by O(m^3) loops over its m columns:
+    weight 3 over every triple of columns; weight 4 by solving the first row
+    for the last coordinate (so candidate subsets already sum to zero there)
+    and checking the second row."""
+    labels, images = spec.labels, spec.images
+    index_of = {lab: i for i, lab in enumerate(labels)}
+    m = len(labels)
+    counts = {3: sum(1 for i, j, k in combinations(range(m), 3)
+                     if labels[i] ^ labels[j] ^ labels[k] == 0
+                     and images[i] ^ images[j] ^ images[k] == 0), 4: 0}
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            lab_ij = labels[i] ^ labels[j]
+            img_ij = images[i] ^ images[j]
+            for k in range(j + 1, m):
+                fourth = lab_ij ^ labels[k]
+                l = index_of.get(fourth)
+                if l is not None and l > k and img_ij ^ images[k] ^ images[l] == 0:
+                    counts[4] += 1
+    return counts
+
+
+def cyclotomic_class_reps(n):
+    """The least member of each class d ~ 2d modulo 2^n - 1, for 0 < d < 2^n - 1."""
+    q1 = (1 << n) - 1
+    reps = []
+    seen = set()
+    for d in range(1, q1):
+        if d in seen:
+            continue
+        orbit = {d}
+        x = d * 2 % q1
+        while x != d:
+            orbit.add(x)
+            x = x * 2 % q1
+        seen |= orbit
+        reps.append(d)
+    return reps
 
 
 def pointwise_per_direction(f):

@@ -30,6 +30,7 @@ from vanishingflats import (
 
 from helpers import (
     cube_root_of_unity,
+    cyclotomic_class_reps,
     isomorphism_witness_check,
     random_table,
     random_affine_permutation,
@@ -208,28 +209,11 @@ def test_ac_09_gap_oracle():
     _verdict("AC-9", ok)
 
 
-def _cyclotomic_class_reps(n):
-    q1 = (1 << n) - 1
-    reps = []
-    seen = set()
-    for d in range(1, q1):
-        if d in seen:
-            continue
-        orbit = {d}
-        x = d * 2 % q1
-        while x != d:
-            orbit.add(x)
-            x = x * 2 % q1
-        seen |= orbit
-        reps.append(d)
-    return reps
-
-
 def test_ac_10_code_weight_correspondence():
     ok = True
     for n in range(2, 7):
         gf = GF(n)
-        for d in _cyclotomic_class_reps(n):
+        for d in cyclotomic_class_reps(n):
             direct = direct_low_weight_counts(ParityCheckSpec.cyclic(gf, d), 4)
             f = FunctionTable.from_monomial(gf, d)
             if (direct[3], direct[4]) != weight_counts_from_flats(f):

@@ -187,6 +187,16 @@ def test_table1_rejects_t_for_a_family_that_takes_none(capsys):
     assert captured.err == "error: n = -2: the closed forms need n >= 2\n"
 
 
+def test_table1_rejects_modulus_where_no_field_is_built(capsys):
+    code = main(["table", "table1", "--family", "d7", "--n", "20", "--modulus", "12345"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: --modulus given, but no field is built at n = 20 > 16\n"
+    # without --modulus the closed form still prints, unchecked
+    code, out = run(capsys, "table", "table1", "--family", "d7", "--n", "20")
+    assert (code, out) == (0, f"d7 n=20: {vflats.closed_form('d7', 20)[1]}\n")
+
+
 def test_cover_build_gold2(capsys):
     code, out = run(capsys, "cover", "build", "gold2", "--n", "6", "--t", "2")
     assert code == 0
@@ -244,6 +254,17 @@ def test_codeweights_examples(capsys):
     code, out = run(capsys, "codeweights", "--n", "6", "--d", "9", "--method", "both")
     assert code == 0
     assert "agree=True" in out
+    # the direct count reaches n = 8 for both weights; 85 + 3570 is the
+    # d = 7 entry of the paper's n = 8 row
+    code, out = run(capsys, "codeweights", "--n", "8", "--d", "7", "--method", "both")
+    assert (code, out) == (0, "n=8 d=7 method=both N3=85 N4=3570 direct_N3=85 direct_N4=3570 "
+                              "agree=True\n")
+    code, out = run(capsys, "codeweights", "--n", "7", "--d", "7", "--method", "direct")
+    assert (code, out) == (0, "n=7 d=7 method=direct N3=0 N4=889\n")
+    code = main(["codeweights", "--n", "9", "--d", "7", "--method", "direct"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "capped at n <= 8" in captured.err
 
 
 def test_kloosterman_command(capsys):

@@ -15,7 +15,7 @@ from vanishingflats import (
 )
 from vanishingflats.cycliccode import report
 
-from helpers import random_table
+from helpers import cyclotomic_class_reps, random_table, triple_loop_weight_counts
 
 
 def test_cyclic_spec_structure():
@@ -82,6 +82,49 @@ def test_direct_matches_flats_small(n, d):
     assert (direct[3], direct[4]) == weight_counts_from_flats(f)
 
 
+@pytest.mark.parametrize("n,d", [(7, 7), (7, 21), (8, 5), (8, 7), (8, 21)])
+def test_direct_weight4_larger_fields(n, d):
+    gf = GF(n)
+    direct = direct_low_weight_counts(ParityCheckSpec.cyclic(gf, d), 4)
+    f = FunctionTable.from_monomial(gf, d)
+    assert (direct[3], direct[4]) == weight_counts_from_flats(f)
+    if n == 8:  # the paper's n = 8 row counts every flat: N3 + N4
+        assert direct[3] + direct[4] == dict(KNOWN_MONOMIAL_COUNTS[8])[d]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_pair_sum_kernel_matches_triple_loop_on_every_class(n):
+    gf = GF(n)
+    for d in cyclotomic_class_reps(n):
+        spec = ParityCheckSpec.cyclic(gf, d)
+        want = triple_loop_weight_counts(spec)
+        assert direct_low_weight_counts(spec, 4) == want
+        assert direct_low_weight_counts(spec, 3) == {3: want[3]}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_pair_sum_kernel_matches_triple_loop_on_random_tables(n):
+    # the generalized spec has the label-0 column; f(0) = 0 and f(0) != 0
+    # both occur
+    gf = GF(n)
+    rng = random.Random(4096 + n)
+    for _ in range(3):
+        f = random_table(gf, rng)
+        shift = f[0] ^ rng.randrange(1, gf.order)
+        for g in (FunctionTable(gf, [v ^ f[0] for v in f.values]),
+                  FunctionTable(gf, [v ^ shift for v in f.values])):
+            spec = ParityCheckSpec.generalized(gf, g)
+            assert direct_low_weight_counts(spec, 4) == triple_loop_weight_counts(spec)
+
+
+def test_pair_sums_not_split_three_ways_raise():
+    # repeated labels break the disjointness the pair-sum count relies on:
+    # two pairs sharing a column collide once, and 1 is no multiple of 3
+    spec = ParityCheckSpec(GF(2), [1, 1, 2], [3, 3, 1])
+    with pytest.raises(ArithmeticError):
+        direct_low_weight_counts(spec, 4)
+
+
 @pytest.mark.parametrize("n,d", [(7, 7), (8, 7)])
 def test_direct_weight3_larger_fields(n, d):
     gf = GF(n)
@@ -93,7 +136,7 @@ def test_direct_weight3_larger_fields(n, d):
 
 def test_capacity_caps():
     with pytest.raises(ValueError):
-        direct_low_weight_counts(ParityCheckSpec.cyclic(GF(7), 7), 4)
+        direct_low_weight_counts(ParityCheckSpec.cyclic(GF(9), 7), 4)
     with pytest.raises(ValueError):
         direct_low_weight_counts(ParityCheckSpec.cyclic(GF(9), 7), 3)
     with pytest.raises(ValueError):
