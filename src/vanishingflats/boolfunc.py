@@ -184,9 +184,9 @@ class PowerFunction(FunctionTable):
     costs O(2^n) once, against O(4^n) for a generic table; count_via_spectrum,
     bounds, critical_directions and the cyclic-code weights inherit that
     through _direction_classes, none of them building the value table: it is
-    made on the first read of values (delta, enumerate_flats, to_json)
-    and kept. delta(a, b) is the inherited kernel, and FunctionTable(gf,
-    f.values) stays the generic oracle.
+    made on the first read of values (delta, enumerate_flats, to_json,
+    ParityCheckSpec.cyclic) and kept. delta(a, b) is the inherited kernel,
+    and FunctionTable(gf, f.values) stays the generic oracle.
     """
 
     __slots__ = ("d", "_hist1", "_values")
@@ -201,17 +201,10 @@ class PowerFunction(FunctionTable):
 
     @property
     def values(self):
-        """The value table, built on the first read and kept in _values (the
-        FunctionTable slot of the same name stays unset)."""
+        """The value table of from_univariate, built on the first read and
+        kept in _values (the FunctionTable slot of the same name stays unset)."""
         if self._values is None:
-            # walk x = alpha^i and x^d = (alpha^d)^i together, by table lookups
-            gf = self.field
-            alpha = gf.primitive_element()
-            values = [0] * gf.order
-            for x, y in zip(gf.powers(alpha, gf.order - 1),
-                            gf.powers(gf.pow(alpha, self.d), gf.order - 1)):
-                values[x] = y
-            self._values = FunctionTable(gf, values).values
+            self._values = FunctionTable.from_univariate(self.field, [(1, self.d)]).values
         return self._values
 
     def _histogram1(self):

@@ -104,8 +104,8 @@ def cmd_spectrum(args):
     return 0
 
 
-# Most blocks `vflats list|pqs-export` prints: listing the 690,880 blocks of
-# x^1 at n = 8 (every 2-flat) peaks at about 200 MB RSS.
+# Most blocks `vflats list` prints: listing the 690,880 blocks of x^1 at
+# n = 8 (every 2-flat) peaks at about 200 MB RSS.
 LIST_LIMIT = 1_000_000
 
 
@@ -125,12 +125,6 @@ def cmd_vflats_list(args):
             yield pqs.to_text()
 
     _emit(args, pqs.to_json, lines(), pqs.blocks)
-    return 0
-
-
-def cmd_pqs_export(args):
-    pqs = vflats.enumerate_flats(load_function(args), limit=LIST_LIMIT)
-    print(json.dumps(pqs.to_json()))
     return 0
 
 
@@ -243,13 +237,11 @@ def build_parser():
     _leaf(sub, "spectrum", cmd_spectrum, "differential spectrum of a function",
           _add_field_args, _add_source_args, _add_format_arg)
 
-    p = sub.add_parser("vflats", help="vanishing flats: count, list or export")
+    p = sub.add_parser("vflats", help="vanishing flats: count or list")
     modes = p.add_subparsers(dest="mode", required=True)
     for mode, func, help in (("count", cmd_vflats_count, "number of vanishing flats"),
                              ("list", cmd_vflats_list, "every vanishing flat, one per line")):
         _leaf(modes, mode, func, help, _add_field_args, _add_source_args, _add_format_arg)
-    _leaf(modes, "pqs-export", cmd_pqs_export, "the partial quadruple system as JSON",
-          _add_field_args, _add_source_args)
 
     p = sub.add_parser("table", help="recompute the embedded reference tables")
     tables = p.add_subparsers(dest="which", required=True)

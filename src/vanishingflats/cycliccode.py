@@ -36,13 +36,17 @@ class ParityCheckSpec:
         expected = {self.field.order - 1, self.field.order}
         if len(self.labels) not in expected:
             raise ValueError(f"row length must be one of {sorted(expected)}")
+        repeated = [lab for lab, c in Counter(self.labels).items() if c > 1]
+        if repeated:
+            raise ValueError(f"label {repeated[0]} occurs more than once")
 
     @classmethod
     def cyclic(cls, gf, d):
         """Length 2^n - 1, coordinates alpha^0 .. alpha^(2^n - 2). labels is a
         copy: the field's exp list is shared and must not be modified."""
         labels = list(gf.exp_log()[0])
-        return cls(gf, labels, [gf.pow(x, d) for x in labels])
+        f = FunctionTable.from_monomial(gf, d)
+        return cls(gf, labels, [f[x] for x in labels])
 
     @classmethod
     def generalized(cls, gf, f):

@@ -21,7 +21,6 @@ sums the same ranks in the closed rank formula.
 """
 
 from itertools import compress
-import random
 
 from .gf2n import GF, as_int, as_list, require
 from .boolfunc import FunctionTable, pack_lanes
@@ -230,6 +229,8 @@ class QuadraticFunction(FunctionTable):
 def random_do_polynomial(gf, support_size, seed):
     """Seeded random DO polynomial: uniform support of the given size, uniform
     nonzero coefficients."""
+    import random  # here, not at module level: the CLI never loads it
+
     rng = random.Random(seed)
     n = gf.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -5,7 +5,6 @@ modulus is an (n+1)-bit integer encoding an irreducible polynomial the same
 way.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 import math
 
@@ -204,9 +203,14 @@ class GF:
         """Elements of the subfield GF(2^s), sorted. Requires s | n."""
         if s <= 0 or self.n % s != 0:
             raise ValueError(f"GF(2^{s}) is not a subfield of GF(2^{self.n})")
-        # {0} and the powers of beta = alpha^((2^n - 1)/(2^s - 1)), of order 2^s - 1
+        # {0} and the powers of beta = alpha^((2^n - 1)/(2^s - 1)), of order
+        # 2^s - 1: a walk of at most 2^s - 2 products by beta
         beta = self.pow(self.primitive_element(), (self.order - 1) // ((1 << s) - 1))
-        return sorted([0, *self.powers(beta, (1 << s) - 1)])
+        elements, x = [0, 1], beta
+        while x != 1:
+            elements.append(x)
+            x = self.mul(x, beta)
+        return sorted(elements)
 
     def mul_tables(self, c):
         """(lo, hi), two 256-entry tables with c * x = lo[x & 255] ^ hi[x >> 8]
@@ -221,15 +225,6 @@ class GF:
             if c >> n & 1:
                 c ^= mod
         return linear_map_tables(columns)
-
-    def powers(self, g, count):
-        """Iterator over g^0, g^1, ..., g^(count - 1): each step is one product
-        by g, read from mul_tables(g)."""
-        lo, hi = self.mul_tables(g)
-        x = 1
-        for _ in range(count):
-            yield x
-            x = lo[x & 255] ^ hi[x >> 8]
 
     def exp_log(self):
         """(exp, log) for alpha = primitive_element(): exp[i] = alpha^i for
@@ -262,12 +257,12 @@ def kloosterman(n):
     """Kloosterman sum K over GF(2^n), by the explicit binomial formula.
 
     K = 1 + ((-1)^(n-1) / 2^(n-1)) * sum_{i=0}^{floor(n/2)} (-1)^i C(n, 2i) 7^i.
-    Exact integer arithmetic throughout; the division must come out exact.
+    Integer arithmetic throughout; the division must leave no remainder.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     total = sum((-1) ** i * math.comb(n, 2 * i) * 7 ** i for i in range(n // 2 + 1))
-    k = 1 + Fraction((-1) ** (n - 1) * total, 1 << (n - 1))
-    if k.denominator != 1:
-        raise ArithmeticError(f"Kloosterman sum for n={n} is not an integer: {k}")
-    return int(k)
+    k, rest = divmod((-1) ** (n - 1) * total, 1 << (n - 1))
+    if rest:
+        raise ArithmeticError(f"Kloosterman sum for n={n} is not an integer")
+    return 1 + k

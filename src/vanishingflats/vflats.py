@@ -11,7 +11,6 @@ three; the enumeration emits each flat along the least of them only.
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import combinations, starmap
 import math
 
@@ -212,9 +211,9 @@ def closed_form(family, n, t=None):
     exact closed-form number of vanishing flats of x^d over GF(2^n).
 
     Only gold, kasami and niho take t; t given to any other family, n < 2,
-    or a violated side condition raises a ValueError. All arithmetic is
-    exact-rational; a non-integer count signals a transcription bug and
-    raises.
+    or a violated side condition raises a ValueError. The count is
+    num * (2^n - 1) / den, den 3 or 24, in integers; a remainder signals a
+    transcription bug and raises.
     """
     family = MonomialFamily(family)
     if n < 2:
@@ -233,50 +232,54 @@ def closed_form(family, n, t=None):
             _need((n // math.gcd(n, t)) % 2 == 1, "kasami requires n/gcd(n,t) odd")
             d = (1 << (2 * t)) - (1 << t) + 1
         s = math.gcd(n, t)
-        count = Fraction((1 << (n - 2)) * ((1 << (s - 1)) - 1) * q1, 3)
+        num, den = (1 << (n - 2)) * ((1 << (s - 1)) - 1), 3
     elif family is MonomialFamily.INVERSE:
         _need(n % 2 == 0, "inverse count requires n even")
-        d, count = (1 << n) - 2, Fraction(q1, 3)
+        d, num, den = (1 << n) - 2, 1, 3
     elif family is MonomialFamily.NIHO:
         _need(t is not None and n == 4 * t, "requires n = 4t")
         d = (1 << (2 * t)) + (1 << t) + 1
-        count = Fraction(((1 << (n - 3)) - (1 << (3 * t - 3))) * q1, 3)
+        num, den = (1 << (n - 3)) - (1 << (3 * t - 3)), 3
     elif family is MonomialFamily.D7:
         _need(n >= 6, "d = 7 row requires n >= 6")
         w4 = _divides(2, n)
         k = kloosterman(n)
         d = 7
-        count = (Fraction((1 << (n - 2)) + 1 - 3 * w4, 6)
-                 + Fraction((-1) ** n * k, 8)) * q1
+        # ((2^(n-2) + 1 - 3 w4)/6 + (-1)^n K/8), over 24
+        num, den = 4 * ((1 << (n - 2)) + 1 - 3 * w4) + 3 * (-1) ** n * k, 24
     elif family is MonomialFamily.ODD_LOW:
         # Table header admits n >= 6 but the row needs n odd; enabled for odd n >= 7.
         _need(n % 2 == 1 and n >= 7, "requires n odd, n >= 7")
         w8 = _divides(3, n)
         k = kloosterman(n)
         d = (1 << (n - 2)) - 1
-        count = (Fraction((1 << (n - 1)) - 3 - (-1) ** n * 5, 12)
-                 + Fraction((-1) ** n * k, 8) + w8) * q1
+        # ((2^(n-1) - 3 - 5 (-1)^n)/12 + (-1)^n K/8 + w8), over 24
+        num = 2 * ((1 << (n - 1)) - 3 - (-1) ** n * 5) + 3 * (-1) ** n * k + 24 * w8
+        den = 24
     elif family is MonomialFamily.HALF:
         _need(n % 2 == 0 and n >= 6, "requires n even, n >= 6")
         w4 = 1 - _divides(4, n)
         h = n // 2
         d = (1 << h) - 1
-        count = Fraction((((1 << (h - 1)) - 1) * ((1 << (h - 2)) - 1) + w4) * q1, 3)
+        num, den = ((1 << (h - 1)) - 1) * ((1 << (h - 2)) - 1) + w4, 3
     elif family is MonomialFamily.HALF_PLUS:
         _need(n % 2 == 0 and n >= 6, "requires n even, n >= 6")
         h = n // 2
         d = (1 << (h + 1)) - 1
-        count = Fraction((1 << (h - 2)) * ((1 << (h - 1)) - 1) * q1, 3)
+        num, den = (1 << (h - 2)) * ((1 << (h - 1)) - 1), 3
     elif family is MonomialFamily.ODD_PLUS:
         _need(n % 2 == 1 and n >= 7, "requires n odd, n >= 7")
         k = kloosterman(n)
         d = (1 << ((n + 3) // 2)) - 1
-        count = (Fraction((1 << (n - 2)) + 1, 6) - Fraction(k, 8)) * q1
+        # ((2^(n-2) + 1)/6 - K/8), over 24
+        num, den = 4 * ((1 << (n - 2)) + 1) - 3 * k, 24
     else:  # MonomialFamily.TWIN_ODD_T: t is n/2, not a parameter
         _need(n % 2 == 0 and n // 2 >= 5 and n // 2 % 2 == 1, "requires n = 2t, t >= 5 odd")
         d = (1 << (n // 2 + 1)) + 3
-        count = Fraction((1 << (n - 2)) * q1, 3)
+        num, den = 1 << (n - 2), 3
 
-    if count.denominator != 1:
-        raise ArithmeticError(f"closed form for {family} at n={n} is not an integer: {count}")
-    return d, int(count)
+    count, rest = divmod(num * q1, den)
+    if rest:
+        raise ArithmeticError(f"closed form for {family} at n={n} is not an integer: "
+                              f"{num * q1}/{den}")
+    return d, count

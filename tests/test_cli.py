@@ -1,6 +1,8 @@
 import ast
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,26 +39,37 @@ def test_vflats_list_inverse(capsys):
         assert line.split()[0] == "0"
 
 
-def test_vflats_pqs_export_roundtrip(capsys):
-    code, out = run(capsys, "vflats", "pqs-export", "--n", "4", "--monomial", "5")
+def test_vflats_list_json_roundtrip(capsys):
+    code, out = run(capsys, "vflats", "list", "--n", "4", "--monomial", "5", "--format", "json")
     assert code == 0
     pqs = PartialQuadrupleSystem.from_json(json.loads(out))
     assert pqs.field == GF(4)
     assert len(pqs) == 20
 
 
-@pytest.mark.parametrize("mode", ["list", "pqs-export"])
-def test_vflats_listing_limit_exit_2_with_count(capsys, monkeypatch, mode):
+def test_vflats_pqs_export_is_gone(capsys):
+    # `vflats list --format json` prints the same object
+    with pytest.raises(SystemExit) as exc:
+        main(["vflats", "pqs-export", "--n", "6", "--monomial", "9"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'pqs-export'" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"], ids=["list", "list-json"])
+def test_vflats_listing_limit_exit_2_with_count(capsys, monkeypatch, fmt):
+    argv = ["vflats", "list", "--n", "6", "--monomial", "9", "--format", fmt]
     monkeypatch.setattr(cli, "LIST_LIMIT", 1007)
-    code = main(["vflats", mode, "--n", "6", "--monomial", "9"])
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: 1008 vanishing flats, more than the limit of 1007\n"
     monkeypatch.setattr(cli, "LIST_LIMIT", 1008)
-    code, out = run(capsys, "vflats", mode, "--n", "6", "--monomial", "9")
+    code, out = run(capsys, *argv)
     assert code == 0
-    assert (out.splitlines()[0] == "1008 blocks" if mode == "list"
+    assert (out.splitlines()[0] == "1008 blocks" if fmt == "text"
             else json.loads(out)["block_count"] == 1008)
 
 
@@ -442,8 +455,6 @@ VERIFY = ["cover", "verify", "--input", "COVER"]
 GOLD2 = ["cover", "build", "gold2", "--n", "9", "--t", "3"]
 THM8 = ["cover", "build", "thm8", "--n", "9", "--t", "3"]
 UNREAD_OPTIONS = {
-    "pqs-export --format": ["vflats", "pqs-export", "--n", "4", "--monomial", "5",
-                            "--format", "json"],
     "table2 --family": ["table", "table2", "--n", "6", "--family", "gold"],
     "table2 --t": ["table", "table2", "--n", "6", "--t", "2"],
     "verify kind": ["cover", "verify", "gold2", "--input", "COVER"],
@@ -485,6 +496,16 @@ def test_parser_is_built_once(capsys):
     assert exc.value.code == 2
     assert run(capsys, "kloosterman", "--n", "6") == (0, "K(6) = -8\n")
     assert cli.build_parser.cache_info().misses == 1
+
+
+def test_cli_import_leaves_out_unused_stdlib():
+    # fractions (with decimal) and random cost start-up and no command needs them
+    src = str(Path(cli.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import vanishingflats.cli; "
+            "print(sorted({'fractions', 'decimal', 'random'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_thm8_alpha_zero_exit_2(capsys):

@@ -55,7 +55,6 @@ CASES = {
     "vflats-list-7-7-json": ["vflats", "list", "--n", "7", "--monomial", "7", "--format", "json"],
     "vflats-list-7-7-csv": ["vflats", "list", "--n", "7", "--monomial", "7", "--format", "csv"],
     "vflats-list-5-3-apn": ["vflats", "list", "--n", "5", "--monomial", "3"],
-    "pqs-export-6-9": ["vflats", "pqs-export", "--n", "6", "--monomial", "9"],
     "codeweights-9-9": ["codeweights", "--n", "9", "--d", "9"],
     "codeweights-9-9-json": ["codeweights", "--n", "9", "--d", "9", "--format", "json"],
     "gold2-6-2-verbose": ["cover", "build", "gold2", "--n", "6", "--t", "2", "--verbose"],
@@ -98,7 +97,6 @@ GOLDEN = {
     "vflats-list-7-7-json": "5c8a3b42d705e1b7fe995f6ae79aaabe09e317e85a6a5c9b75347326bf464694",
     "vflats-list-7-7-csv": "c1e127b10243d128e23f37d94f691c031cb6238ce37ff73827f44d9f2f6301ec",
     "vflats-list-5-3-apn": "1e0abd588610c5ff8ccdd74b5c35cb644b5851645f982c8ffc28aac5c381f1f5",
-    "pqs-export-6-9": "5584356599fd1f4d8e9bff8838c269095cec5875c5ac74efa69658c4098e5e92",
     "codeweights-9-9": "576c11276eb61030efaa9cc57ab6c64e02de002dba58b00b41a59e42f7844e2d",
     "codeweights-9-9-json": "dca8bfb03b4034c74bf3dfb4e96382913670131e58a8ffb376339b9cf5cdb6c5",
     "gold2-6-2-verbose": "e498b2eb664b6d70fd15cba02e946ab39b18ba3036d772eac85e9493c4fed813",

@@ -28,6 +28,11 @@ def test_cyclic_spec_structure():
     gen = ParityCheckSpec.generalized(gf, FunctionTable.from_monomial(gf, 5))
     assert len(gen.labels) == gf.order
     assert gen.labels[0] == 0
+    for n in range(2, 9):
+        gf = GF(n)
+        for d in cyclotomic_class_reps(n):
+            spec = ParityCheckSpec.cyclic(gf, d)
+            assert spec.images == [gf.pow(x, d) for x in spec.labels]
 
 
 def test_spec_labels_do_not_share_the_exp_list():
@@ -48,6 +53,9 @@ def test_spec_validation():
         ParityCheckSpec(gf, [1, 2], [1])
     with pytest.raises(ValueError):
         ParityCheckSpec(gf, [1, 2, 3], [1, 2, 3])
+    # a repeated label would make the weight-3 loop miss a codeword
+    with pytest.raises(ValueError, match="label 3 "):
+        ParityCheckSpec(GF(2), [1, 2, 3, 3], [0, 0, 0, 0])
 
 
 def test_conservation_n3_plus_n4():
@@ -119,8 +127,12 @@ def test_pair_sum_kernel_matches_triple_loop_on_random_tables(n):
 
 def test_pair_sums_not_split_three_ways_raise():
     # repeated labels break the disjointness the pair-sum count relies on:
-    # two pairs sharing a column collide once, and 1 is no multiple of 3
-    spec = ParityCheckSpec(GF(2), [1, 1, 2], [3, 3, 1])
+    # two pairs sharing a column collide once, and 1 is no multiple of 3.
+    # The constructor rejects such rows, so the spec is built past it
+    with pytest.raises(ValueError, match="label 1 "):
+        ParityCheckSpec(GF(2), [1, 1, 2], [3, 3, 1])
+    spec = object.__new__(ParityCheckSpec)
+    spec.field, spec.labels, spec.images = GF(2), [1, 1, 2], [3, 3, 1]
     with pytest.raises(ArithmeticError):
         direct_low_weight_counts(spec, 4)
 

@@ -59,13 +59,18 @@ def test_random_exponents_match_generic_kernel(n):
         assert_matches_generic(FunctionTable.from_monomial(gf, d), rng)
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", [*range(2, 13), 16])
 def test_walking_table_equals_pointwise_pow(n):
     gf = GF(n)
     q = gf.order
-    # gcd(q - 1, q - 1) > 1, and 2q + 1 exceeds the group order
-    for d in (1, q - 2, q - 1, 2 * q + 1):
-        assert FunctionTable.from_monomial(gf, d).values == [gf.pow(x, d) for x in gf.elements()]
+    # gcd(q - 1, q - 1) > 1, and 2q + 1 exceeds the group order; at n <= 6
+    # every d up to 2q + 1. A pointwise pow at n = 16 costs ~80 us, so there
+    # the table is checked on 0, 1, q - 1 and 1,000 seeded points
+    ds = range(1, 2 * q + 2) if n <= 6 else (1, q - 2, q - 1, 2 * q + 1)
+    xs = gf.elements() if n <= 12 else [0, 1, q - 1, *random.Random(n).sample(range(q), 1000)]
+    for d in ds:
+        values = FunctionTable.from_monomial(gf, d).values
+        assert [values[x] for x in xs] == [gf.pow(x, d) for x in xs]
 
 
 def test_d7_count_at_n16_matches_closed_form():
