@@ -47,6 +47,15 @@ class AffineSubspace:
         if len(echelon(self.basis)) != len(self.basis):
             raise ValueError(f"basis vectors are not linearly independent: {self.basis}")
 
+    @classmethod
+    def _independent(cls, base, basis):
+        """base + span(basis) with no echelon check, for a basis that
+        rref_basis has just made independent."""
+        flat = object.__new__(cls)
+        object.__setattr__(flat, "base", base)
+        object.__setattr__(flat, "basis", basis)
+        return flat
+
     @property
     def dimension(self):
         return len(self.basis)
@@ -109,7 +118,8 @@ def trivial_cover(gf, basis):
     """
     basis = rref_basis(basis)
     return Cover(gf, len(basis),
-                 [AffineSubspace(x, basis) for x in _coset_leaders(gf.order, basis)])
+                 [AffineSubspace._independent(x, basis)
+                  for x in _coset_leaders(gf.order, basis)])
 
 
 def _coset_leaders(q, rref):
@@ -260,7 +270,7 @@ def gold_image(gf, t, basis):
         for b in image:
             if base >> (b.bit_length() - 1) & 1:
                 base ^= b
-        flats.append(AffineSubspace(base, image))
+        flats.append(AffineSubspace._independent(base, image))
     return Cover(gf, len(basis), flats)
 
 

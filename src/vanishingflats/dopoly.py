@@ -6,28 +6,30 @@ L_{f,a}(x) = sum c_ij (a^(2^i) x^(2^j) + a^(2^j) x^(2^i)) is F_2-linear.
 
 L_{f,a}(x) = B(a, x) for the polar form B(x, y) = f(x + y) + f(x) + f(y),
 which is symmetric and F_2-bilinear since f(0) = 0. So column k of the matrix
-of L_{f,a} is f(a + e_k) + f(a) + f(e_k), read off the value table.
+of L_{f,a} is B(a, e_k), the XOR of B(e_m, e_k) over the bits m of a: every
+rank(L_{f,a}) is fixed by the n x n polar matrix B(e_m, e_k).
 
-Every rank(L_{f,a}) comes from one bitsliced elimination, `_family_ranks`:
-bit a of a 2^n-bit int holds entry (i, k) of the matrix of L_{f,a}, so each
-big-int AND, OR or XOR acts on all 2^n matrices at once. That is about 2n^3
-such operations in all, instead of one elimination per direction.
+`_polar_ranks` turns that matrix into every rank at once. Bit a of a 2^n-bit
+int holds entry (i, k) of the matrix of L_{f,a}, a XOR of coordinate planes,
+and one bitsliced elimination, `_family_ranks`, acts on all 2^n matrices
+with each big-int AND, OR or XOR: about 2n^3 such operations in all, instead
+of one elimination per direction.
 
+Both routes to the ranks feed it a polar matrix. DOPolynomial computes its
+own from the coefficients and the field's exp and log lists, in O(s n^2)
+lookups for s terms, so count_vanishing_flats builds no value table.
 QuadraticFunction is any value table of algebraic degree <= 2, however it
-was given; an O(2^n) test, `_is_quadratic`, admits it. It reads the columns
-of each L_{f,a} off the table, and its spectrum and count come from those
-ranks, against O(4^n) for the generic pass. DOPolynomial.count_vanishing_flats
-sums the same ranks in the closed rank formula.
+was given; an O(2^n) test, `_is_quadratic`, admits it. It reads its polar
+matrix off the table in n^2 reads, and its spectrum and count come from the
+ranks, against O(4^n) for the generic pass.
 """
 
 from itertools import compress
 
 from .gf2n import GF, as_int, as_list, require
-from .boolfunc import FunctionTable, pack_lanes
+from .boolfunc import FunctionTable
 
 _ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
-# _BIT_ASCII[b] maps each byte to b"0" or b"1" by its bit b
-_BIT_ASCII = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
 
 
 def _family_ranks(planes):
@@ -81,6 +83,25 @@ def _coordinate_planes(n):
     return planes
 
 
+def _polar_ranks(n, polar):
+    """bytes: entry a is rank(L_{f,a}) for a in [0, 2^n), where polar[k][m]
+    is B(e_m, e_k) for the polar form B of f.
+
+    Bit i of column k of L_{f,a} is bit i of B(a, e_k), the parity of the
+    bits of a at the m where bit i of B(e_m, e_k) is set: plane (k, i) is
+    the XOR of those coordinate planes X_m, at most n^3 / 2 XORs in all."""
+    coordinates = _coordinate_planes(n)
+    planes = []
+    for row in polar:
+        column = [0] * n
+        for x, b in zip(coordinates, row):
+            for i in range(b.bit_length()):
+                if b >> i & 1:
+                    column[i] ^= x
+        planes.append(column)
+    return _family_ranks(planes)
+
+
 class DOPolynomial:
     """Sparse coefficient map (i, j) -> c_ij with 0 <= i < j < n, c_ij != 0.
 
@@ -112,11 +133,35 @@ class DOPolynomial:
         return FunctionTable.from_univariate(
             self.field, [(c, (1 << i) + (1 << j)) for (i, j), c in self.coeffs.items()])
 
+    def _polar(self):
+        """[[B(e_m, e_k) for m < n] for k < n] for the polar form B, from the
+        exp and log lists with no value table: B(e_m, e_k) is the sum over
+        the terms of c * (e_m^(2^i) * e_k^(2^j) + e_m^(2^j) * e_k^(2^i)), each
+        product alpha to the power log c + 2^i log e_m + 2^j log e_k. B is
+        symmetric with zero diagonal, so only m < k is computed."""
+        gf = self.field
+        n, q1 = gf.n, gf.order - 1
+        exp, log = gf.exp_log()
+        units = [log[1 << m] for m in range(n)]
+        polar = [[0] * n for _ in range(n)]
+        for (i, j), c in self.coeffs.items():
+            lc = log[c]
+            at_i = [(u << i) % q1 for u in units]  # log of e_m^(2^i)
+            at_j = [(u << j) % q1 for u in units]
+            for k in range(n):
+                row, ik, jk = polar[k], lc + at_i[k], lc + at_j[k]
+                for m in range(k):
+                    row[m] ^= exp[(at_i[m] + jk) % q1] ^ exp[(at_j[m] + ik) % q1]
+        for k in range(n):
+            for m in range(k):
+                polar[m][k] = polar[k][m]
+        return polar
+
     def count_vanishing_flats(self):
-        """Block count from the ranks h = rank(L_{f,a}) of the value table:
-        (2^(n-2)/3) * sum over a != 0 of (2^(n-h-1) - 1)."""
+        """Block count from the ranks h = rank(L_{f,a}) of the polar matrix,
+        with no value table: (2^(n-2)/3) * sum over a != 0 of (2^(n-h-1) - 1)."""
         n = self.field.n
-        ranks = QuadraticFunction.promote(self.to_table()).ranks()
+        ranks = _polar_ranks(n, self._polar())[1:]
         total = sum(((1 << (n - h - 1)) - 1) * ranks.count(h) for h in range(n))
         scaled = (1 << (n - 2)) * total
         if scaled % 3 != 0:
@@ -158,12 +203,12 @@ class QuadraticFunction(FunctionTable):
     D_a f(x) = L_{f,a}(x) + D_a f(0) is affine, so if h = rank(L_{f,a}) the
     derivative along a takes 2^h values, each 2^(n-h) times, and
     delta_f(a, b) = 2^(n-h) exactly when b + D_a f(0) lies in im(L_{f,a}).
-    Column k of L_{f,a} is read off the table as
-    f(a + e_k) + f(a) + f(e_k) + f(0), for every a at once as bit planes of
-    the table, and one bitsliced elimination (_family_ranks) of about 2n^3
-    operations on 2^n-bit ints gives every rank. spectrum(), count_via_spectrum
-    and the cyclic-code weights inherit that through _direction_classes,
-    against O(4^n) for a generic table. delta(a, b) is the inherited kernel.
+    The polar matrix B(e_m, e_k) = f(e_m + e_k) + f(e_m) + f(e_k) + f(0) is
+    read off the table in n^2 reads, and _polar_ranks gives every rank from
+    it by one bitsliced elimination of about 2n^3 operations on 2^n-bit
+    ints. spectrum(), count_via_spectrum and the cyclic-code weights inherit
+    that through _direction_classes, against O(4^n) for a generic table.
+    delta(a, b) is the inherited kernel.
     FunctionTable(gf, f.values) stays the generic oracle.
     """
 
@@ -191,26 +236,11 @@ class QuadraticFunction(FunctionTable):
         return [t[a ^ 1 << k] ^ t[1 << k] ^ base for k in range(self.field.n)]
 
     def ranks(self):
-        """bytes: entry a - 1 is rank(L_{f,a}) for each nonzero a.
-
-        Bit i of column k is T_i(a + e_k) + T_i(a) + bit i of f(e_k) + f(0),
-        where bit a of the plane T_i is bit i of f(a); translating a plane by
-        e_k swaps its halves along bit k, two masked shifts."""
+        """bytes: entry a - 1 is rank(L_{f,a}) for each nonzero a, from the
+        polar matrix: _columns(e_k) holds B(e_k, e_m) = B(e_m, e_k), m < n."""
         if self._ranks is None:
-            n, t = self.field.n, self.values
-            full = (1 << self.field.order) - 1
-            raw = pack_lanes(t)
-            width = len(raw) // len(t)
-            octets = [raw[j::width] for j in range(width)]  # byte j of each value
-            tables = [int(octets[i >> 3].translate(_BIT_ASCII[i & 7])[::-1], 2)
-                      for i in range(n)]
-            planes = []
-            for k, x in enumerate(_coordinate_planes(n)):
-                w, const = 1 << k, t[1 << k] ^ t[0]
-                planes.append([((plane >> w) & (full ^ x) | (plane << w) & x) ^ plane
-                               ^ (full if const >> i & 1 else 0)
-                               for i, plane in enumerate(tables)])
-            self._ranks = _family_ranks(planes)[1:]
+            n = self.field.n
+            self._ranks = _polar_ranks(n, [self._columns(1 << k) for k in range(n)])[1:]
         return self._ranks
 
     def _direction_classes(self):

@@ -241,6 +241,26 @@ def test_constructions_match_the_pointwise_image(n, t):
         assert img.to_json() == image_cover(f, trivial_cover(gf, (x, y))).to_json()
 
 
+def test_constructed_flats_equal_checked_flats():
+    """trivial_cover and gold_image build their flats past the echelon
+    check; each must compare and hash equal to the checked flat with the
+    same base and basis, and Cover.from_json must still refuse a
+    dependent basis."""
+    covers = [trivial_cover(GF(6), (3, 5, 6, 12)), theorem8_cover(9, 3, alpha=7),
+              gold_cover(12, 4)]
+    for cover in covers:
+        for flat in cover.flats:
+            checked = AffineSubspace(flat.base, flat.basis)
+            assert flat == checked and hash(flat) == hash(checked)
+            assert type(flat) is AffineSubspace
+        assert len(set(cover.flats)) == len(cover.flats)
+        assert Cover.from_json(cover.to_json()) == cover
+    bad = {"field": {"n": 4, "modulus": 19}, "dimension": 2,
+           "flats": [{"base": 0, "basis": [3, 3]}]}
+    with pytest.raises(ValueError, match="not linearly independent"):
+        Cover.from_json(bad)
+
+
 def test_constructions_build_no_value_table(monkeypatch):
     builds = count_table_builds(monkeypatch)
     theorem8_cover(12, 4, alpha=5)

@@ -16,7 +16,7 @@ from vanishingflats import (
     count_via_spectrum,
 )
 from vanishingflats.cli import main
-from vanishingflats.dopoly import _family_ranks
+from vanishingflats.dopoly import _family_ranks, _polar_ranks
 from vanishingflats.gf2n import echelon
 from helpers import (apply, count_table_builds, direct_rank_multiset, do_value, linearized_at,
                      linearized_columns)
@@ -161,17 +161,57 @@ def test_rank_multiset():
     assert len(table_ranks(f)) == 63
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+# irreducible moduli whose root x is not primitive: it has order 5 and 51
+NON_PRIMITIVE = {4: 0b11111, 8: 0x11b}
+
+
+def polar_cases(n):
+    """Seeded random DO polynomials over GF(2^n), the zero polynomial, and
+    repeated (i, j) terms whose coefficients XOR; at n = 4 and 8, also over
+    a field whose modulus has a non-primitive root."""
+    gf = GF(n)
+    max_support = min(n * (n - 1) // 2, n)
+    polys = [random_do_polynomial(gf, 1 + (seed * 3 + n) % max_support, seed=700 + seed)
+             for seed in range(3)]
+    polys.append(DOPolynomial(gf, {}))
+    rng = random.Random(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    repeated = [(rng.choice(pairs), rng.randrange(1, gf.order)) for _ in range(n)]
+    # half the repeats cancel their term, half change its coefficient
+    again = repeated[:n // 4] + [(key, rng.randrange(1, gf.order))
+                                 for key, _ in repeated[n // 4:n // 2]]
+    polys.append(DOPolynomial(gf, repeated + again))
+    if n in NON_PRIMITIVE:
+        odd = GF(n, modulus=NON_PRIMITIVE[n])
+        assert odd.primitive_element() != 2
+        polys += [random_do_polynomial(odd, size, seed=size) for size in (1, n // 2 + 1)]
+    return polys
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_polar_matches_table_columns(n):
+    """DOPolynomial._polar, from the coefficients and the exp and log lists,
+    against the polar matrix read off the value table."""
+    for f in polar_cases(n):
+        table = QuadraticFunction(f.field, f.to_table().values)
+        assert f._polar() == [table._columns(1 << k) for k in range(n)], f
+
+
+@pytest.mark.parametrize("n", range(2, 9))
 def test_rank_multiset_matches_direct_formula(n):
-    """QuadraticFunction.ranks against one elimination per direction of the
-    columns L_{f,a}(e_k) evaluated by gf.pow, which reads neither the exp
-    and log lists nor the value table."""
+    """QuadraticFunction.ranks, and _polar_ranks fed the polar matrix of
+    DOPolynomial._polar or of the direct formula, against one elimination
+    per direction of the columns L_{f,a}(e_k) evaluated by gf.pow, which
+    reads neither the exp and log lists nor the value table."""
     gf = GF(n)
     max_support = n * (n - 1) // 2
     polys = [random_do_polynomial(gf, 1 + seed % max_support, seed=seed) for seed in range(4)]
-    polys += [DOPolynomial(gf, {}), DOPolynomial.gold(gf, n - 1)]
+    polys += polar_cases(n) + [DOPolynomial.gold(gf, n - 1)]
     for f in polys:
-        assert list(table_ranks(f)) == direct_rank_multiset(f)
+        oracle = direct_rank_multiset(f)
+        assert list(table_ranks(f)) == oracle, f
+        direct = [[linearized_at(f, 1 << m, 1 << k) for m in range(n)] for k in range(n)]
+        assert _polar_ranks(n, direct) == _polar_ranks(n, f._polar()) == bytes([0] + oracle), f
     assert table_ranks(DOPolynomial(gf, {})) == bytes(gf.order - 1)
 
 
@@ -196,8 +236,10 @@ def test_polar_rows_symmetric_with_zero_diagonal():
                 assert do_value(f, 1 << m | 1 << k) == table[1 << m | 1 << k]
 
 
-@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("n", range(2, 10))
 def test_count_matches_spectrum_of_univariate(n):
+    """The table-free count against the O(4^n) histogram pass of a plain
+    FunctionTable, which the degree test never sees."""
     gf = GF(n)
     max_support = n * (n - 1) // 2
     seeds = range(3) if n <= 7 else range(1)
@@ -205,6 +247,9 @@ def test_count_matches_spectrum_of_univariate(n):
         f = random_do_polynomial(gf, 1 + (seed * 5 + n) % max_support, seed=100 + seed)
         oracle = count_via_spectrum(FunctionTable.from_univariate(gf, univariate_terms(f)))
         assert f.count_vanishing_flats() == oracle
+    for f in polar_cases(n) if n <= 8 else ():
+        assert f.count_vanishing_flats() == \
+            count_via_spectrum(FunctionTable(f.field, f.to_table().values)), f
 
 
 def test_count_formula_examples():
@@ -220,17 +265,18 @@ def test_count_formula_matches_enumeration():
 
 
 def test_count_builds_one_table(monkeypatch):
-    """The count promotes the one table it builds, with no copy; so does
-    vflats count --do."""
+    """The library count reads the polar matrix and builds no value table;
+    vflats count --do builds exactly one, which the degree test promotes
+    with no copy."""
     f = random_do_polynomial(GF(10), 12, seed=5)
     terms = ",".join(f"{i},{j}:{c}" for (i, j), c in sorted(f.coeffs.items()))
     builds = count_table_builds(monkeypatch)
     count = f.count_vanishing_flats()
-    assert builds == [f.field]
+    assert builds == []
     out = io.StringIO()
     with redirect_stdout(out):
         assert main(["vflats", "count", "--n", "10", "--do", terms]) == 0
-    assert len(builds) == 2 and builds[1] == f.field
+    assert builds == [f.field]
     assert out.getvalue() == f"{count}\n"
 
 
