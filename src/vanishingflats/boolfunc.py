@@ -1,7 +1,6 @@
 """Value tables of functions GF(2^n) -> GF(2^n) and their derivative statistics."""
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import compress, repeat
 import struct
 
@@ -228,7 +227,6 @@ class PowerFunction(FunctionTable):
         yield _doubled_class(range(1, self.field.order), self._histogram1(), 1)
 
 
-@dataclass(eq=False)
 class DifferentialSpectrum:
     """counts maps each even value 2i to its frequency l_{2i} over all (a, b).
 
@@ -242,10 +240,16 @@ class DifferentialSpectrum:
     uniformity, through_zero and per_direction map are, however their
     directions are grouped."""
 
-    counts: dict
-    uniformity: int
-    classes: list = field(repr=False)
-    through_zero: int = field(repr=False)
+    __slots__ = ("counts", "uniformity", "classes", "through_zero")
+
+    def __init__(self, counts, uniformity, classes, through_zero):
+        self.counts = counts
+        self.uniformity = uniformity
+        self.classes = classes
+        self.through_zero = through_zero
+
+    def __repr__(self):
+        return f"DifferentialSpectrum(counts={self.counts!r}, uniformity={self.uniformity!r})"
 
     @property
     def per_direction(self):

@@ -57,6 +57,22 @@ def parse_univariate_terms(text):
     return terms
 
 
+def read_table_file(path):
+    """The integers of a table file, one a line; blank lines are skipped. A
+    line that is not an integer raises a ValueError naming the file and the
+    line (1-based)."""
+    values = []
+    with open(path) as fh:
+        for i, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    values.append(int(line))
+                except ValueError:
+                    raise ValueError(f"{path} line {i}: {line.strip()!r} "
+                                     "is not an integer") from None
+    return values
+
+
 def load_function(args):
     """x^d, or the source's table: a QuadraticFunction if its degree is <= 2."""
     gf = GF(args.n, args.modulus)
@@ -67,8 +83,7 @@ def load_function(args):
     elif args.univariate is not None:
         table = FunctionTable.from_univariate(gf, parse_univariate_terms(args.univariate))
     else:
-        with open(args.table_file) as fh:
-            table = FunctionTable(gf, [int(line) for line in fh if line.strip()])
+        table = FunctionTable(gf, read_table_file(args.table_file))
     return QuadraticFunction.promote(table)
 
 
@@ -105,7 +120,7 @@ def cmd_spectrum(args):
 
 
 # Most blocks `vflats list` prints: listing the 690,880 blocks of x^1 at
-# n = 8 (every 2-flat) peaks at about 200 MB RSS.
+# n = 8 (every 2-flat) peaks at about 110 MB RSS.
 LIST_LIMIT = 1_000_000
 
 

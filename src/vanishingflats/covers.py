@@ -5,7 +5,6 @@ trivial cover contained in the vanishing flats of a permutation is again a
 cover, and for suitable parameters the result is nonparallel or totally skew.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 import math
 
@@ -36,16 +35,17 @@ def rref_basis(vectors):
     return tuple(basis)
 
 
-@dataclass(frozen=True)
 class AffineSubspace:
-    """base + span(basis); basis vectors must be linearly independent."""
+    """base + span(basis); basis vectors must be linearly independent.
+    Immutable, and hashed on (base, basis)."""
 
-    base: int
-    basis: tuple
+    __slots__ = ("base", "basis")
 
-    def __post_init__(self):
-        if len(echelon(self.basis)) != len(self.basis):
-            raise ValueError(f"basis vectors are not linearly independent: {self.basis}")
+    def __init__(self, base, basis):
+        if len(echelon(basis)) != len(basis):
+            raise ValueError(f"basis vectors are not linearly independent: {basis}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "basis", basis)
 
     @classmethod
     def _independent(cls, base, basis):
@@ -55,6 +55,22 @@ class AffineSubspace:
         object.__setattr__(flat, "base", base)
         object.__setattr__(flat, "basis", basis)
         return flat
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return (isinstance(other, AffineSubspace)
+                and self.base == other.base and self.basis == other.basis)
+
+    def __hash__(self):
+        return hash((self.base, self.basis))
+
+    def __repr__(self):
+        return f"AffineSubspace(base={self.base!r}, basis={self.basis!r})"
 
     @property
     def dimension(self):
@@ -71,11 +87,22 @@ class AffineSubspace:
         return cls(require(obj, "base", as_int), tuple(require(obj, "basis", as_int_list)))
 
 
-@dataclass
 class Cover:
-    field: GF
-    dimension: int
-    flats: list
+    """dimension-d flats meant to partition GF(2^n); verify_cover checks it."""
+
+    __slots__ = ("field", "dimension", "flats")
+
+    def __init__(self, field, dimension, flats):
+        self.field = field
+        self.dimension = dimension
+        self.flats = flats
+
+    def __eq__(self, other):
+        return (isinstance(other, Cover) and self.field == other.field
+                and self.dimension == other.dimension and self.flats == other.flats)
+
+    def __repr__(self):
+        return f"Cover(field={self.field!r}, dimension={self.dimension!r}, flats={self.flats!r})"
 
     def __len__(self):
         return len(self.flats)

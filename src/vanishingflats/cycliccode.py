@@ -11,9 +11,7 @@ in O(4^n) time and memory.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .gf2n import GF
 from .boolfunc import FunctionTable
 from . import vflats
 
@@ -21,24 +19,32 @@ from . import vflats
 MAX_N_DIRECT = 8
 
 
-@dataclass
 class ParityCheckSpec:
     """Two-row parity check: labels are the coordinate field elements, images
     their values under x^d (cyclic case) or f (generalized case)."""
 
-    field: GF
-    labels: list
-    images: list
+    __slots__ = ("field", "labels", "images")
 
-    def __post_init__(self):
-        if len(self.labels) != len(self.images):
+    def __init__(self, field, labels, images):
+        if len(labels) != len(images):
             raise ValueError("label and image rows must have equal length")
-        expected = {self.field.order - 1, self.field.order}
-        if len(self.labels) not in expected:
+        expected = {field.order - 1, field.order}
+        if len(labels) not in expected:
             raise ValueError(f"row length must be one of {sorted(expected)}")
-        repeated = [lab for lab, c in Counter(self.labels).items() if c > 1]
+        repeated = [lab for lab, c in Counter(labels).items() if c > 1]
         if repeated:
             raise ValueError(f"label {repeated[0]} occurs more than once")
+        self.field = field
+        self.labels = labels
+        self.images = images
+
+    def __eq__(self, other):
+        return (isinstance(other, ParityCheckSpec) and self.field == other.field
+                and self.labels == other.labels and self.images == other.images)
+
+    def __repr__(self):
+        return (f"ParityCheckSpec(field={self.field!r}, labels={self.labels!r}, "
+                f"images={self.images!r})")
 
     @classmethod
     def cyclic(cls, gf, d):

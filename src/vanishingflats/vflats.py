@@ -8,10 +8,8 @@ A flat lies along three directions. The count divides the pair statistics by
 three; the enumeration emits each flat along the least of them only.
 """
 
-from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, starmap
+from itertools import chain, cycle
 import math
 
 from .gf2n import GF, as_int, as_int_list, as_list, kloosterman, require
@@ -27,17 +25,24 @@ def canonical_block(points):
     return pts
 
 
-@dataclass
 class PartialQuadrupleSystem:
     """The block set of vanishing flats over GF(2^n), canonically sorted."""
 
-    field: GF
-    blocks: list
+    __slots__ = ("field", "blocks")
 
-    def __post_init__(self):
-        self.blocks = sorted(canonical_block(b) for b in self.blocks)
-        if len(set(self.blocks)) != len(self.blocks):
+    def __init__(self, field, blocks):
+        blocks = sorted(canonical_block(b) for b in blocks)
+        if len(set(blocks)) != len(blocks):
             raise ValueError("duplicate blocks")
+        self.field = field
+        self.blocks = blocks
+
+    def __eq__(self, other):
+        return (isinstance(other, PartialQuadrupleSystem)
+                and self.field == other.field and self.blocks == other.blocks)
+
+    def __repr__(self):
+        return f"PartialQuadrupleSystem(field={self.field!r}, blocks={self.blocks!r})"
 
     def __len__(self):
         return len(self.blocks)
@@ -67,7 +72,16 @@ class PartialQuadrupleSystem:
         return cls(gf, blocks)
 
     def to_text(self):
-        return "\n".join(starmap("{} {} {} {}".format, self.blocks))
+        """One line "x1 x2 x3 x4" per block. Each point's decimal string is
+        made once, bare and with a "\n" or " " before it, and the lines are
+        joined by a C-level map over the points of the blocks."""
+        if not self.blocks:
+            return ""
+        digits = list(map(str, self.field.elements()))
+        first = ["\n" + p for p in digits]
+        rest = [" " + p for p in digits]
+        return "".join(map(list.__getitem__, cycle((first, rest, rest, rest)),
+                           chain.from_iterable(self.blocks)))[1:]
 
 
 def enumerate_flats(f, limit=None):
@@ -82,9 +96,12 @@ def enumerate_flats(f, limit=None):
     two of them share the highest bit set in any of them and the third, the
     least, lacks it. Collisions are found by C-level dict and set operations:
     last maps each value of D_a f to the last (largest) x of the half taking
-    it, so a direction with as many values as points has no flat, and
-    otherwise only the points that are not last of their value are bucketed,
-    in increasing order, each bucket closed by last[v].
+    it, so a direction with as many values as points has no flat. Otherwise
+    only the points that are not last of their value are walked, in
+    descending order, each against the larger points of its value already
+    seen (last[v] first, then in the order seen, so descending). The blocks
+    of a direction thus come out in descending order; reversed, each is a
+    sorted run, and one merge sort (Timsort) of the runs orders them all.
     More than limit blocks raise a ValueError that gives the exact count.
     """
     t, blocks, shared = f.values, [], None
@@ -95,14 +112,22 @@ def enumerate_flats(f, limit=None):
         if shared is not half:  # one set per shared half list, i.e. per top bit
             shared, points = half, set(half)
         shift = a.bit_length()
-        buckets = defaultdict(list)
-        for x in sorted(points.difference(last.values())):
-            buckets[t[x ^ a] ^ t[x]].append(x)
-        for v, xs in buckets.items():
-            xs.append(last[v])
-            for x, y in combinations(xs, 2):
+        seen, run = {}, []
+        for x in sorted(points.difference(last.values()), reverse=True):
+            v = t[x ^ a] ^ t[x]
+            ys = seen.get(v)
+            if ys is None:  # the first such point of v pairs with last[v] alone
+                y = last[v]
                 if (x ^ y) >> shift:
-                    blocks.append((x, x ^ a, y, y ^ a))
+                    run.append((x, x ^ a, y, y ^ a))
+                seen[v] = [y, x]
+                continue
+            for y in ys:
+                if (x ^ y) >> shift:
+                    run.append((x, x ^ a, y, y ^ a))
+            ys.append(x)
+        run.reverse()
+        blocks += run
         if limit is not None and len(blocks) > limit:
             raise ValueError(f"{count_via_spectrum(f)} vanishing flats, "
                              f"more than the limit of {limit}")

@@ -5,11 +5,13 @@ trivial-cover oracles for F_2 elimination, the pointwise values, linearized
 derivatives and per-direction ranks of a DO polynomial by gf.pow and gf.mul
 alone, a counter of value-table builds, two vanishing-flat oracles that
 share no code with the package's kernels (a brute force over all 2-flats and
-the Walsh fourth moment), the O(m^3) weight-3/4 codeword enumerator that the
-pair-sum kernel of cycliccode replaced, the cyclotomic class representatives,
-the pointwise per-direction uniformities that a spectrum must report, and the
-direct slow paths that only tests call: the range-checked field sum, the b-by-b
-derivative histogram of one direction, the linear part of a flat and
+the Walsh fourth moment), the str.format text of a block list that
+PartialQuadrupleSystem.to_text replaced, the O(m^3) weight-3/4 codeword
+enumerator that the pair-sum kernel of cycliccode replaced, the cyclotomic
+class representatives, the pointwise per-direction uniformities that a
+spectrum must report, and the direct slow paths that only tests call: the
+range-checked field sum, the b-by-b derivative histogram of one direction,
+the linear part of a flat and
 membership by elimination, the blocks through given points, block maps and
 isomorphism witnesses, the primitive cube root of unity, the twin-odd-t
 exponents, the skew test of one flat image, the permutation test of a table,
@@ -17,7 +19,7 @@ and the pointwise image of a cover under a value table, the oracle for the
 Gold image kernel, with the recovery of a flat from its points."""
 
 from collections import Counter, defaultdict
-from itertools import combinations
+from itertools import combinations, starmap
 import random
 
 from vanishingflats import (
@@ -272,6 +274,12 @@ def brute_force_flats(f):
     t = f.values
     return [(x, y, z, x ^ y ^ z) for x, y, z in combinations(range(len(t)), 3)
             if x ^ y ^ z > z and t[x] ^ t[y] ^ t[z] ^ t[x ^ y ^ z] == 0]
+
+
+def format_blocks(blocks):
+    """One "x1 x2 x3 x4" line per block, by str.format: the oracle of the
+    per-point strings of PartialQuadrupleSystem.to_text."""
+    return "\n".join(starmap("{} {} {} {}".format, blocks))
 
 
 def triple_loop_weight_counts(spec):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import re
 import subprocess
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from vanishingflats import (
-    GF, DifferentialSpectrum, FunctionTable, PartialQuadrupleSystem, PowerFunction,
-    QuadraticFunction, cli, covers, kloosterman, vflats, weight_counts_from_flats,
+    GF, AffineSubspace, Cover, DifferentialSpectrum, FunctionTable, ParityCheckSpec,
+    PartialQuadrupleSystem, PowerFunction, QuadraticFunction, cli, covers, kloosterman,
+    vflats, weight_counts_from_flats,
 )
 from vanishingflats.cli import main, parse_do_terms, parse_univariate_terms
 
@@ -499,13 +501,54 @@ def test_parser_is_built_once(capsys):
 
 
 def test_cli_import_leaves_out_unused_stdlib():
-    # fractions (with decimal) and random cost start-up and no command needs them
+    # fractions (with decimal), dataclasses (with inspect) and random cost
+    # start-up and no command needs them
     src = str(Path(cli.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import vanishingflats.cli; "
-            "print(sorted({'fractions', 'decimal', 'random'} & set(sys.modules)))")
+            "print(sorted({'fractions', 'decimal', 'random', 'dataclasses', 'inspect'}"
+            " & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+# Two argument lists per class, each valid and already canonical, that differ
+# in the last field; and the dataclass options the class used to be made with.
+PLAIN_CLASSES = [
+    (AffineSubspace, [(5, (1, 2)), (5, (1, 6))], {"frozen": True}),
+    (Cover, [(GF(2), 1, [AffineSubspace(0, (1,)), AffineSubspace(2, (1,))]),
+             (GF(2), 1, [AffineSubspace(0, (1,)), AffineSubspace(3, (1,))])], {}),
+    (PartialQuadrupleSystem, [(GF(3), [(0, 1, 2, 3)]), (GF(3), [(0, 1, 4, 5)])], {}),
+    (ParityCheckSpec, [(GF(2), [1, 2, 3], [1, 3, 2]), (GF(2), [1, 2, 3], [3, 1, 2])], {}),
+]
+
+
+@pytest.mark.parametrize("cls, args, options", PLAIN_CLASSES,
+                         ids=[c.__name__ for c, _, _ in PLAIN_CLASSES])
+def test_plain_classes_behave_as_their_dataclasses(cls, args, options):
+    twin = dataclasses.make_dataclass(cls.__name__, cls.__slots__, **options)
+    objs, twins = [cls(*a) for a in args], [twin(*a) for a in args]
+    assert list(map(repr, objs)) == list(map(repr, twins))
+    assert [[x == y for y in objs] for x in objs] == [[x == y for y in twins] for x in twins]
+    assert objs[0] == cls(*args[0]) and objs[0] != twins[0]
+    assert (cls.__hash__ is None) == (twin.__hash__ is None)
+    if cls.__hash__ is not None:
+        assert list(map(hash, objs)) == list(map(hash, twins))
+    last = cls.__slots__[-1]
+    if options.get("frozen"):
+        with pytest.raises(AttributeError):
+            setattr(objs[0], last, getattr(objs[1], last))
+        with pytest.raises(AttributeError):
+            delattr(objs[0], last)
+    else:
+        setattr(objs[0], last, getattr(objs[1], last))
+        assert objs[0] == objs[1]
+
+
+def test_differential_spectrum_repr_leaves_out_classes():
+    spec = FunctionTable.from_monomial(GF(3), 3).spectrum()
+    assert repr(spec) == f"DifferentialSpectrum(counts={spec.counts!r}, uniformity=2)"
+    assert DifferentialSpectrum.__hash__ is None
 
 
 def test_thm8_alpha_zero_exit_2(capsys):
@@ -535,6 +578,21 @@ def test_table_file_source(capsys, tmp_path):
                     "--table-file", str(path))
     assert code == 0
     assert out.strip() == "5"
+
+
+@pytest.mark.parametrize("lines, bad", [
+    (["0", "1", "", "3.0", "4", "5", "6", "7"], "line 4: '3.0'"),
+    (["x"] + ["0"] * 7, "line 1: 'x'"),
+    (["0"] * 7 + [" 0x7 "], "line 8: '0x7'"),
+])
+def test_table_file_line_that_is_not_an_integer_exit_2(capsys, tmp_path, lines, bad):
+    path = tmp_path / "table.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["vflats", "count", "--n", "3", "--table-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {path} {bad} is not an integer\n"
 
 
 def test_term_parsers():

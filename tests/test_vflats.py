@@ -25,6 +25,7 @@ from helpers import (
     brute_force_flats,
     cube_root_of_unity,
     direction_emits,
+    format_blocks,
     is_permutation,
     isomorphism_witness_check,
     map_blocks,
@@ -147,6 +148,22 @@ def test_enumeration_walks_only_the_low_directions(n, monkeypatch):
         asked.clear()
         enumerate_flats(f)
         assert asked == list(range(1, gf.order >> 1))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_to_text_matches_format_oracle(n):
+    pqs = enumerate_flats(random_table(GF(n), random.Random(1100 + n)))
+    assert pqs.to_text() == format_blocks(pqs.blocks)
+
+
+@pytest.mark.parametrize("gf, d, blocks", [
+    (GF(5), 3, 0),  # APN: no block, and no per-point strings
+    (GF(8, 0x11b), 7, 3655),  # x is not primitive modulo 0x11b
+])
+def test_to_text_matches_format_oracle_special_fields(gf, d, blocks):
+    pqs = enumerate_flats(FunctionTable.from_monomial(gf, d))
+    assert len(pqs) == blocks
+    assert pqs.to_text() == format_blocks(pqs.blocks)
 
 
 @pytest.mark.parametrize("n", (7, 8))
