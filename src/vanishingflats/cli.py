@@ -57,20 +57,26 @@ def parse_univariate_terms(text):
     return terms
 
 
-def read_table_file(path):
-    """The integers of a table file, one a line; blank lines are skipped. A
-    line that is not an integer raises a ValueError naming the file and the
-    line (1-based)."""
+def read_table_file(gf, path):
+    """The value table over gf in a file of integers, one a line; blank lines
+    are skipped. A line that is not an integer or not an element of gf
+    raises a ValueError naming the file and the line (1-based), and a count
+    of entries other than 2^n one naming the file."""
     values = []
     with open(path) as fh:
         for i, line in enumerate(fh, 1):
             if line.strip():
                 try:
-                    values.append(int(line))
+                    v = int(line)
                 except ValueError:
                     raise ValueError(f"{path} line {i}: {line.strip()!r} "
                                      "is not an integer") from None
-    return values
+                if not 0 <= v < gf.order:
+                    raise ValueError(f"{path} line {i}: table entry {v} out of range for {gf!r}")
+                values.append(v)
+    if len(values) != gf.order:
+        raise ValueError(f"{path}: table must have {gf.order} entries, got {len(values)}")
+    return FunctionTable(gf, values)
 
 
 def load_function(args):
@@ -83,7 +89,7 @@ def load_function(args):
     elif args.univariate is not None:
         table = FunctionTable.from_univariate(gf, parse_univariate_terms(args.univariate))
     else:
-        table = FunctionTable(gf, read_table_file(args.table_file))
+        table = read_table_file(gf, args.table_file)
     return QuadraticFunction.promote(table)
 
 

@@ -8,15 +8,7 @@ cover, and for suitable parameters the result is nonparallel or totally skew.
 from itertools import combinations
 import math
 
-from .gf2n import GF, as_int, as_int_list, as_list, echelon, linear_map_tables, require
-
-
-def _coset(base, basis):
-    """The 2^len(basis) points of base + span(basis), unsorted."""
-    pts = [base]
-    for b in basis:
-        pts += [p ^ b for p in pts]
-    return pts
+from .gf2n import GF, as_int, as_int_list, as_list, echelon, linear_map_tables, require, span
 
 
 def rref_basis(vectors):
@@ -77,7 +69,7 @@ class AffineSubspace:
         return len(self.basis)
 
     def points(self):
-        return sorted(_coset(self.base, self.basis))
+        return sorted(span(self.base, self.basis))
 
     def to_json(self):
         return {"base": self.base, "basis": list(self.basis)}
@@ -180,7 +172,7 @@ def verify_cover(cover):
         # basis range-checks every point; a negative base cannot wrap
         if not 0 <= flat.base < q or not all(0 <= b < q for b in flat.basis):
             return False
-        for p in _coset(flat.base, flat.basis):
+        for p in span(flat.base, flat.basis):
             if marked[p]:
                 return False
             marked[p] = 1
@@ -193,7 +185,7 @@ def overlapping_flats(cover):
     only pairs of flats that do meet are ever formed."""
     owners = {}
     for i, flat in enumerate(cover.flats):
-        for p in _coset(flat.base, flat.basis):
+        for p in span(flat.base, flat.basis):
             owners.setdefault(p, []).append(i)
     return sorted({pair for own in owners.values() if len(own) > 1
                    for pair in combinations(own, 2)})
@@ -222,7 +214,7 @@ def _totally_skew(cover):
     exactly that). O(F * 2^d) = O(2^n), with no pair of flats compared."""
     marked = bytearray(cover.field.order)
     for flat in cover.flats:
-        for v in _coset(0, flat.basis)[1:]:
+        for v in span(0, flat.basis)[1:]:
             if marked[v]:
                 return False
             marked[v] = 1

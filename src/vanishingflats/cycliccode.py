@@ -5,9 +5,10 @@ two-row parity-check matrix whose columns are (alpha^i, alpha^(d i)). Its
 weight-3 codewords correspond to vanishing flats of x^d through 0, and its
 weight-4 codewords to vanishing flats avoiding 0. Prepending the zero column
 generalizes the weight-4 correspondence to arbitrary f. The direct counts
-read the parity check alone: a weight-4 support splits three ways into two
-column pairs of equal sum, so N4 is a third of the colliding pair sums, found
-in O(4^n) time and memory.
+read the parity check alone, through one count of the column pair sums in
+O(4^n) time and memory: a weight-4 support splits three ways into two
+column pairs of equal sum, and a weight-3 support three ways into a pair
+and the column that is its sum, so N4 and N3 are thirds of those counts.
 """
 
 from collections import Counter
@@ -74,40 +75,31 @@ def weight_counts_from_flats(f):
     return n3, vflats.count_from_spectrum(spec) - n3
 
 
-def direct_low_weight_counts(spec, max_weight):
-    """Weight-3/4 codeword counts from the parity-check rows, in O(4^n).
+def direct_low_weight_counts(spec):
+    """{3: N3, 4: N4}, the weight-3/4 codeword counts, from the parity-check
+    rows in O(4^n), by one count of the column pair sums.
 
     Two pairs of columns with equal sums are disjoint, as the labels are
     distinct, and make a weight-4 support; each support splits into three
     such pairs of pairs, so N4 is a third of the sum of C(c, 2) over the
-    counts c of the pair sums. The independent oracle of the flat counts."""
-    if max_weight not in (3, 4):
-        raise ValueError("max_weight must be 3 or 4")
+    counts c of the pair sums. A weight-3 support is a pair summing to its
+    third column in three ways, so N3 is a third of the pair-sum counts at
+    the columns, once the m - 1 pairs {0, c} that a zero column makes with
+    each other column c are taken off. The independent oracle of the flat
+    counts."""
     n = spec.field.n
     if n > MAX_N_DIRECT:
         raise ValueError(f"direct enumeration capped at n <= {MAX_N_DIRECT}; "
                          "use the flat-based counts instead")
-
-    labels, images = spec.labels, spec.images
-    index_of = {lab: i for i, lab in enumerate(labels)}
-    m = len(labels)
-    counts = {3: 0}
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            third = labels[i] ^ labels[j]
-            k = index_of.get(third)
-            if k is not None and k > j and images[i] ^ images[j] ^ images[k] == 0:
-                counts[3] += 1
-
-    if max_weight == 4:
-        cols = [lab << n | img for lab, img in zip(labels, images)]
-        pair_sums = Counter(a ^ b for i, a in enumerate(cols) for b in cols[i + 1:])
-        splits = sum(c * (c - 1) // 2 for c in pair_sums.values())
-        if splits % 3 != 0:
-            raise ArithmeticError("weight-4 supports not split three ways each")
-        counts[4] = splits // 3
-    return counts
+    cols = [lab << n | img for lab, img in zip(spec.labels, spec.images)]
+    pair_sums = Counter(a ^ b for i, a in enumerate(cols) for b in cols[i + 1:])
+    triples = sum(pair_sums[c] for c in cols) - (len(cols) - 1) * (0 in cols)
+    if triples % 3 != 0:
+        raise ArithmeticError("weight-3 supports not found three times each")
+    splits = sum(c * (c - 1) // 2 for c in pair_sums.values())
+    if splits % 3 != 0:
+        raise ArithmeticError("weight-4 supports not split three ways each")
+    return {3: triples // 3, 4: splits // 3}
 
 
 def report(gf, d, method="flats"):
@@ -116,7 +108,7 @@ def report(gf, d, method="flats"):
     if method in ("flats", "both"):
         out["N3"], out["N4"] = weight_counts_from_flats(FunctionTable.from_monomial(gf, d))
     if method in ("direct", "both"):
-        direct = direct_low_weight_counts(ParityCheckSpec.cyclic(gf, d), 4)
+        direct = direct_low_weight_counts(ParityCheckSpec.cyclic(gf, d))
         if method == "direct":
             out["N3"], out["N4"] = direct[3], direct[4]
         else:

@@ -19,14 +19,15 @@ Both routes to the ranks feed it a polar matrix. DOPolynomial computes its
 own from the coefficients and the field's exp and log lists, in O(s n^2)
 lookups for s terms, so count_vanishing_flats builds no value table.
 QuadraticFunction is any value table of algebraic degree <= 2, however it
-was given; an O(2^n) test, `_is_quadratic`, admits it. It reads its polar
-matrix off the table in n^2 reads, and its spectrum and count come from the
-ranks, against O(4^n) for the generic pass.
+was given. The O(2^n) degree test, `_polar_of`, admits it and returns its
+polar matrix, read off the table in n^2 reads on the way, or None at a
+higher degree. Its spectrum and count come from the ranks, against O(4^n)
+for the generic pass.
 """
 
 from itertools import compress
 
-from .gf2n import GF, as_int, as_list, require
+from .gf2n import GF, as_int, as_list, require, span
 from .boolfunc import FunctionTable
 
 _ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
@@ -114,7 +115,9 @@ class DOPolynomial:
         for (i, j), c in coeffs.items() if hasattr(coeffs, "items") else coeffs:
             if not 0 <= i < j < gf.n:
                 raise ValueError(f"term key ({i}, {j}) must satisfy 0 <= i < j < {gf.n}")
-            total[(i, j)] = total.get((i, j), 0) ^ gf._check(c)
+            if not 0 <= c < gf.order:
+                raise ValueError(f"term {i},{j}:{c}: coefficient {c} out of range for {gf!r}")
+            total[(i, j)] = total.get((i, j), 0) ^ c
         self.coeffs = {key: c for key, c in total.items() if c}
 
     def __repr__(self):
@@ -179,21 +182,25 @@ class DOPolynomial:
                          require(t, "c", as_int)) for t in require(obj, "terms", as_list)])
 
 
-def _is_quadratic(t):
-    """True iff the value table t has algebraic degree <= 2, in O(2^n): then
-    f(x + e_k) + f(x) = f(e_k) + f(0) + B(x, e_k), with B(x, e_k) the XOR of
-    B(e_m, e_k) = f(e_m + e_k) + f(e_m) + f(e_k) + f(0) over the bits m of x.
-    Doubling over each top bit k rebuilds from f on 0, the e_k and the
-    e_m + e_k the one table of degree <= 2 they fix, and f must equal it."""
-    for k in range((len(t) - 1).bit_length()):
-        h = 1 << k
-        shift = [t[h] ^ t[0]]  # f(x + e_k) + f(x) for x < 2^k, doubled over each bit m < k
+def _polar_of(t):
+    """The polar matrix [[B(e_m, e_k) for m < n] for k < n] of the value
+    table t, or None if t has algebraic degree > 2, in O(2^n): at degree
+    <= 2, f(x + e_k) + f(x) = f(e_k) + f(0) + B(x, e_k), with B(x, e_k) the
+    XOR of B(e_m, e_k) = f(e_m + e_k) + f(e_m) + f(e_k) + f(0) over the bits
+    m of x. Spanning over each top bit k rebuilds from f on 0, the e_k and
+    the e_m + e_k the one table of degree <= 2 they fix, and f must equal
+    it. B is symmetric with zero diagonal, so each m < k is read once."""
+    n = (len(t) - 1).bit_length()
+    polar = [[0] * n for _ in range(n)]
+    for k in range(n):
+        h, row = 1 << k, polar[k]
         for m in range(k):
-            b = t[h | 1 << m] ^ t[h] ^ t[1 << m] ^ t[0]
-            shift += [v ^ b for v in shift]
+            row[m] = polar[m][k] = t[h | 1 << m] ^ t[h] ^ t[1 << m] ^ t[0]
+        # f(x + e_k) + f(x) for x < 2^k
+        shift = span(t[h] ^ t[0], row[:k])
         if [v ^ s for v, s in zip(t, shift)] != t[h:2 * h]:
-            return False
-    return True
+            return None
+    return polar
 
 
 class QuadraticFunction(FunctionTable):
@@ -203,44 +210,39 @@ class QuadraticFunction(FunctionTable):
     D_a f(x) = L_{f,a}(x) + D_a f(0) is affine, so if h = rank(L_{f,a}) the
     derivative along a takes 2^h values, each 2^(n-h) times, and
     delta_f(a, b) = 2^(n-h) exactly when b + D_a f(0) lies in im(L_{f,a}).
-    The polar matrix B(e_m, e_k) = f(e_m + e_k) + f(e_m) + f(e_k) + f(0) is
-    read off the table in n^2 reads, and _polar_ranks gives every rank from
-    it by one bitsliced elimination of about 2n^3 operations on 2^n-bit
-    ints. spectrum(), count_via_spectrum and the cyclic-code weights inherit
-    that through _direction_classes, against O(4^n) for a generic table.
+    The degree test _polar_of gives the polar matrix B(e_m, e_k) as it
+    admits the table, and _polar_ranks gives every rank from it by one
+    bitsliced elimination of about 2n^3 operations on 2^n-bit ints.
+    spectrum(), count_via_spectrum and the cyclic-code weights inherit that
+    through _direction_classes, against O(4^n) for a generic table.
     delta(a, b) is the inherited kernel.
     FunctionTable(gf, f.values) stays the generic oracle.
     """
 
-    __slots__ = ("_ranks",)
+    __slots__ = ("_polar", "_ranks")
 
     def __init__(self, gf, values):
         super().__init__(gf, values)
-        if not _is_quadratic(self.values):
+        self._polar = _polar_of(self.values)
+        if self._polar is None:
             raise ValueError("table has algebraic degree > 2")
         self._ranks = None
 
     @classmethod
     def promote(cls, table):
         """table itself, or if its degree is <= 2 a QuadraticFunction sharing its values."""
-        if not _is_quadratic(table.values):
+        polar = _polar_of(table.values)
+        if polar is None:
             return table
         f = object.__new__(cls)  # table's values are already checked: no copy
-        f.field, f.values, f._ranks = table.field, table.values, None
+        f.field, f.values, f._polar, f._ranks = table.field, table.values, polar, None
         return f
-
-    def _columns(self, a):
-        """The images L_{f,a}(e_k), k < n, of the polynomial basis."""
-        t = self.values
-        base = t[a] ^ t[0]
-        return [t[a ^ 1 << k] ^ t[1 << k] ^ base for k in range(self.field.n)]
 
     def ranks(self):
         """bytes: entry a - 1 is rank(L_{f,a}) for each nonzero a, from the
-        polar matrix: _columns(e_k) holds B(e_k, e_m) = B(e_m, e_k), m < n."""
+        polar matrix the degree test read."""
         if self._ranks is None:
-            n = self.field.n
-            self._ranks = _polar_ranks(n, [self._columns(1 << k) for k in range(n)])[1:]
+            self._ranks = _polar_ranks(self.field.n, self._polar)[1:]
         return self._ranks
 
     def _direction_classes(self):

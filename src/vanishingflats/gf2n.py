@@ -55,17 +55,23 @@ def echelon(vectors):
     return basis
 
 
+def span(base, vectors):
+    """The 2^len(vectors) points of base + span(vectors), by doubling: entry
+    x is base XOR the vectors[m] at the bits m of x, so each point is listed
+    once when the vectors are linearly independent."""
+    points = [base]
+    for v in vectors:
+        points += [p ^ v for p in points]
+    return points
+
+
 def linear_map_tables(columns):
     """(lo, hi), two 256-entry tables with L(x) = lo[x & 255] ^ hi[x >> 8] for
     every x < 2^16, where L is the F_2-linear map taking e_k to columns[k]
     (and e_k to 0 for k >= len(columns), at most 16): each table is the
-    XOR-span of its eight columns, built by doubling."""
+    span of its eight columns."""
     columns = [*columns, *[0] * (16 - len(columns))]
-    tables = ([0], [0])
-    for k, c in enumerate(columns):
-        table = tables[k >> 3]
-        table += [v ^ c for v in table]
-    return tables
+    return span(0, columns[:8]), span(0, columns[8:])
 
 
 def require(obj, key, kind=None):

@@ -10,10 +10,10 @@ PartialQuadrupleSystem.to_text replaced, the O(m^3) weight-3/4 codeword
 enumerator that the pair-sum kernel of cycliccode replaced, the cyclotomic
 class representatives, the pointwise per-direction uniformities that a
 spectrum must report, and the direct slow paths that only tests call: the
-range-checked field sum, the b-by-b derivative histogram of one direction,
-the linear part of a flat and
-membership by elimination, the blocks through given points, block maps and
-isomorphism witnesses, the primitive cube root of unity, the twin-odd-t
+range-checked field sum, the pointwise derivative table, the columns of
+L_{f,a} read off a value table, the b-by-b derivative histogram of one
+direction, the linear part of a flat and membership by elimination, the
+blocks through given points, block maps and isomorphism witnesses, the primitive cube root of unity, the twin-odd-t
 exponents, the skew test of one flat image, the permutation test of a table,
 and the pointwise image of a cover under a value table, the oracle for the
 Gold image kernel, with the recovery of a flat from its points."""
@@ -25,8 +25,7 @@ import random
 from vanishingflats import (
     AffineSubspace, Cover, FunctionTable, PartialQuadrupleSystem, rref_basis,
 )
-from vanishingflats.covers import _coset
-from vanishingflats.gf2n import echelon
+from vanishingflats.gf2n import echelon, span
 
 
 def count_table_builds(monkeypatch):
@@ -47,6 +46,21 @@ def gf_add(gf, a, b):
     gf._check(a)
     gf._check(b)
     return a ^ b
+
+
+def derivative(f, a):
+    """Value table of x -> f(x+a) + f(x), point by point."""
+    t = f.values
+    return [t[x ^ a] ^ t[x] for x in range(len(t))]
+
+
+def read_columns(table, a):
+    """The images L_{f,a}(e_k) = f(a + e_k) + f(e_k) + f(a) + f(0), k < n, read
+    off the value table of a function f of degree <= 2: at a = e_m, the
+    polar-matrix entries B(e_m, e_k)."""
+    t = table.values
+    base = t[a] ^ t[0]
+    return [t[a ^ 1 << k] ^ t[1 << k] ^ base for k in range(table.field.n)]
 
 
 def histogram(f, a):
@@ -479,7 +493,7 @@ def image_cover(f, cover):
     t, flats = f.values, []
     for idx, flat in enumerate(cover.flats):
         try:
-            flats.append(from_points([t[p] for p in _coset(flat.base, flat.basis)]))
+            flats.append(from_points([t[p] for p in span(flat.base, flat.basis)]))
         except ValueError:
             raise ValueError(f"image of flat #{idx} (base {flat.base}) "
                              "is not an affine subspace") from None

@@ -214,14 +214,14 @@ def test_ac_10_code_weight_correspondence():
     for n in range(2, 7):
         gf = GF(n)
         for d in cyclotomic_class_reps(n):
-            direct = direct_low_weight_counts(ParityCheckSpec.cyclic(gf, d), 4)
+            direct = direct_low_weight_counts(ParityCheckSpec.cyclic(gf, d))
             f = FunctionTable.from_monomial(gf, d)
             if (direct[3], direct[4]) != weight_counts_from_flats(f):
                 ok = False
     gf5 = GF(5)
     for seed in range(50):
         f = random_table(gf5, random.Random(1000 + seed))
-        direct = direct_low_weight_counts(ParityCheckSpec.generalized(gf5, f), 4)
+        direct = direct_low_weight_counts(ParityCheckSpec.generalized(gf5, f))
         if count_via_spectrum(f) != direct[4]:
             ok = False
     _verdict("AC-10", ok)

@@ -595,6 +595,43 @@ def test_table_file_line_that_is_not_an_integer_exit_2(capsys, tmp_path, lines, 
     assert captured.err == f"error: {path} {bad} is not an integer\n"
 
 
+@pytest.mark.parametrize("lines, bad", [
+    (["0", "1", "2", "9", "4", "5", "6", "7"], " line 4: table entry 9 out of range"),
+    (["0", "", "1", "2", "-1", "4", "5", "6", "7"], " line 5: table entry -1 out of range"),
+    (["0", "1", "2", "3"], ": table must have 8 entries, got 4"),
+    (["0"] * 9, ": table must have 8 entries, got 9"),
+])
+def test_table_file_entry_out_of_range_or_wrong_count_exit_2(capsys, tmp_path, lines, bad):
+    path = tmp_path / "table.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["vflats", "count", "--n", "3", "--table-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    field = " for GF(2^3, modulus=0xb)" if "range" in bad else ""
+    assert captured.err == f"error: {path}{bad}{field}\n"
+
+
+@pytest.mark.parametrize("terms, bad", [
+    ("1:3,99:3", "term 99:3: coefficient 99 out of range for GF(2^3, modulus=0xb)"),
+    ("1:3,1:-3", "term 1:-3: exponent must be non-negative"),
+])
+def test_univariate_term_out_of_range_names_the_term_exit_2(capsys, terms, bad):
+    code = main(["vflats", "count", "--n", "3", "--univariate", terms])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}\n"
+
+
+def test_do_coefficient_out_of_range_names_the_term_exit_2(capsys):
+    code = main(["vflats", "count", "--n", "3", "--do", "0,2:1,0,1:99"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: term 0,1:99: coefficient 99 out of range for GF(2^3, modulus=0xb)\n"
+
+
 def test_term_parsers():
     gf = GF(6)
     f = parse_do_terms(gf, "0,3:1")

@@ -78,14 +78,14 @@ def test_conservation_n3_plus_n4():
         # with f(0) = 0 the weight-3 words of the generalized code are the
         # flats through 0, and its weight-4 words are all the flats
         n3, n4 = weight_counts_from_flats(f)
-        direct = direct_low_weight_counts(ParityCheckSpec.generalized(f.field, f), 4)
+        direct = direct_low_weight_counts(ParityCheckSpec.generalized(f.field, f))
         assert direct == {3: n3, 4: n3 + n4}
 
 
 @pytest.mark.parametrize("n,d", [(4, 5), (4, 14), (5, 15), (6, 7), (6, 21)])
 def test_direct_matches_flats_small(n, d):
     gf = GF(n)
-    direct = direct_low_weight_counts(ParityCheckSpec.cyclic(gf, d), 4)
+    direct = direct_low_weight_counts(ParityCheckSpec.cyclic(gf, d))
     f = FunctionTable.from_monomial(gf, d)
     assert (direct[3], direct[4]) == weight_counts_from_flats(f)
 
@@ -93,7 +93,7 @@ def test_direct_matches_flats_small(n, d):
 @pytest.mark.parametrize("n,d", [(7, 7), (7, 21), (8, 5), (8, 7), (8, 21)])
 def test_direct_weight4_larger_fields(n, d):
     gf = GF(n)
-    direct = direct_low_weight_counts(ParityCheckSpec.cyclic(gf, d), 4)
+    direct = direct_low_weight_counts(ParityCheckSpec.cyclic(gf, d))
     f = FunctionTable.from_monomial(gf, d)
     assert (direct[3], direct[4]) == weight_counts_from_flats(f)
     if n == 8:  # the paper's n = 8 row counts every flat: N3 + N4
@@ -106,8 +106,7 @@ def test_pair_sum_kernel_matches_triple_loop_on_every_class(n):
     for d in cyclotomic_class_reps(n):
         spec = ParityCheckSpec.cyclic(gf, d)
         want = triple_loop_weight_counts(spec)
-        assert direct_low_weight_counts(spec, 4) == want
-        assert direct_low_weight_counts(spec, 3) == {3: want[3]}
+        assert direct_low_weight_counts(spec) == want
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -122,7 +121,7 @@ def test_pair_sum_kernel_matches_triple_loop_on_random_tables(n):
         for g in (FunctionTable(gf, [v ^ f[0] for v in f.values]),
                   FunctionTable(gf, [v ^ shift for v in f.values])):
             spec = ParityCheckSpec.generalized(gf, g)
-            assert direct_low_weight_counts(spec, 4) == triple_loop_weight_counts(spec)
+            assert direct_low_weight_counts(spec) == triple_loop_weight_counts(spec)
 
 
 def test_pair_sums_not_split_three_ways_raise():
@@ -134,32 +133,27 @@ def test_pair_sums_not_split_three_ways_raise():
     spec = object.__new__(ParityCheckSpec)
     spec.field, spec.labels, spec.images = GF(2), [1, 1, 2], [3, 3, 1]
     with pytest.raises(ArithmeticError):
-        direct_low_weight_counts(spec, 4)
+        direct_low_weight_counts(spec)
 
 
 @pytest.mark.parametrize("n,d", [(7, 7), (8, 7)])
 def test_direct_weight3_larger_fields(n, d):
     gf = GF(n)
-    direct = direct_low_weight_counts(ParityCheckSpec.cyclic(gf, d), 3)
+    direct = direct_low_weight_counts(ParityCheckSpec.cyclic(gf, d))
     f = FunctionTable.from_monomial(gf, d)
     assert direct[3] == weight_counts_from_flats(f)[0]
-    assert 4 not in direct
 
 
 def test_capacity_caps():
     with pytest.raises(ValueError):
-        direct_low_weight_counts(ParityCheckSpec.cyclic(GF(9), 7), 4)
-    with pytest.raises(ValueError):
-        direct_low_weight_counts(ParityCheckSpec.cyclic(GF(9), 7), 3)
-    with pytest.raises(ValueError):
-        direct_low_weight_counts(ParityCheckSpec.cyclic(GF(4), 5), 5)
+        direct_low_weight_counts(ParityCheckSpec.cyclic(GF(9), 7))
 
 
 def test_generalized_code_counts_all_flats():
     gf = GF(5)
     f = random_table(gf, random.Random(13))
     spec = ParityCheckSpec.generalized(gf, f)
-    direct = direct_low_weight_counts(spec, 4)
+    direct = direct_low_weight_counts(spec)
     assert count_via_spectrum(f) == direct[4]
     assert count_via_spectrum(f) == len(enumerate_flats(f))
 
@@ -190,5 +184,5 @@ def test_report_both_methods_agree():
 
 def test_apn_code_has_no_low_weights():
     gf = GF(5)
-    direct = direct_low_weight_counts(ParityCheckSpec.cyclic(gf, 3), 4)
+    direct = direct_low_weight_counts(ParityCheckSpec.cyclic(gf, 3))
     assert direct == {3: 0, 4: 0}

@@ -18,8 +18,8 @@ from vanishingflats import (
 from vanishingflats.cli import main
 from vanishingflats.dopoly import _family_ranks, _polar_ranks
 from vanishingflats.gf2n import echelon
-from helpers import (apply, count_table_builds, direct_rank_multiset, do_value, linearized_at,
-                     linearized_columns)
+from helpers import (apply, count_table_builds, derivative, direct_rank_multiset, do_value,
+                     linearized_at, linearized_columns, read_columns)
 
 
 def test_evaluate_basics():
@@ -79,7 +79,7 @@ def test_repeated_terms_add():
 
 def table_columns(f, a):
     """The columns of L_{f,a} read off the value table of f."""
-    return QuadraticFunction(f.field, f.to_table().values)._columns(a)
+    return read_columns(f.to_table(), a)
 
 
 def table_ranks(f):
@@ -191,10 +191,12 @@ def polar_cases(n):
 @pytest.mark.parametrize("n", range(2, 11))
 def test_polar_matches_table_columns(n):
     """DOPolynomial._polar, from the coefficients and the exp and log lists,
-    against the polar matrix read off the value table."""
+    against the polar matrix the degree test stores, and both against the
+    columns read off the value table."""
     for f in polar_cases(n):
-        table = QuadraticFunction(f.field, f.to_table().values)
-        assert f._polar() == [table._columns(1 << k) for k in range(n)], f
+        table = f.to_table()
+        assert f._polar() == QuadraticFunction.promote(table)._polar, f
+        assert f._polar() == [read_columns(table, 1 << k) for k in range(n)], f
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -296,7 +298,7 @@ def test_image_size_is_power_of_rank():
     f = random_do_polynomial(gf, 5, seed=41)
     table = f.to_table()
     for a in (1, 13, 50):
-        assert len(set(table.derivative(a))) == 1 << len(echelon(linearized_columns(f, a)))
+        assert len(set(derivative(table, a))) == 1 << len(echelon(linearized_columns(f, a)))
 
 
 def test_coset_closure():

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 import re
 
-from helpers import apply, cube_root_of_unity, gf_add, span_closure
+from helpers import apply, cube_root_of_unity, gf_add, random_basis, span_closure
 
 from vanishingflats import (GF, AffineSubspace, Cover, DOPolynomial, FunctionTable,
                             PartialQuadrupleSystem, kloosterman)
-from vanishingflats.gf2n import DEFAULT_MODULI, echelon, linear_map_tables
+from vanishingflats.gf2n import DEFAULT_MODULI, echelon, linear_map_tables, span
 
 
 GF8 = GF(3, 0b1011)
@@ -234,6 +234,22 @@ def test_mul_tables_sampled_at_n16():
             assert lo[x & 255] ^ hi[x >> 8] == gf.mul(c, x)
     with pytest.raises(ValueError):
         gf.mul_tables(gf.order)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_span_lists_each_point_once(n):
+    """span(base, vectors) against the set-closure oracle: for k independent
+    vectors, 2^k points, each listed once, with entry x the base plus the
+    vectors at the bits of x."""
+    rng = random.Random(700 + n)
+    for k in range(n + 1):
+        vectors = random_basis(n, k, rng)
+        base = rng.randrange(1 << n)
+        points = span(base, vectors)
+        assert len(points) == len(set(points)) == 1 << k
+        assert set(points) == {base ^ v for v in span_closure(vectors)}
+        assert points == [base ^ apply(vectors, x) for x in range(1 << k)]
+    assert span(5, []) == [5]
 
 
 @pytest.mark.parametrize("n", range(2, 17))

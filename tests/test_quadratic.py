@@ -21,10 +21,10 @@ from vanishingflats import (
     weight_counts_from_flats,
 )
 from vanishingflats.cli import build_parser, load_function
-from vanishingflats.dopoly import _is_quadratic
+from vanishingflats.dopoly import _polar_of
 from vanishingflats.gf2n import echelon
 from helpers import (algebraic_degree, assert_per_direction_pointwise, direct_rank_multiset,
-                     moebius, random_affine_permutation, walsh_flat_count)
+                     moebius, random_affine_permutation, read_columns, walsh_flat_count)
 
 
 def quadratic(poly):
@@ -139,7 +139,7 @@ def test_one_flipped_entry_leaves_the_fast_path(n, tmp_path):
         bad = list(values)
         bad[rng.randrange(gf.order)] ^= rng.randrange(1, gf.order)
         assert algebraic_degree(bad) == n
-        assert not _is_quadratic(bad)
+        assert _polar_of(bad) is None
         with pytest.raises(ValueError, match="degree > 2"):
             QuadraticFunction(gf, bad)
         table = FunctionTable(gf, bad)
@@ -153,7 +153,8 @@ def test_one_flipped_entry_leaves_the_fast_path(n, tmp_path):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_degree_test_against_normal_form(n):
     """The degree test agrees with the algebraic normal form on tables of
-    every degree 0..n, on random tables and on near-misses of quadratics."""
+    every degree 0..n, on random tables and on near-misses of quadratics,
+    and the polar matrix it returns is the one read off the table."""
     rng = random.Random(900 + n)
     tables = [table_of_degree(n, d, rng) for d in range(n + 1) for _ in range(4)]
     tables += [[rng.randrange(1 << n) for _ in range(1 << n)] for _ in range(4)]
@@ -162,8 +163,13 @@ def test_degree_test_against_normal_form(n):
             bad = list(t)
             bad[rng.randrange(1 << n)] ^= rng.randrange(1, 1 << n)
             tables.append(bad)
+    gf = GF(n)
     for t in tables:
-        assert _is_quadratic(t) == (algebraic_degree(t) <= 2)
+        polar = _polar_of(t)
+        assert (polar is None) == (algebraic_degree(t) > 2)
+        if polar is not None:
+            table = FunctionTable(gf, t)
+            assert polar == [read_columns(table, 1 << k) for k in range(n)]
 
 
 def test_every_table_at_n2_is_quadratic():
@@ -210,7 +216,7 @@ def test_every_do_table_loads_as_quadratic(n):
     polys += [DOPolynomial(gf, {}), DOPolynomial(gf, {(i, j): rng.randrange(1, gf.order)
                                                       for i in range(n) for j in range(i + 1, n)})]
     for poly in polys:
-        assert _is_quadratic(poly.to_table().values)
+        assert _polar_of(poly.to_table().values) is not None
         terms = ",".join(f"{i},{j}:{c}" for (i, j), c in sorted(poly.coeffs.items()))
         f = load(n, "--do", terms)
         assert type(f) is QuadraticFunction
@@ -243,7 +249,7 @@ def test_gold_matches_power_function(n, t):
 def per_direction_ranks(f):
     """rank(L_{f,a}) for each nonzero a, one elimination of the table-read
     columns per direction."""
-    return bytes(len(echelon(f._columns(a))) for a in range(1, f.field.order))
+    return bytes(len(echelon(read_columns(f, a))) for a in range(1, f.field.order))
 
 
 @pytest.mark.parametrize("n", range(2, 11))
