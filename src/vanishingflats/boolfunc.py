@@ -4,7 +4,7 @@ from collections import Counter
 from itertools import compress, repeat
 import struct
 
-from .gf2n import GF, as_int_list, require
+from .gf2n import GF, Record, as_int_list, require
 
 
 def pack_lanes(values):
@@ -159,9 +159,11 @@ class FunctionTable:
     def to_json(self):
         return {"field": self.field.to_json(), "values": list(self.values)}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(GF.from_json(require(obj, "field")), require(obj, "values", as_int_list))
+    @staticmethod
+    def from_json(obj):
+        """A plain FunctionTable on any subclass: the JSON holds values alone."""
+        gf = GF.from_json(require(obj, "field"))
+        return FunctionTable(gf, require(obj, "values", as_int_list))
 
 
 def _doubled_class(directions, half_counts, b):
@@ -225,7 +227,7 @@ class PowerFunction(FunctionTable):
         yield _doubled_class(range(1, self.field.order), self._histogram1(), 1)
 
 
-class DifferentialSpectrum:
+class DifferentialSpectrum(Record):
     """counts maps each even value 2i to its frequency l_{2i} over all (a, b).
 
     classes lists (directions, uniformity) pairs that partition the nonzero
@@ -239,12 +241,6 @@ class DifferentialSpectrum:
     directions are grouped."""
 
     __slots__ = ("counts", "uniformity", "classes", "through_zero")
-
-    def __init__(self, counts, uniformity, classes, through_zero):
-        self.counts = counts
-        self.uniformity = uniformity
-        self.classes = classes
-        self.through_zero = through_zero
 
     def __repr__(self):
         return f"DifferentialSpectrum(counts={self.counts!r}, uniformity={self.uniformity!r})"

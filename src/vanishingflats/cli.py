@@ -96,7 +96,8 @@ def load_function(args):
 def _emit(args, payload, lines, rows):
     """Print the one format --format picks, and build only that one:
     payload is a zero-argument function giving the JSON object, and lines
-    (text) and rows (CSV) are iterables, lazy where they are large."""
+    (text) and rows (CSV) are iterables, lazy where they are large. A line,
+    or a row's cell, may hold several lines of output."""
     if args.format == "json":
         print(json.dumps(payload(), indent=2))
     elif args.format == "csv":
@@ -145,7 +146,10 @@ def cmd_vflats_list(args):
         if pqs.blocks:
             yield pqs.to_text()
 
-    _emit(args, pqs.to_json, lines(), pqs.blocks)
+    def rows():  # one cell, the text body with commas: the bytes one row per block gives
+        yield (pqs.to_text().replace(" ", ","),)
+
+    _emit(args, pqs.to_json, lines(), rows())
     return 0
 
 

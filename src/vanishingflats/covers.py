@@ -8,7 +8,8 @@ cover, and for suitable parameters the result is nonparallel or totally skew.
 from itertools import combinations
 import math
 
-from .gf2n import GF, as_int, as_int_list, as_list, echelon, linear_map_tables, require, span
+from .gf2n import (GF, Record, as_int, as_int_list, as_list, echelon, linear_map_tables,
+                   require, span)
 
 
 def rref_basis(vectors):
@@ -27,9 +28,10 @@ def rref_basis(vectors):
     return tuple(basis)
 
 
-class AffineSubspace:
+class AffineSubspace(Record):
     """base + span(basis); basis vectors must be linearly independent.
-    Immutable, and hashed on (base, basis)."""
+    Immutable, and hashed on (base, basis). Both constructors store the
+    fields directly, as each runs once per flat of a cover."""
 
     __slots__ = ("base", "basis")
 
@@ -54,15 +56,8 @@ class AffineSubspace:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __eq__(self, other):
-        return (isinstance(other, AffineSubspace)
-                and self.base == other.base and self.basis == other.basis)
-
     def __hash__(self):
         return hash((self.base, self.basis))
-
-    def __repr__(self):
-        return f"AffineSubspace(base={self.base!r}, basis={self.basis!r})"
 
     @property
     def dimension(self):
@@ -79,22 +74,10 @@ class AffineSubspace:
         return cls(require(obj, "base", as_int), tuple(require(obj, "basis", as_int_list)))
 
 
-class Cover:
+class Cover(Record):
     """dimension-d flats meant to partition GF(2^n); verify_cover checks it."""
 
     __slots__ = ("field", "dimension", "flats")
-
-    def __init__(self, field, dimension, flats):
-        self.field = field
-        self.dimension = dimension
-        self.flats = flats
-
-    def __eq__(self, other):
-        return (isinstance(other, Cover) and self.field == other.field
-                and self.dimension == other.dimension and self.flats == other.flats)
-
-    def __repr__(self):
-        return f"Cover(field={self.field!r}, dimension={self.dimension!r}, flats={self.flats!r})"
 
     def __len__(self):
         return len(self.flats)

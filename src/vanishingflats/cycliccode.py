@@ -13,6 +13,7 @@ and the column that is its sum, so N4 and N3 are thirds of those counts.
 
 from collections import Counter
 
+from .gf2n import Record
 from .boolfunc import FunctionTable
 from . import vflats
 
@@ -20,7 +21,7 @@ from . import vflats
 MAX_N_DIRECT = 8
 
 
-class ParityCheckSpec:
+class ParityCheckSpec(Record):
     """Two-row parity check: labels are the coordinate field elements, images
     their values under x^d (cyclic case) or f (generalized case)."""
 
@@ -35,17 +36,7 @@ class ParityCheckSpec:
         repeated = [lab for lab, c in Counter(labels).items() if c > 1]
         if repeated:
             raise ValueError(f"label {repeated[0]} occurs more than once")
-        self.field = field
-        self.labels = labels
-        self.images = images
-
-    def __eq__(self, other):
-        return (isinstance(other, ParityCheckSpec) and self.field == other.field
-                and self.labels == other.labels and self.images == other.images)
-
-    def __repr__(self):
-        return (f"ParityCheckSpec(field={self.field!r}, labels={self.labels!r}, "
-                f"images={self.images!r})")
+        super().__init__(field, labels, images)
 
     @classmethod
     def cyclic(cls, gf, d):

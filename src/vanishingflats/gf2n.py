@@ -103,6 +103,35 @@ def as_int_list(key, value):
     return [as_int(f"{key}[{i}]", v) for i, v in enumerate(as_list(key, value))]
 
 
+class Record:
+    """Base of the value types: the dataclass __init__, __eq__ and __repr__
+    over the fields a subclass names in its __slots__, without importing
+    dataclasses (and inspect) at start-up. As with a dataclass, defining
+    __eq__ leaves __hash__ None unless a subclass defines one."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        values = dict(zip(fields, args), **kwargs)
+        # a missing, unknown or repeated field, or one too many, breaks one of the two
+        if len(args) + len(kwargs) != len(fields) or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {fields}, got "
+                            f"{len(args)} by position and {sorted(kwargs)} by keyword")
+        for item in values.items():
+            setattr(self, *item)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, f) for f in self.__slots__]
+                == [getattr(other, f) for f in self.__slots__])
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
 def _prime_factors(m):
     fs = set()
     d = 2

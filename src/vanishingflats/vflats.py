@@ -12,7 +12,7 @@ from enum import Enum
 from itertools import chain, cycle
 import math
 
-from .gf2n import GF, as_int, as_int_list, as_list, kloosterman, require
+from .gf2n import GF, Record, as_int, as_int_list, as_list, kloosterman, require
 from .boolfunc import FunctionTable, PowerFunction
 
 def canonical_block(points):
@@ -25,7 +25,7 @@ def canonical_block(points):
     return pts
 
 
-class PartialQuadrupleSystem:
+class PartialQuadrupleSystem(Record):
     """The block set of vanishing flats over GF(2^n), canonically sorted."""
 
     __slots__ = ("field", "blocks")
@@ -34,15 +34,7 @@ class PartialQuadrupleSystem:
         blocks = sorted(canonical_block(b) for b in blocks)
         if len(set(blocks)) != len(blocks):
             raise ValueError("duplicate blocks")
-        self.field = field
-        self.blocks = blocks
-
-    def __eq__(self, other):
-        return (isinstance(other, PartialQuadrupleSystem)
-                and self.field == other.field and self.blocks == other.blocks)
-
-    def __repr__(self):
-        return f"PartialQuadrupleSystem(field={self.field!r}, blocks={self.blocks!r})"
+        super().__init__(field, blocks)
 
     def __len__(self):
         return len(self.blocks)

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from vanishingflats import GF, FunctionTable
+from vanishingflats import GF, FunctionTable, PowerFunction, QuadraticFunction
 
 from helpers import (assert_per_direction_pointwise, derivative, histogram, is_permutation,
                      random_table)
@@ -331,6 +331,10 @@ def test_table_validation_and_serialization():
     with pytest.raises(ValueError):
         FunctionTable(gf, [0] * 7 + [8])
     f = FunctionTable.from_monomial(gf, 6)
-    assert FunctionTable.from_json(f.to_json()) == f
+    quadratic = QuadraticFunction.promote(FunctionTable.from_univariate(gf, [(1, 3), (1, 1)]))
+    # the JSON holds the values alone, so each class reads back a plain table
+    for cls, g in [(FunctionTable, f), (PowerFunction, f), (QuadraticFunction, quadratic)]:
+        back = cls.from_json(g.to_json())
+        assert back == g and type(back) is FunctionTable
     rows = f.spectrum().csv_rows()
     assert rows == sorted(rows)

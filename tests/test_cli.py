@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import json
+import random
 import re
 import subprocess
 import sys
@@ -93,6 +94,28 @@ def test_vflats_list_text_builds_no_json(capsys, monkeypatch):
     lines = out.splitlines()
     assert code == 0 and lines[0] == f"{len(lines) - 1} blocks"
     assert all(len(line.split()) == 4 for line in lines[1:])
+
+
+@pytest.mark.parametrize("n, source", [
+    (5, ["--monomial", "3"]),  # APN: no block, and no CSV line
+    (7, ["--monomial", "7"]),
+    (9, None),  # a seeded random table: 2-byte lanes
+], ids=["x3-n5", "x7-n7", "random-n9"])
+def test_vflats_list_csv_is_the_text_body_with_commas(capsys, tmp_path, n, source):
+    if source is None:
+        rng = random.Random(9)
+        path = tmp_path / "table.txt"
+        path.write_text("\n".join(str(rng.randrange(1 << n)) for _ in range(1 << n)))
+        source = ["--table-file", str(path)]
+    argv = ["vflats", "list", "--n", str(n), *source]
+    code, text = run(capsys, *argv)
+    assert code == 0
+    header, body = text.split("\n", 1)
+    code, csv = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert csv.split("\n") == body.replace(" ", ",").split("\n")  # lists: a short diff
+    assert len(csv.splitlines()) == int(header.split()[0])
+    assert all(len(line.split(",")) == 4 for line in csv.splitlines())
 
 
 def test_spectrum_examples(capsys):
@@ -520,6 +543,8 @@ PLAIN_CLASSES = [
              (GF(2), 1, [AffineSubspace(0, (1,)), AffineSubspace(3, (1,))])], {}),
     (PartialQuadrupleSystem, [(GF(3), [(0, 1, 2, 3)]), (GF(3), [(0, 1, 4, 5)])], {}),
     (ParityCheckSpec, [(GF(2), [1, 2, 3], [1, 3, 2]), (GF(2), [1, 2, 3], [3, 1, 2])], {}),
+    (DifferentialSpectrum, [({0: 3, 2: 3}, 2, [((1, 2, 3), 2)], 0),
+                            ({0: 3, 2: 3}, 2, [((1, 2, 3), 2)], 6)], {"eq": False}),
 ]
 
 
@@ -528,6 +553,17 @@ PLAIN_CLASSES = [
 def test_plain_classes_behave_as_their_dataclasses(cls, args, options):
     twin = dataclasses.make_dataclass(cls.__name__, cls.__slots__, **options)
     objs, twins = [cls(*a) for a in args], [twin(*a) for a in args]
+    first = args[0]
+    assert cls(**dict(zip(cls.__slots__, first))) == objs[0]
+    # a missing field, one too many, and an unknown or a repeated one in place of the last
+    for make in (cls, twin):
+        for bad_args, bad_kwargs in [(first[:-1], {}), ((*first, first[-1]), {}),
+                                     (first[:-1], {"unknown": first[-1]}),
+                                     (first[:-1], {cls.__slots__[0]: first[0]})]:
+            with pytest.raises(TypeError):
+                make(*bad_args, **bad_kwargs)
+    if cls is DifferentialSpectrum:
+        return  # its own __eq__ and __repr__: test_differential_spectrum_repr_leaves_out_classes
     assert list(map(repr, objs)) == list(map(repr, twins))
     assert [[x == y for y in objs] for x in objs] == [[x == y for y in twins] for x in twins]
     assert objs[0] == cls(*args[0]) and objs[0] != twins[0]

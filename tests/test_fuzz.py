@@ -13,7 +13,8 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from vanishingflats import GF, AffineSubspace, Cover, FunctionTable, PartialQuadrupleSystem
+from vanishingflats import (GF, AffineSubspace, Cover, FunctionTable, PartialQuadrupleSystem,
+                            PowerFunction, QuadraticFunction)
 from vanishingflats.cli import main
 from vanishingflats.dopoly import DOPolynomial
 
@@ -39,10 +40,13 @@ FIELD = (st.sampled_from([{"n": 2, "modulus": 7}, {"n": 3, "modulus": 11},
                           {"n": 3, "modulus": 9}, {"n": 4, "modulus": 19}])
          | near(n=INT, modulus=INT))
 FLAT = near(base=INT, basis=st.lists(INT, max_size=5))
+TABLE = near(field=FIELD, values=st.lists(ANY, max_size=17))
 
 NEAR = {
     GF: near(n=INT, modulus=INT),
-    FunctionTable: near(field=FIELD, values=st.lists(ANY, max_size=17)),
+    FunctionTable: TABLE,
+    PowerFunction: TABLE,  # from_json of a subclass reads a plain table
+    QuadraticFunction: TABLE,
     AffineSubspace: FLAT,
     Cover: near(field=FIELD, dimension=INT, flats=st.lists(FLAT | JSON, max_size=6)),
     PartialQuadrupleSystem: near(field=FIELD, block_count=INT,
