@@ -64,7 +64,7 @@ class AffineSubspace(Record):
         return len(self.basis)
 
     def points(self):
-        return sorted(span(self.base, self.basis))
+        return sorted(span([self.base], zip(self.basis)))
 
     def to_json(self):
         return {"base": self.base, "basis": list(self.basis)}
@@ -121,57 +121,63 @@ def trivial_cover(gf, basis):
     basis = rref_basis(basis)
     return Cover(gf, len(basis),
                  [AffineSubspace._independent(x, basis)
-                  for x in _coset_leaders(gf.order, basis)])
+                  for x in span([0], zip(_free_units(gf.n, basis)))])
 
 
-def _coset_leaders(q, rref):
-    """The points of [0, q) with every pivot bit of rref clear, ascending: the
-    least point of each coset of span(rref). With free the other bits, the
-    next one is (x - free) & free, so the walk takes q >> len(rref) steps."""
-    free = q - 1 - sum(1 << (b.bit_length() - 1) for b in rref)
-    x = 0
-    while True:
-        yield x
-        x = (x - free) & free
-        if not x:
-            return
+def _free_units(n, rref):
+    """The unit vectors e_k, k < n, at the bits that are no pivot of rref,
+    ascending. Their span, listed by span([0], ...), is the points with every
+    pivot bit clear, ascending: the least point of each coset of span(rref)."""
+    pivots = {b.bit_length() - 1 for b in rref}
+    return [1 << k for k in range(n) if k not in pivots]
+
+
+def _columns(flats):
+    """The basis vectors of flats of equal dimension d as d columns, column
+    m holding vector m of every flat, for one span over all of them: entry
+    i * F + j of span(bases, columns) is a point of flats[j], for F flats.
+    zip drops the extra vectors of a longer basis, so every caller first
+    makes the lengths equal."""
+    return list(zip(*(f.basis for f in flats)))
 
 
 def verify_cover(cover):
     """True iff the flats are pairwise disjoint 2^d-point sets whose union is
     exactly GF(2^n).
 
-    There must be 2^(n-d) flats of dimension d, and each point is marked once
-    in a 2^n-byte array: O(2^n + F*d) for F flats, with no pair of flats
+    There must be 2^(n-d) flats, each with d basis vectors, all in [0, 2^n);
+    their points, listed by one span over every flat, must then be 2^n
+    distinct values: O(2^n + F*d) for F flats, with no pair of flats
     compared. 2^n distinct points, all in [0, 2^n), are exactly the field."""
-    q, d = cover.field.order, cover.dimension
-    if not 0 <= d <= cover.field.n or len(cover.flats) << d != q:
+    q, d, flats = cover.field.order, cover.dimension, cover.flats
+    if not 0 <= d <= cover.field.n or len(flats) << d != q:
         return False
-    marked = bytearray(q)
-    for flat in cover.flats:
-        if len(flat.basis) != d:
-            return False
-        # XORs of values in [0, 2^n) stay there, so checking the base and the
-        # basis range-checks every point; a negative base cannot wrap
-        if not 0 <= flat.base < q or not all(0 <= b < q for b in flat.basis):
-            return False
-        for p in span(flat.base, flat.basis):
-            if marked[p]:
-                return False
-            marked[p] = 1
-    return True
+    if any(len(f.basis) != d for f in flats):
+        return False
+    bases, columns = [f.base for f in flats], _columns(flats)
+    # XORs of values in [0, 2^n) stay there, so checking the bases and the
+    # basis vectors range-checks every point; a negative base cannot wrap
+    if any(min(values) < 0 or max(values) >= q for values in (bases, *columns)):
+        return False
+    return len(set(span(bases, columns))) == q
 
 
 def overlapping_flats(cover):
     """Indices (i, j), i < j and sorted, of flat pairs with intersecting point
-    sets (diagnostics). The owners of each point are collected in one pass, so
-    only pairs of flats that do meet are ever formed."""
-    owners = {}
+    sets (diagnostics). The owners of each point are collected from one span
+    per dimension over its flats, so only pairs of flats that do meet are
+    ever formed."""
+    groups = {}
     for i, flat in enumerate(cover.flats):
-        for p in span(flat.base, flat.basis):
+        groups.setdefault(len(flat.basis), []).append(i)
+    owners = {}
+    for d, index in groups.items():
+        flats = [cover.flats[i] for i in index]
+        points = span([f.base for f in flats], _columns(flats))
+        for p, i in zip(points, index * (1 << d)):
             owners.setdefault(p, []).append(i)
     return sorted({pair for own in owners.values() if len(own) > 1
-                   for pair in combinations(own, 2)})
+                   for pair in combinations(sorted(own), 2)})
 
 
 def cover_properties(cover):
@@ -192,16 +198,13 @@ def _nonparallel(cover):
 
 
 def _totally_skew(cover):
-    """The nonzero points of every linear part are marked in one 2^n-byte
-    array; a point marked twice lies in two parts (parallel flats give
-    exactly that). O(F * 2^d) = O(2^n), with no pair of flats compared."""
-    marked = bytearray(cover.field.order)
-    for flat in cover.flats:
-        for v in span(0, flat.basis)[1:]:
-            if marked[v]:
-                return False
-            marked[v] = 1
-    return True
+    """The linear parts of a valid cover, listed by one span over every flat,
+    hold F * (2^d - 1) + 1 distinct points iff no nonzero point lies in two
+    of them (parallel flats give exactly that). O(F * 2^d) = O(2^n), with no
+    pair of flats compared."""
+    flats = cover.flats
+    linear = span([0] * len(flats), _columns(flats))
+    return len(set(linear)) == len(flats) * ((1 << cover.dimension) - 1) + 1
 
 
 def parallel_decomposition(cover):
@@ -212,6 +215,13 @@ def parallel_decomposition(cover):
     for flat in cover.flats:
         groups.setdefault(rref_basis(flat.basis), []).append(flat)
     return [groups[k] for k in sorted(groups)]
+
+
+def _element(gf, name, value):
+    """value, or a ValueError naming the parameter if it is no element of gf."""
+    if not 0 <= value < gf.order:
+        raise ValueError(f"{name} = {value} out of range for {gf!r}")
+    return value
 
 
 def _gold_preconditions(gf, t):
@@ -236,10 +246,12 @@ def gold_image(gf, t, basis):
     totally isotropic V = span(basis), one with B = 0 on V x V, the
     derivative D_v f(c) = f(v) + B(c, v) is linear in v, so f(c + V) is
     f(c) + span{D_v f(c) : v in rref(V)}, fixed by s + 1 values for
-    s = dim V. As a function of c, D_v f is affine: it is read from the
-    linear_map_tables of c -> B(c, v), built from f at the unit vectors,
-    and f(c) is the product of c^(2^t), read from the Frobenius's tables,
-    and c. That is O(2^(n-s) * s) products and table reads.
+    s = dim V. The coset leaders c are the span of the n - s free unit
+    vectors w, and B(c, w) is read from the linear_map_tables of c -> B(c, w),
+    one pair per w. So each D_v f over all leaders is one span of the
+    B(w, v) from f(v), and f over the leaders doubles as
+    f(c + w) = f(c) + f(w) + B(c, w): O(2^(n-s) * s) table reads and XORs,
+    and O(n^2) products.
 
     Raises ValueError if V is not totally isotropic, or if an image flat has
     dimension below s (f is not injective on that coset).
@@ -257,18 +269,25 @@ def gold_image(gf, t, basis):
         if f(u ^ v) != fu ^ fv:
             raise ValueError(f"span{{{u}, {v}}} is not totally isotropic for x^{(1 << t) + 1}")
     at_units = [f(1 << k) for k in range(n)]
-    # (f(v), tables of c -> B(c, v)), with B(e_k, v) = f(e_k + v) + f(e_k) + f(v)
-    derivatives = [(fv, *linear_map_tables([f((1 << k) ^ v) ^ fe ^ fv
-                                            for k, fe in enumerate(at_units)]))
+    free = _free_units(n, basis)
+    at_free = [at_units[w.bit_length() - 1] for w in free]
+    # tables of c -> B(c, w) for each free w, with B(e_k, w) = f(e_k + w) + f(e_k) + f(w)
+    polar = [linear_map_tables([f((1 << k) ^ w) ^ fe ^ fw for k, fe in enumerate(at_units)])
+             for w, fw in zip(free, at_free)]
+    leaders = span([0], zip(free))
+    at_leaders = [0]
+    for fw, (wlo, whi) in zip(at_free, polar):
+        at_leaders += [fc ^ fw ^ wlo[c & 255] ^ whi[c >> 8]
+                       for c, fc in zip(leaders, at_leaders)]
+    derivatives = [span([fv], zip([wlo[v & 255] ^ whi[v >> 8] for wlo, whi in polar]))
                    for v, fv in zip(basis, at_basis)]
     flats = []
-    for c in _coset_leaders(gf.order, basis):
-        image = rref_basis([fv ^ dlo[c & 255] ^ dhi[c >> 8] for fv, dlo, dhi in derivatives])
+    for c, base, *image in zip(leaders, at_leaders, *derivatives):
+        image = rref_basis(image)
         if len(image) != len(basis):
             raise ValueError(f"the image of the coset of {c} has dimension {len(image)}, "
                              f"not {len(basis)}")
         # the least point of the image: f(c) with every pivot bit of image cleared
-        base = f(c)
         for b in image:
             if base >> (b.bit_length() - 1) & 1:
                 base ^= b
@@ -284,10 +303,9 @@ def gold_cover(n, t, x=None, y=None, modulus=None):
     gf = GF(n, modulus)
     s = _gold_preconditions(gf, t)
     sub = gf.subfield(s)
-    if x is None:
-        x = 1
-    if y is None:
-        y = gf.mul(x, sub[2])  # smallest subfield element beyond {0, 1}
+    x = _element(gf, "x", 1 if x is None else x)
+    # y defaults to x times the smallest subfield element beyond {0, 1}
+    y = gf.mul(x, sub[2]) if y is None else _element(gf, "y", y)
     if x == 0 or y == 0:
         raise ValueError("x and y must be nonzero")
     ratio = gf.div(x, y)
@@ -303,4 +321,5 @@ def theorem8_cover(n, t, alpha=1, modulus=None):
     s = _gold_preconditions(gf, t)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
+    _element(gf, "alpha", alpha)
     return gold_image(gf, t, [gf.mul(alpha, z) for z in gf.subfield(s)])

@@ -26,6 +26,7 @@ for the generic pass.
 """
 
 from itertools import compress
+from operator import xor
 
 from .gf2n import GF, as_int, as_list, require, span
 from .boolfunc import FunctionTable
@@ -197,8 +198,8 @@ def _polar_of(t):
         for m in range(k):
             row[m] = polar[m][k] = t[h | 1 << m] ^ t[h] ^ t[1 << m] ^ t[0]
         # f(x + e_k) + f(x) for x < 2^k
-        shift = span(t[h] ^ t[0], row[:k])
-        if [v ^ s for v, s in zip(t, shift)] != t[h:2 * h]:
+        shift = span([t[h] ^ t[0]], zip(row[:k]))
+        if list(map(xor, t, shift)) != t[h:2 * h]:
             return None
     return polar
 

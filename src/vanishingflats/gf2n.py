@@ -7,6 +7,7 @@ way.
 
 from functools import lru_cache
 import math
+from operator import xor
 
 MIN_DEGREE = 2
 MAX_DEGREE = 16
@@ -55,13 +56,18 @@ def echelon(vectors):
     return basis
 
 
-def span(base, vectors):
-    """The 2^len(vectors) points of base + span(vectors), by doubling: entry
-    x is base XOR the vectors[m] at the bits m of x, so each point is listed
-    once when the vectors are linearly independent."""
-    points = [base]
-    for v in vectors:
-        points += [p ^ v for p in points]
+def span(bases, columns):
+    """The points of the F = len(bases) flats bases[j] + span(vectors of flat
+    j), by doubling. columns[m] holds vector m of every flat (the zip of F
+    equal-length vector lists), and entry i * F + j is bases[j] XOR the
+    columns[m][j] at the bits m of i, so each flat lists its points once
+    when its vectors are linearly independent. Each level is one map over
+    every flat. One flat is span([base], zip(vectors))."""
+    points = list(bases)
+    copies = 1
+    for column in columns:
+        points += map(xor, points, column * copies)
+        copies *= 2
     return points
 
 
@@ -69,9 +75,10 @@ def linear_map_tables(columns):
     """(lo, hi), two 256-entry tables with L(x) = lo[x & 255] ^ hi[x >> 8] for
     every x < 2^16, where L is the F_2-linear map taking e_k to columns[k]
     (and e_k to 0 for k >= len(columns), at most 16): each table is the
-    span of its eight columns."""
+    span of its eight columns, and one span over the two lists both."""
     columns = [*columns, *[0] * (16 - len(columns))]
-    return span(0, columns[:8]), span(0, columns[8:])
+    both = span([0, 0], zip(columns[:8], columns[8:]))
+    return both[::2], both[1::2]
 
 
 def require(obj, key, kind=None):

@@ -158,12 +158,20 @@ def random_cover(gf, d, rng):
 
 def corrupt_cover(cover, rng):
     """A copy of cover with one flat spoiled: its base moved to a random point,
-    moved outside the field, or one basis vector dropped."""
+    moved outside the field, one basis vector dropped, or one independent
+    vector of the field added to its basis."""
     flats = list(cover.flats)
     i = rng.randrange(len(flats))
     flat = flats[i]
-    kind = rng.choice(["move", "outside", "drop"] if flat.basis else ["move", "outside"])
-    if kind == "move":
+    kinds = ["move", "outside"]
+    kinds += ["drop"] if flat.basis else []
+    kinds += ["extra"] if flat.dimension < cover.field.n else []
+    kind = rng.choice(kinds)
+    if kind == "extra":
+        extra = rng.choice([x for x in cover.field.elements()
+                            if len(echelon([*flat.basis, x])) > flat.dimension])
+        flats[i] = AffineSubspace(flat.base, (*flat.basis, extra))
+    elif kind == "move":
         flats[i] = AffineSubspace(rng.randrange(cover.field.order), flat.basis)
     elif kind == "outside":
         flats[i] = AffineSubspace(rng.choice([-1 - flat.base, flat.base + cover.field.order]),
@@ -493,7 +501,7 @@ def image_cover(f, cover):
     t, flats = f.values, []
     for idx, flat in enumerate(cover.flats):
         try:
-            flats.append(from_points([t[p] for p in span(flat.base, flat.basis)]))
+            flats.append(from_points([t[p] for p in span([flat.base], zip(flat.basis))]))
         except ValueError:
             raise ValueError(f"image of flat #{idx} (base {flat.base}) "
                              "is not an affine subspace") from None

@@ -595,6 +595,16 @@ def test_thm8_alpha_zero_exit_2(capsys):
     assert captured.err == "error: alpha must be nonzero\n"
 
 
+@pytest.mark.parametrize("kind,option", [("thm8", "alpha"), ("gold2", "x"), ("gold2", "y")])
+@pytest.mark.parametrize("value", [64, -1])
+def test_cover_build_element_out_of_range_names_the_option(capsys, kind, option, value):
+    code = main(["cover", "build", kind, "--n", "6", "--t", "2", f"--{option}", str(value)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {option} = {value} out of range for GF(2^6, modulus=0x43)\n"
+
+
 def test_cover_verify_deeply_nested_json_exit_2(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)

@@ -227,17 +227,31 @@ def test_constructions_match_the_pointwise_image(n, t):
     """thm8 and gold2 from the quadratic identity give, flat for flat and in
     the same order, the pointwise image of the trivial cover under a value
     table of x^(2^t + 1) made by gf.pow."""
-    gf, s = GF(n), math.gcd(n, t)
+    assert_constructions_match_the_pointwise_image(n, t)
+
+
+@pytest.mark.parametrize("n,t,modulus", [(6, 2, 0x49), (9, 3, 0x203)])
+def test_constructions_match_the_pointwise_image_under_another_modulus(n, t, modulus):
+    """The same under an irreducible modulus that is not the default one
+    (x^6 + x^3 + 1 is not even primitive): the coset leaders, the quadratic
+    doubling of f over them and the derivative spans must not lean on the
+    default field."""
+    assert_constructions_match_the_pointwise_image(n, t, modulus)
+
+
+def assert_constructions_match_the_pointwise_image(n, t, modulus=None):
+    gf, s = GF(n, modulus), math.gcd(n, t)
     f = FunctionTable(gf, [gf.pow(x, (1 << t) + 1) for x in gf.elements()])
     sub = gf.subfield(s)
     rng = random.Random(100 * n + t)
     for alpha in (1, rng.randrange(2, gf.order), rng.randrange(2, gf.order)):
         triv = trivial_cover(gf, [gf.mul(alpha, z) for z in sub])
-        assert theorem8_cover(n, t, alpha).to_json() == image_cover(f, triv).to_json()
+        img = theorem8_cover(n, t, alpha, modulus=modulus)
+        assert img.to_json() == image_cover(f, triv).to_json()
     for _ in range(3):
         x = rng.randrange(1, gf.order)
         y = gf.mul(x, rng.choice(sub[2:]))
-        img = gold_cover(n, t, x, y)
+        img = gold_cover(n, t, x, y, modulus=modulus)
         assert img.to_json() == image_cover(f, trivial_cover(gf, (x, y))).to_json()
 
 
@@ -346,7 +360,9 @@ def test_cover_properties_at_dimension_zero_and_n():
 @pytest.mark.parametrize("n", range(3, 9))
 def test_cover_checks_match_pairwise_oracles(n):
     gf = GF(n)
-    rng = random.Random(n)
+    # the corruptions draw from their own stream, so the covers are the same
+    # whichever kinds of corruption there are
+    rng, spoil = random.Random(n), random.Random(-n)
     outcomes = set()
     for d in range(n + 1):
         for _ in range(4):
@@ -354,7 +370,7 @@ def test_cover_checks_match_pairwise_oracles(n):
             assert assert_matches_oracles(cover)
             outcomes.add((oracle_nonparallel(cover), oracle_totally_skew(cover)))
             for _ in range(3):
-                assert_matches_oracles(corrupt_cover(cover, rng))
+                assert_matches_oracles(corrupt_cover(cover, spoil))
     # parallel, totally skew, and (which needs d >= 2 in a 4-flat) nonparallel
     # but partially meeting
     assert {(False, False), (True, True)} <= outcomes
@@ -376,6 +392,17 @@ def test_cover_checks_on_negative_and_overlapping_points():
     doubled = Cover(gf, 1, [AffineSubspace(0, (1,))] * 4)
     assert overlapping_flats(doubled) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     assert not assert_matches_oracles(doubled)
+    # a partition of GF(8) into 4 flats of 8 points in all, but of
+    # dimensions 2, 0, 0 and 1: no cover of dimension 1
+    mixed = Cover(gf, 1, [AffineSubspace(0, (1, 2)), AffineSubspace(4, ()),
+                          AffineSubspace(5, ()), AffineSubspace(6, (1,))])
+    assert overlapping_flats(mixed) == []
+    assert not assert_matches_oracles(mixed)
+    # 8 distinct points with every base in GF(8), but the basis vector 9 is
+    # not, so 6 + 9 = 15 lies outside the field
+    wide = Cover(gf, 1, [*trivial_cover(gf, (1,)).flats[:3], AffineSubspace(6, (9,))])
+    assert overlapping_flats(wide) == []
+    assert not assert_matches_oracles(wide)
     assert not verify_cover(Cover(gf, -1, []))
     assert not verify_cover(Cover(gf, 4, []))
 

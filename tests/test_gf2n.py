@@ -238,18 +238,23 @@ def test_mul_tables_sampled_at_n16():
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_span_lists_each_point_once(n):
-    """span(base, vectors) against the set-closure oracle: for k independent
-    vectors, 2^k points, each listed once, with entry x the base plus the
-    vectors at the bits of x."""
+    """span([base], zip(vectors)) against the set-closure oracle: for k
+    independent vectors, 2^k points, each listed once, with entry x the base
+    plus the vectors at the bits of x. Over F flats at once, entry x * F + j
+    is the entry x of flat j alone."""
     rng = random.Random(700 + n)
     for k in range(n + 1):
         vectors = random_basis(n, k, rng)
         base = rng.randrange(1 << n)
-        points = span(base, vectors)
+        points = span([base], zip(vectors))
         assert len(points) == len(set(points)) == 1 << k
         assert set(points) == {base ^ v for v in span_closure(vectors)}
         assert points == [base ^ apply(vectors, x) for x in range(1 << k)]
-    assert span(5, []) == [5]
+        flats = [(rng.randrange(1 << n), random_basis(n, k, rng)) for _ in range(3)]
+        points = span([b for b, _ in flats], zip(*(w for _, w in flats)))
+        assert points == [b ^ apply(w, x) for x in range(1 << k) for b, w in flats]
+    assert span([5], zip([])) == [5]
+    assert span([5, 6], zip()) == [5, 6]
 
 
 @pytest.mark.parametrize("n", range(2, 17))
