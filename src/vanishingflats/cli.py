@@ -96,14 +96,14 @@ def load_function(args):
 def _emit(args, payload, lines, rows):
     """Print the one format --format picks, and build only that one:
     payload is a zero-argument function giving the JSON object, and lines
-    (text) and rows (CSV) are iterables, lazy where they are large. A line,
-    or a row's cell, may hold several lines of output."""
+    (text) and rows (CSV) are iterables, lazy where they are large, each
+    line and row printed as it is made. A line, or a row's cell, may hold
+    several lines of output."""
     if args.format == "json":
         print(json.dumps(payload(), indent=2))
     elif args.format == "csv":
-        text = "\n".join(",".join(map(str, row)) for row in rows)
-        if text:
-            print(text)
+        for row in rows:
+            print(",".join(map(str, row)))
     else:
         for line in lines:
             print(line)
@@ -126,8 +126,9 @@ def cmd_spectrum(args):
     return 0
 
 
-# Most blocks `vflats list` prints: listing the 690,880 blocks of x^1 at
-# n = 8 (every 2-flat) peaks at about 110 MB RSS.
+# Most blocks `vflats list` prints: the blocks are most of its memory, and
+# the 996,450 blocks of x^1036 at n = 12 peak at about 104 MB RSS as text or
+# CSV (the 690,880 of x^1 at n = 8, every 2-flat, at about 75 MB).
 LIST_LIMIT = 1_000_000
 
 
@@ -143,13 +144,12 @@ def cmd_vflats_list(args):
 
     def lines():
         yield f"{len(pqs)} blocks"
-        if pqs.blocks:
-            yield pqs.to_text()
+        yield from pqs.text_chunks()
 
-    def rows():  # one cell, the text body with commas: the bytes one row per block gives
-        yield (pqs.to_text().replace(" ", ","),)
-
-    _emit(args, pqs.to_json, lines(), rows())
+    # one row a chunk, one cell each, the text with commas: the bytes one
+    # row per block gives
+    rows = ((chunk.replace(" ", ","),) for chunk in pqs.text_chunks())
+    _emit(args, pqs.to_json, lines(), rows)
     return 0
 
 

@@ -193,8 +193,14 @@ def cover_properties(cover):
 
 
 def _nonparallel(cover):
-    parts = [rref_basis(f.basis) for f in cover.flats]
-    return len(set(parts)) == len(parts)
+    """Equal basis tuples span equal linear parts, so a repeated tuple means
+    parallel flats at once; only when every tuple differs is each basis
+    reduced to its rref to compare the spans."""
+    bases = [f.basis for f in cover.flats]
+    if len(set(bases)) != len(bases):
+        return False
+    parts = set(map(rref_basis, bases))
+    return len(parts) == len(bases)
 
 
 def _totally_skew(cover):

@@ -106,8 +106,13 @@ def as_list(key, value):
 
 
 def as_int_list(key, value):
-    """A JSON array of integers, or a ValueError naming the field or its bad entry."""
-    return [as_int(f"{key}[{i}]", v) for i, v in enumerate(as_list(key, value))]
+    """A JSON array of integers, or a ValueError naming the field or its bad
+    entry. The array itself is returned, so callers copy it. A valid array
+    is checked in one C-level pass; entry names are made only on failure."""
+    if not set(map(type, as_list(key, value))) <= {int}:
+        for i, v in enumerate(value):
+            as_int(f"{key}[{i}]", v)
+    return value
 
 
 class Record:

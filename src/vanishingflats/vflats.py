@@ -15,6 +15,11 @@ import math
 from .gf2n import GF, Record, as_int, as_int_list, as_list, kloosterman, require
 from .boolfunc import FunctionTable, PowerFunction
 
+# Blocks per chunk of PartialQuadrupleSystem.text_chunks: a listing's text
+# is made and printed a chunk at a time, never whole.
+TEXT_CHUNK = 4096
+
+
 def canonical_block(points):
     """Sorted 4-tuple form of a block; validates the 2-flat conditions."""
     pts = tuple(sorted(points))
@@ -64,16 +69,22 @@ class PartialQuadrupleSystem(Record):
         return cls(gf, blocks)
 
     def to_text(self):
-        """One line "x1 x2 x3 x4" per block. Each point's decimal string is
-        made once, bare and with a "\n" or " " before it, and the lines are
-        joined by a C-level map over the points of the blocks."""
-        if not self.blocks:
-            return ""
+        """One line "x1 x2 x3 x4" per block: the text chunks joined by "\n"."""
+        return "\n".join(self.text_chunks())
+
+    def text_chunks(self):
+        """The lines of to_text, TEXT_CHUNK blocks a chunk, each chunk its
+        lines joined by "\n"; none for no blocks. Each point's decimal string
+        is made once, bare and with a "\n" or " " before it, and a chunk's
+        lines are joined by a C-level map over the points of its blocks, so
+        only one chunk's strings are held at a time."""
         digits = list(map(str, self.field.elements()))
         first = ["\n" + p for p in digits]
         rest = [" " + p for p in digits]
-        return "".join(map(list.__getitem__, cycle((first, rest, rest, rest)),
-                           chain.from_iterable(self.blocks)))[1:]
+        blocks = self.blocks
+        for i in range(0, len(blocks), TEXT_CHUNK):
+            yield "".join(map(list.__getitem__, cycle((first, rest, rest, rest)),
+                              chain.from_iterable(blocks[i:i + TEXT_CHUNK])))[1:]
 
 
 def enumerate_flats(f, limit=None):
@@ -95,28 +106,34 @@ def enumerate_flats(f, limit=None):
     of a direction thus come out in descending order; reversed, each is a
     sorted run, and one merge sort (Timsort) of the runs orders them all.
     More than limit blocks raise a ValueError that gives the exact count.
+
+    Every block entry is an object of one list of the 2^n point ints (the
+    half lists are read through it once per top bit), so at n >= 9, past
+    CPython's small-int cache, a block allocates no ints of its own.
     """
     t, blocks, shared = f.values, [], None
+    point = list(f.field.elements())
     for a, half, values in f.half_derivatives(range(1, f.field.order >> 1)):
-        last = dict(zip(values, half))
-        if len(last) == len(half):
+        if shared is not half:  # once per shared half list, i.e. per top bit
+            shared, own = half, list(map(point.__getitem__, half))
+            pool = set(own)
+        last = dict(zip(values, own))
+        if len(last) == len(own):
             continue
-        if shared is not half:  # one set per shared half list, i.e. per top bit
-            shared, points = half, set(half)
         shift = a.bit_length()
         seen, run = {}, []
-        for x in sorted(points.difference(last.values()), reverse=True):
+        for x in sorted(pool.difference(last.values()), reverse=True):
             v = t[x ^ a] ^ t[x]
             ys = seen.get(v)
             if ys is None:  # the first such point of v pairs with last[v] alone
                 y = last[v]
                 if (x ^ y) >> shift:
-                    run.append((x, x ^ a, y, y ^ a))
+                    run.append((x, point[x ^ a], y, point[y ^ a]))
                 seen[v] = [y, x]
                 continue
             for y in ys:
                 if (x ^ y) >> shift:
-                    run.append((x, x ^ a, y, y ^ a))
+                    run.append((x, point[x ^ a], y, point[y ^ a]))
             ys.append(x)
         run.reverse()
         blocks += run

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from vanishingflats import vflats
 from vanishingflats.cli import main
 
 
@@ -139,3 +140,15 @@ def test_apn_listing_is_header_only(capsys):
 
 def test_apn_csv_listing_is_empty(capsys):
     assert _stdout(capsys, CASES["vflats-list-5-3-apn-csv"]) == ""
+
+
+@pytest.mark.parametrize("case", ["vflats-list-7-7", "vflats-list-7-7-csv",
+                                  "vflats-list-5-3-apn", "vflats-list-5-3-apn-csv"])
+def test_listing_bytes_do_not_depend_on_the_chunk_size(case, capsys, monkeypatch):
+    # 889 blocks: chunks of 1, 2 and 7 blocks split them unevenly, and the
+    # default prints them as one chunk; an empty listing has no chunk at all
+    want = _stdout(capsys, CASES[case])
+    for chunk in (1, 2, 7):
+        monkeypatch.setattr(vflats, "TEXT_CHUNK", chunk)
+        assert _stdout(capsys, CASES[case]) == want
+    assert hashlib.sha256(want.encode()).hexdigest() == GOLDEN[case]

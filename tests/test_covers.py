@@ -115,6 +115,16 @@ def test_trivial_cover():
     assert len(parallel_decomposition(cover)) == 1
 
 
+def test_parallel_flats_with_different_bases_are_not_nonparallel():
+    # {0, 1, 2, 3} and {4, 5, 6, 7}: one linear part, spanned by the bases
+    # (3, 1) and (2, 1), so only their rref forms show the flats parallel
+    gf = GF(3)
+    cover = Cover(gf, 2, [AffineSubspace(0, (3, 1)), AffineSubspace(4, (2, 1))])
+    assert oracle_nonparallel(cover) is False
+    assert cover_properties(cover) == {"valid": True, "nonparallel": False,
+                                       "totally_skew": False}
+
+
 def test_verify_cover_rejects_bad_families():
     gf = GF(3)
     good = trivial_cover(gf, (1,))

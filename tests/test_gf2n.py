@@ -312,6 +312,7 @@ F4 = {"n": 2, "modulus": 7}
     (GF, {"n": 6, "modulus": True}, "modulus"),
     (FunctionTable, {"field": F4, "values": [0, 1, 2, "3"]}, "values[3]"),
     (FunctionTable, {"field": F4, "values": "0123"}, "values"),
+    (FunctionTable, {"field": F4, "values": [0, True, 2, 3]}, "values[1]"),
     (FunctionTable, {"field": {"n": 2.0, "modulus": 7}, "values": [0, 1, 2, 3]}, "n"),
     (AffineSubspace, {"base": 0, "basis": ["x"]}, "basis[0]"),
     (AffineSubspace, {"base": False, "basis": [1]}, "base"),

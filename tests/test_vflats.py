@@ -399,6 +399,15 @@ def test_pqs_serialization_roundtrip():
     assert len(text.splitlines()) == len(pqs)
 
 
+def test_block_entries_share_the_point_objects():
+    # past the small-int cache (n >= 9) a fresh x + a would be a new object
+    # in every block; the listing holds every block, so no id is reused
+    gf = GF(10)
+    pqs = enumerate_flats(random_table(gf, random.Random(10)))
+    assert len(pqs) > gf.order
+    assert len({id(p) for block in pqs.blocks for p in block}) <= gf.order
+
+
 def test_duplicate_blocks_rejected():
     with pytest.raises(ValueError):
         PartialQuadrupleSystem(GF(2), [(0, 1, 2, 3), (3, 2, 1, 0)])
