@@ -46,12 +46,12 @@ class FunctionTable:
         """The power function x^d (d >= 1), with its O(2^n) statistics."""
         return PowerFunction(gf, d)
 
-    @classmethod
-    def from_univariate(cls, gf, terms):
-        """Pointwise sum of monomials c * x^e for (c, e) in terms, from the
-        field's exp and log lists: at x = alpha^k, c * x^e = alpha^(log c + k * e),
-        an index taken mod 2^n - 1. At x = 0 only the terms with e = 0 count
-        (0^0 = 1)."""
+    @staticmethod
+    def from_univariate(gf, terms):
+        """A plain FunctionTable on any subclass: the pointwise sum of
+        monomials c * x^e for (c, e) in terms, from the field's exp and log
+        lists: at x = alpha^k, c * x^e = alpha^(log c + k * e), an index
+        taken mod 2^n - 1. At x = 0 only the terms with e = 0 count (0^0 = 1)."""
         exp, log = gf.exp_log()
         q1 = len(exp)
         at_zero = 0
@@ -70,7 +70,7 @@ class FunctionTable:
         values = [at_zero] * gf.order
         for x, v in zip(exp, acc):
             values[x] = v
-        return cls(gf, values)
+        return FunctionTable(gf, values)
 
     def _check_direction(self, a):
         if not 0 < a < self.field.order:

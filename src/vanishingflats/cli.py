@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 a verification failed, 2 usage or parameter error.
 
 import argparse
 import functools
+from itertools import islice
 import json
 import re
 import sys
@@ -98,9 +99,13 @@ def _emit(args, payload, lines, rows):
     payload is a zero-argument function giving the JSON object, and lines
     (text) and rows (CSV) are iterables, lazy where they are large, each
     line and row printed as it is made. A line, or a row's cell, may hold
-    several lines of output."""
+    several lines of output. JSON is the text of json.dumps(indent=2),
+    written 8,192 chunks of its encoder at a time: few writes, never whole."""
     if args.format == "json":
-        print(json.dumps(payload(), indent=2))
+        chunks = json.JSONEncoder(indent=2).iterencode(payload())
+        while batch := "".join(islice(chunks, 8192)):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     elif args.format == "csv":
         for row in rows:
             print(",".join(map(str, row)))
@@ -128,7 +133,7 @@ def cmd_spectrum(args):
 
 # Most blocks `vflats list` prints: the blocks are most of its memory, and
 # the 996,450 blocks of x^1036 at n = 12 peak at about 104 MB RSS as text or
-# CSV (the 690,880 of x^1 at n = 8, every 2-flat, at about 75 MB).
+# CSV and at about 200 MB as JSON.
 LIST_LIMIT = 1_000_000
 
 

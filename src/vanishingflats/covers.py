@@ -315,7 +315,7 @@ def gold_cover(n, t, x=None, y=None, modulus=None):
     if x == 0 or y == 0:
         raise ValueError("x and y must be nonzero")
     ratio = gf.div(x, y)
-    if gf.pow(ratio, 1 << s) != ratio or ratio == 1:
+    if ratio not in sub[2:]:  # sub is sorted: 0, 1, then the rest
         raise ValueError(f"x/y = {ratio} must lie in GF(2^{s}) minus {{0, 1}}")
     return gold_image(gf, t, (x, y))
 

@@ -63,7 +63,7 @@ def weight_counts_from_flats(f):
     if through_pairs % 3 != 0:
         raise ArithmeticError("flats through 0 not counted three times each")
     n3 = through_pairs // 3
-    return n3, vflats.count_from_spectrum(spec) - n3
+    return n3, vflats.count_from_spectrum(spec.counts) - n3
 
 
 def direct_low_weight_counts(spec):

@@ -30,6 +30,7 @@ from operator import xor
 
 from .gf2n import GF, as_int, as_list, require, span
 from .boolfunc import FunctionTable
+from . import vflats
 
 _ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -125,13 +126,6 @@ class DOPolynomial:
         terms = " + ".join(f"{c}*x^(2^{i}+2^{j})" for (i, j), c in sorted(self.coeffs.items()))
         return f"DOPolynomial({self.field!r}, {terms or '0'})"
 
-    @classmethod
-    def gold(cls, gf, t):
-        """x^(2^t + 1) as the single-term DO polynomial c_{0,t} = 1."""
-        if not 1 <= t < gf.n:
-            raise ValueError(f"gold exponent needs 1 <= t < {gf.n}")
-        return cls(gf, {(0, t): 1})
-
     def to_table(self):
         """Value table of the univariate expansion, built from the exp table."""
         return FunctionTable.from_univariate(
@@ -163,14 +157,12 @@ class DOPolynomial:
 
     def count_vanishing_flats(self):
         """Block count from the ranks h = rank(L_{f,a}) of the polar matrix,
-        with no value table: (2^(n-2)/3) * sum over a != 0 of (2^(n-h-1) - 1)."""
+        with no value table: along a of rank h, delta_f(a, b) = 2^(n-h) for
+        2^h values of b, so the spectrum counts are l_{2^(n-h)} = 2^h times
+        the number of a != 0 of rank h, read by vflats.count_from_spectrum."""
         n = self.field.n
         ranks = _polar_ranks(n, self._polar())[1:]
-        total = sum(((1 << (n - h - 1)) - 1) * ranks.count(h) for h in range(n))
-        scaled = (1 << (n - 2)) * total
-        if scaled % 3 != 0:
-            raise ArithmeticError("rank-count formula did not produce an exact integer")
-        return scaled // 3
+        return vflats.count_from_spectrum({1 << (n - h): ranks.count(h) << h for h in set(ranks)})
 
     def to_json(self):
         return {"field": self.field.to_json(),

@@ -68,16 +68,12 @@ class PartialQuadrupleSystem(Record):
                                  f"but there are {len(blocks)} blocks")
         return cls(gf, blocks)
 
-    def to_text(self):
-        """One line "x1 x2 x3 x4" per block: the text chunks joined by "\n"."""
-        return "\n".join(self.text_chunks())
-
     def text_chunks(self):
-        """The lines of to_text, TEXT_CHUNK blocks a chunk, each chunk its
-        lines joined by "\n"; none for no blocks. Each point's decimal string
-        is made once, bare and with a "\n" or " " before it, and a chunk's
-        lines are joined by a C-level map over the points of its blocks, so
-        only one chunk's strings are held at a time."""
+        """One line "x1 x2 x3 x4" per block, TEXT_CHUNK blocks a chunk, each
+        chunk its lines joined by "\n"; none for no blocks. Each point's
+        decimal string is made once, bare and with a "\n" or " " before it,
+        and a chunk's lines are joined by a C-level map over the points of
+        its blocks, so only one chunk's strings are held at a time."""
         digits = list(map(str, self.field.elements()))
         first = ["\n" + p for p in digits]
         rest = [" " + p for p in digits]
@@ -157,12 +153,12 @@ def count_via_spectrum(f):
     whose every direction has the histogram of a = 1, and O(2^n n^2) for a
     dopoly.QuadraticFunction, whose histograms come from ranks.
     """
-    return count_from_spectrum(f.spectrum())
+    return count_from_spectrum(f.spectrum().counts)
 
 
-def count_from_spectrum(spec):
-    """The block count (1/3) * sum_k l_k * C(k/2, 2) of a DifferentialSpectrum."""
-    total = sum(l * math.comb(k // 2, 2) for k, l in spec.counts.items())
+def count_from_spectrum(counts):
+    """The block count (1/3) * sum_k l_k * C(k/2, 2) of spectrum counts {k: l_k}."""
+    total = sum(l * math.comb(k // 2, 2) for k, l in counts.items())
     if total % 3 != 0:
         raise ArithmeticError("triple-cover identity violated: count not divisible by 3")
     return total // 3

@@ -6,7 +6,7 @@ derivatives and per-direction ranks of a DO polynomial by gf.pow and gf.mul
 alone, a counter of value-table builds, two vanishing-flat oracles that
 share no code with the package's kernels (a brute force over all 2-flats and
 the Walsh fourth moment), the str.format text of a block list that
-PartialQuadrupleSystem.to_text replaced, the O(m^3) weight-3/4 codeword
+PartialQuadrupleSystem.text_chunks replaced, the O(m^3) weight-3/4 codeword
 enumerator that the pair-sum kernel of cycliccode replaced, the cyclotomic
 class representatives, the pointwise per-direction uniformities that a
 spectrum must report, and the direct slow paths that only tests call: the
@@ -300,7 +300,7 @@ def brute_force_flats(f):
 
 def format_blocks(blocks):
     """One "x1 x2 x3 x4" line per block, by str.format: the oracle of the
-    per-point strings of PartialQuadrupleSystem.to_text."""
+    per-point strings of PartialQuadrupleSystem.text_chunks."""
     return "\n".join(starmap("{} {} {} {}".format, blocks))
 
 

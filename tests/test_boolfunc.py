@@ -37,6 +37,16 @@ def test_from_univariate():
         assert f[x] == gf.pow(x, 3) ^ x
 
 
+@pytest.mark.parametrize("cls", [FunctionTable, PowerFunction, QuadraticFunction])
+def test_from_univariate_on_a_subclass_returns_a_plain_table(cls):
+    # x^7 + 5 x^3: two terms, so no power function, and of degree 3
+    gf = GF(4)
+    f = cls.from_univariate(gf, [(1, 7), (5, 3)])
+    assert type(f) is FunctionTable
+    for x in gf.elements():
+        assert f[x] == gf.pow(x, 7) ^ gf.mul(5, gf.pow(x, 3))
+
+
 @pytest.mark.parametrize("n", range(2, 10))
 def test_from_univariate_matches_pointwise_pow(n):
     gf = GF(n)

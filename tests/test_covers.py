@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -197,6 +198,10 @@ def test_gold_cover_parameter_validation():
         gold_cover(6, 2, x=0)
     with pytest.raises(ValueError):
         gold_cover(6, 2, x=1, y=2)  # ratio outside GF(4)
+    for y, ratio in ((1, 1), (3, 62)):  # 1, and 1/3 outside GF(4)
+        with pytest.raises(ValueError, match=re.escape(
+                f"x/y = {ratio} must lie in GF(2^2) minus {{0, 1}}")):
+            gold_cover(6, 2, x=1, y=y)
 
 
 def test_gold_cover_explicit_pair():

@@ -11,6 +11,7 @@ from vanishingflats import (
     canonical_block,
     enumerate_flats,
     count_via_spectrum,
+    count_from_spectrum,
     flats_through_pair,
     bounds,
     closed_form,
@@ -74,6 +75,14 @@ def test_count_identity_random_tables():
     for _ in range(25):
         f = random_table(gf, rng)
         assert len(enumerate_flats(f)) == count_via_spectrum(f)
+
+
+def test_count_not_divisible_by_three_raises():
+    # one pair (a, b) with delta_f(a, b) = 4 holds C(2, 2) = 1 flat, but a
+    # flat lies along three directions, so the l_k of any table sum to a
+    # multiple of 3; this check is the only one on the DO rank route too
+    with pytest.raises(ArithmeticError):
+        count_from_spectrum({0: 1, 4: 1})
 
 
 def test_triple_cover():
@@ -153,7 +162,7 @@ def test_enumeration_walks_only_the_low_directions(n, monkeypatch):
 @pytest.mark.parametrize("n", range(2, 11))
 def test_to_text_matches_format_oracle(n):
     pqs = enumerate_flats(random_table(GF(n), random.Random(1100 + n)))
-    assert pqs.to_text() == format_blocks(pqs.blocks)
+    assert "\n".join(pqs.text_chunks()) == format_blocks(pqs.blocks)
 
 
 @pytest.mark.parametrize("gf, d, blocks", [
@@ -163,7 +172,7 @@ def test_to_text_matches_format_oracle(n):
 def test_to_text_matches_format_oracle_special_fields(gf, d, blocks):
     pqs = enumerate_flats(FunctionTable.from_monomial(gf, d))
     assert len(pqs) == blocks
-    assert pqs.to_text() == format_blocks(pqs.blocks)
+    assert "\n".join(pqs.text_chunks()) == format_blocks(pqs.blocks)
 
 
 @pytest.mark.parametrize("n", (7, 8))
@@ -395,7 +404,7 @@ def test_pqs_serialization_roundtrip():
     back = PartialQuadrupleSystem.from_json(json.loads(blob))
     assert back.blocks == pqs.blocks
     assert back.field == gf
-    text = pqs.to_text()
+    text = "\n".join(pqs.text_chunks())
     assert len(text.splitlines()) == len(pqs)
 
 
