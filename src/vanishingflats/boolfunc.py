@@ -4,7 +4,7 @@ from collections import Counter
 from itertools import compress, repeat
 import struct
 
-from .gf2n import GF, Record, as_int_list, require
+from .gf2n import Record
 
 
 def pack_lanes(values):
@@ -156,15 +156,6 @@ class FunctionTable:
         """D_f = {a != 0 : delta_f(a) >= 4}; empty iff f is APN."""
         return {a for directions, u in self.spectrum().classes if u >= 4 for a in directions}
 
-    def to_json(self):
-        return {"field": self.field.to_json(), "values": list(self.values)}
-
-    @staticmethod
-    def from_json(obj):
-        """A plain FunctionTable on any subclass: the JSON holds values alone."""
-        gf = GF.from_json(require(obj, "field"))
-        return FunctionTable(gf, require(obj, "values", as_int_list))
-
 
 def _doubled_class(directions, half_counts, b):
     """(directions, shape, at_zero) for directions that share one histogram
@@ -183,7 +174,7 @@ class PowerFunction(FunctionTable):
     costs O(2^n) once, against O(4^n) for a generic table; count_via_spectrum,
     bounds, critical_directions and the cyclic-code weights inherit that
     through _direction_classes, none of them building the value table: it is
-    made on the first read of values (delta, enumerate_flats, to_json,
+    made on the first read of values (delta, enumerate_flats,
     ParityCheckSpec.cyclic) and kept. delta(a, b) is the inherited kernel,
     and FunctionTable(gf, f.values) stays the generic oracle.
     """

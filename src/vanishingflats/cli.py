@@ -132,8 +132,8 @@ def cmd_spectrum(args):
 
 
 # Most blocks `vflats list` prints: the blocks are most of its memory, and
-# the 996,450 blocks of x^1036 at n = 12 peak at about 104 MB RSS as text or
-# CSV and at about 200 MB as JSON.
+# the 996,450 blocks of x^1036 at n = 12 peak at about 101 MB RSS as text,
+# CSV or JSON.
 LIST_LIMIT = 1_000_000
 
 

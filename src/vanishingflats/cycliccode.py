@@ -4,11 +4,12 @@ The binary cyclic code of length 2^n - 1 with zeroes alpha and alpha^d has a
 two-row parity-check matrix whose columns are (alpha^i, alpha^(d i)). Its
 weight-3 codewords correspond to vanishing flats of x^d through 0, and its
 weight-4 codewords to vanishing flats avoiding 0. Prepending the zero column
-generalizes the weight-4 correspondence to arbitrary f. The direct counts
-read the parity check alone, through one count of the column pair sums in
-O(4^n) time and memory: a weight-4 support splits three ways into two
-column pairs of equal sum, and a weight-3 support three ways into a pair
-and the column that is its sum, so N4 and N3 are thirds of those counts.
+generalizes the weight-4 correspondence to arbitrary f; only the tests build
+that row (generalized_spec in tests/helpers.py). The direct counts read the
+parity check alone, through one count of the column pair sums in O(4^n)
+time and memory: a weight-4 support splits three ways into two column pairs
+of equal sum, and a weight-3 support three ways into a pair and the column
+that is its sum, so N4 and N3 are thirds of those counts.
 """
 
 from collections import Counter
@@ -23,7 +24,8 @@ MAX_N_DIRECT = 8
 
 class ParityCheckSpec(Record):
     """Two-row parity check: labels are the coordinate field elements, images
-    their values under x^d (cyclic case) or f (generalized case)."""
+    their values under x^d (cyclic, length 2^n - 1) or under any f (length
+    2^n, the zero column first)."""
 
     __slots__ = ("field", "labels", "images")
 
@@ -44,12 +46,6 @@ class ParityCheckSpec(Record):
         copy: the field's exp list is shared and must not be modified."""
         labels = list(gf.exp_log()[0])
         f = FunctionTable.from_monomial(gf, d)
-        return cls(gf, labels, [f[x] for x in labels])
-
-    @classmethod
-    def generalized(cls, gf, f):
-        """Length 2^n: the cyclic coordinates prefixed by the zero column."""
-        labels = [0, *gf.exp_log()[0]]
         return cls(gf, labels, [f[x] for x in labels])
 
 

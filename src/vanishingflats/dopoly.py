@@ -28,7 +28,7 @@ for the generic pass.
 from itertools import compress
 from operator import xor
 
-from .gf2n import GF, as_int, as_list, require, span
+from .gf2n import span
 from .boolfunc import FunctionTable
 from . import vflats
 
@@ -163,16 +163,6 @@ class DOPolynomial:
         n = self.field.n
         ranks = _polar_ranks(n, self._polar())[1:]
         return vflats.count_from_spectrum({1 << (n - h): ranks.count(h) << h for h in set(ranks)})
-
-    def to_json(self):
-        return {"field": self.field.to_json(),
-                "terms": [{"i": i, "j": j, "c": c} for (i, j), c in sorted(self.coeffs.items())]}
-
-    @classmethod
-    def from_json(cls, obj):
-        gf = GF.from_json(require(obj, "field"))
-        return cls(gf, [((require(t, "i", as_int), require(t, "j", as_int)),
-                         require(t, "c", as_int)) for t in require(obj, "terms", as_list)])
 
 
 def _polar_of(t):

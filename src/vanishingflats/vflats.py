@@ -12,7 +12,7 @@ from enum import Enum
 from itertools import chain, cycle
 import math
 
-from .gf2n import GF, Record, as_int, as_int_list, as_list, kloosterman, require
+from .gf2n import Record, kloosterman
 from .boolfunc import FunctionTable, PowerFunction
 
 # Blocks per chunk of PartialQuadrupleSystem.text_chunks: a listing's text
@@ -45,28 +45,10 @@ class PartialQuadrupleSystem(Record):
         return len(self.blocks)
 
     def to_json(self):
+        """The blocks are shared, not copied: json writes the tuples as arrays."""
         return {"field": self.field.to_json(),
                 "block_count": len(self.blocks),
-                "blocks": [list(b) for b in self.blocks]}
-
-    @classmethod
-    def from_json(cls, obj):
-        """Every block point must lie in [0, 2^n), and block_count, when
-        present, must equal the number of blocks."""
-        gf = GF.from_json(require(obj, "field"))
-        blocks = []
-        for i, b in enumerate(require(obj, "blocks", as_list)):
-            key = f"blocks[{i}]"
-            block = as_int_list(key, b)
-            if not all(0 <= p < gf.order for p in block):
-                raise ValueError(f"JSON field {key!r} has a point outside [0, {gf.order}): {block}")
-            blocks.append(tuple(block))
-        if "block_count" in obj:
-            count = require(obj, "block_count", as_int)
-            if count != len(blocks):
-                raise ValueError(f"JSON field 'block_count' is {count}, "
-                                 f"but there are {len(blocks)} blocks")
-        return cls(gf, blocks)
+                "blocks": self.blocks}
 
     def text_chunks(self):
         """One line "x1 x2 x3 x4" per block, TEXT_CHUNK blocks a chunk, each

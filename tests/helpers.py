@@ -23,7 +23,7 @@ from itertools import combinations, starmap
 import random
 
 from vanishingflats import (
-    AffineSubspace, Cover, FunctionTable, PartialQuadrupleSystem, rref_basis,
+    AffineSubspace, Cover, FunctionTable, ParityCheckSpec, PartialQuadrupleSystem, rref_basis,
 )
 from vanishingflats.gf2n import echelon, span
 
@@ -302,6 +302,12 @@ def format_blocks(blocks):
     """One "x1 x2 x3 x4" line per block, by str.format: the oracle of the
     per-point strings of PartialQuadrupleSystem.text_chunks."""
     return "\n".join(starmap("{} {} {} {}".format, blocks))
+
+
+def generalized_spec(gf, f):
+    """Length 2^n: the cyclic coordinates prefixed by the zero column."""
+    labels = [0, *gf.exp_log()[0]]
+    return ParityCheckSpec(gf, labels, [f[x] for x in labels])
 
 
 def triple_loop_weight_counts(spec):

@@ -31,6 +31,7 @@ from vanishingflats import (
 from helpers import (
     cube_root_of_unity,
     cyclotomic_class_reps,
+    generalized_spec,
     isomorphism_witness_check,
     random_table,
     random_affine_permutation,
@@ -221,7 +222,7 @@ def test_ac_10_code_weight_correspondence():
     gf5 = GF(5)
     for seed in range(50):
         f = random_table(gf5, random.Random(1000 + seed))
-        direct = direct_low_weight_counts(ParityCheckSpec.generalized(gf5, f))
+        direct = direct_low_weight_counts(generalized_spec(gf5, f))
         if count_via_spectrum(f) != direct[4]:
             ok = False
     _verdict("AC-10", ok)

@@ -42,12 +42,24 @@ def test_vflats_list_inverse(capsys):
         assert line.split()[0] == "0"
 
 
-def test_vflats_list_json_roundtrip(capsys):
+def test_vflats_list_json_roundtrip(capsys, monkeypatch):
+    """The JSON listing holds the blocks of enumerate_flats as arrays, and
+    the object it is encoded from shares them."""
+    written = []
+    to_json = PartialQuadrupleSystem.to_json
+
+    def recorded(pqs):
+        obj = to_json(pqs)
+        written.append(obj["blocks"] is pqs.blocks)
+        return obj
+    monkeypatch.setattr(PartialQuadrupleSystem, "to_json", recorded)
     code, out = run(capsys, "vflats", "list", "--n", "4", "--monomial", "5", "--format", "json")
-    assert code == 0
-    pqs = PartialQuadrupleSystem.from_json(json.loads(out))
-    assert pqs.field == GF(4)
-    assert len(pqs) == 20
+    assert code == 0 and written == [True]
+    obj = json.loads(out)
+    blocks = vflats.enumerate_flats(PowerFunction(GF(4), 5)).blocks
+    assert obj["field"] == GF(4).to_json()
+    assert obj["blocks"] == [list(b) for b in blocks]
+    assert obj["block_count"] == len(blocks) == 20
 
 
 def test_vflats_pqs_export_is_gone(capsys):
@@ -696,6 +708,37 @@ EXPORT_KEEP = {
     "flats_through_pair": "the pair-multiplicity profile of the partial quadruple "
                           "system (ROADMAP item 3) is defined through it",
 }
+
+
+# The classes that read or write JSON, each with the command that does.
+JSON_READERS = {
+    "GF": "cover verify --input reads the field of a cover",
+    "AffineSubspace": "cover verify --input reads the flats of a cover",
+    "Cover": "cover verify --input reads a cover",
+}
+JSON_WRITERS = {
+    "GF": "cover build --output and vflats list --format json write the field",
+    "AffineSubspace": "cover build --output writes the flats of a cover",
+    "Cover": "cover build --output and --format json write a cover",
+    "PartialQuadrupleSystem": "vflats list --format json writes the listing",
+    "DifferentialSpectrum": "spectrum --format json writes the spectrum",
+}
+
+
+def test_json_only_at_the_cli_boundary():
+    """from_json and to_json are defined only on the classes a command
+    reads or writes as JSON: a reader or writer that no command uses is
+    input or output code kept for nobody."""
+    package = Path(__file__).resolve().parents[1] / "src" / "vanishingflats"
+    classes = [node for path in package.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)]
+
+    def defining(method):
+        return {c.name for c in classes
+                if any(getattr(f, "name", None) == method for f in c.body)}
+    assert defining("from_json") == set(JSON_READERS)
+    assert defining("to_json") == set(JSON_WRITERS)
 
 
 def test_every_export_is_called_outside_tests():

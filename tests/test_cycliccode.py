@@ -15,7 +15,7 @@ from vanishingflats import (
 )
 from vanishingflats.cycliccode import report
 
-from helpers import cyclotomic_class_reps, random_table, triple_loop_weight_counts
+from helpers import cyclotomic_class_reps, generalized_spec, random_table, triple_loop_weight_counts
 
 
 def test_cyclic_spec_structure():
@@ -25,7 +25,7 @@ def test_cyclic_spec_structure():
     assert spec.labels[:2] == [1, gf.primitive_element()]
     assert sorted(spec.labels) == list(range(1, gf.order))
     assert spec.images == [gf.pow(x, 5) for x in spec.labels]
-    gen = ParityCheckSpec.generalized(gf, FunctionTable.from_monomial(gf, 5))
+    gen = generalized_spec(gf, FunctionTable.from_monomial(gf, 5))
     assert len(gen.labels) == gf.order
     assert gen.labels[0] == 0
     for n in range(2, 9):
@@ -41,7 +41,7 @@ def test_spec_labels_do_not_share_the_exp_list():
     exp = gf.exp_log()[0]
     before = list(exp)
     for spec in (ParityCheckSpec.cyclic(gf, 3),
-                 ParityCheckSpec.generalized(gf, FunctionTable.from_monomial(gf, 3))):
+                 generalized_spec(gf, FunctionTable.from_monomial(gf, 3))):
         spec.labels.reverse()
         spec.labels[0] ^= 1
         assert gf.exp_log()[0] is exp and exp == before
@@ -78,7 +78,7 @@ def test_conservation_n3_plus_n4():
         # with f(0) = 0 the weight-3 words of the generalized code are the
         # flats through 0, and its weight-4 words are all the flats
         n3, n4 = weight_counts_from_flats(f)
-        direct = direct_low_weight_counts(ParityCheckSpec.generalized(f.field, f))
+        direct = direct_low_weight_counts(generalized_spec(f.field, f))
         assert direct == {3: n3, 4: n3 + n4}
 
 
@@ -120,7 +120,7 @@ def test_pair_sum_kernel_matches_triple_loop_on_random_tables(n):
         shift = f[0] ^ rng.randrange(1, gf.order)
         for g in (FunctionTable(gf, [v ^ f[0] for v in f.values]),
                   FunctionTable(gf, [v ^ shift for v in f.values])):
-            spec = ParityCheckSpec.generalized(gf, g)
+            spec = generalized_spec(gf, g)
             assert direct_low_weight_counts(spec) == triple_loop_weight_counts(spec)
 
 
@@ -152,7 +152,7 @@ def test_capacity_caps():
 def test_generalized_code_counts_all_flats():
     gf = GF(5)
     f = random_table(gf, random.Random(13))
-    spec = ParityCheckSpec.generalized(gf, f)
+    spec = generalized_spec(gf, f)
     direct = direct_low_weight_counts(spec)
     assert count_via_spectrum(f) == direct[4]
     assert count_via_spectrum(f) == len(enumerate_flats(f))

@@ -1,5 +1,4 @@
 import io
-import json
 import math
 import random
 from contextlib import redirect_stdout
@@ -70,9 +69,7 @@ def test_repeated_terms_add():
         {(0, 1): 3, (2, 3): 4}
     with pytest.raises(ValueError):  # each coefficient is checked before they add
         DOPolynomial(gf, [((0, 1), 40), ((0, 1), 40)])
-    blob = {"field": gf.to_json(), "terms": [{"i": 0, "j": 1, "c": 1}, {"i": 0, "j": 1, "c": 1},
-                                             {"i": 1, "j": 3, "c": 6}, {"i": 1, "j": 3, "c": 5}]}
-    f = DOPolynomial.from_json(blob)
+    f = DOPolynomial(gf, [((0, 1), 1), ((0, 1), 1), ((1, 3), 6), ((1, 3), 5)])
     assert f.coeffs == {(1, 3): 3}
     assert f.to_table() == FunctionTable.from_univariate(gf, [(1, 3), (1, 3), (6, 10), (5, 10)])
 
@@ -355,15 +352,6 @@ def test_is_vanishing_pair_matches_enumeration():
                 continue
             member = tuple(sorted((0, x1, x2, x1 ^ x2))) in blocks
             assert vanishes(table, x1, x2) == member == (linearized_at(f, x1, x2) == 0)
-
-
-def test_serialization_roundtrip():
-    gf = GF(6)
-    f = random_do_polynomial(gf, 4, seed=2)
-    blob = json.dumps(f.to_json())
-    back = DOPolynomial.from_json(json.loads(blob))
-    assert back.coeffs == f.coeffs
-    assert back.field == gf
 
 
 def test_random_do_seeded():

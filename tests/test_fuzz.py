@@ -13,10 +13,8 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from vanishingflats import (GF, AffineSubspace, Cover, FunctionTable, PartialQuadrupleSystem,
-                            PowerFunction, QuadraticFunction)
+from vanishingflats import GF, AffineSubspace, Cover
 from vanishingflats.cli import main
-from vanishingflats.dopoly import DOPolynomial
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -27,7 +25,6 @@ JSON = st.recursive(
                                                                max_size=4),
     max_leaves=10)
 INT = st.integers(-3, 20) | st.integers()
-ANY = INT | JSON
 
 
 def near(**fields):
@@ -40,18 +37,11 @@ FIELD = (st.sampled_from([{"n": 2, "modulus": 7}, {"n": 3, "modulus": 11},
                           {"n": 3, "modulus": 9}, {"n": 4, "modulus": 19}])
          | near(n=INT, modulus=INT))
 FLAT = near(base=INT, basis=st.lists(INT, max_size=5))
-TABLE = near(field=FIELD, values=st.lists(ANY, max_size=17))
 
 NEAR = {
     GF: near(n=INT, modulus=INT),
-    FunctionTable: TABLE,
-    PowerFunction: TABLE,  # from_json of a subclass reads a plain table
-    QuadraticFunction: TABLE,
     AffineSubspace: FLAT,
     Cover: near(field=FIELD, dimension=INT, flats=st.lists(FLAT | JSON, max_size=6)),
-    PartialQuadrupleSystem: near(field=FIELD, block_count=INT,
-                                 blocks=st.lists(st.lists(ANY, max_size=5), max_size=4)),
-    DOPolynomial: near(field=FIELD, terms=st.lists(near(i=INT, j=INT, c=INT), max_size=4)),
 }
 
 
