@@ -7,7 +7,6 @@ from .boolfunc import FunctionTable, PowerFunction, DifferentialSpectrum
 from .vflats import (
     PartialQuadrupleSystem,
     MonomialFamily,
-    canonical_block,
     enumerate_flats,
     count_via_spectrum,
     count_from_spectrum,

@@ -30,34 +30,23 @@ def rref_basis(vectors):
 
 class AffineSubspace(Record):
     """base + span(basis); basis vectors must be linearly independent.
-    Immutable, and hashed on (base, basis). Both constructors store the
-    fields directly, as each runs once per flat of a cover."""
+    Both constructors store the fields directly, not through Record's
+    __init__, as each runs once per flat of a cover."""
 
     __slots__ = ("base", "basis")
 
     def __init__(self, base, basis):
         if len(echelon(basis)) != len(basis):
             raise ValueError(f"basis vectors are not linearly independent: {basis}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "basis", basis)
+        self.base, self.basis = base, basis
 
     @classmethod
     def _independent(cls, base, basis):
         """base + span(basis) with no echelon check, for a basis that
         rref_basis has just made independent."""
         flat = object.__new__(cls)
-        object.__setattr__(flat, "base", base)
-        object.__setattr__(flat, "basis", basis)
+        flat.base, flat.basis = base, basis
         return flat
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self):
-        return hash((self.base, self.basis))
 
     @property
     def dimension(self):

@@ -20,26 +20,12 @@ from .boolfunc import FunctionTable, PowerFunction
 TEXT_CHUNK = 4096
 
 
-def canonical_block(points):
-    """Sorted 4-tuple form of a block; validates the 2-flat conditions."""
-    pts = tuple(sorted(points))
-    if len(set(pts)) != 4:
-        raise ValueError(f"block points must be distinct: {points}")
-    if pts[0] ^ pts[1] ^ pts[2] ^ pts[3] != 0:
-        raise ValueError(f"points do not form a 2-dimensional flat: {points}")
-    return pts
-
-
 class PartialQuadrupleSystem(Record):
-    """The block set of vanishing flats over GF(2^n), canonically sorted."""
+    """The block set of vanishing flats over GF(2^n), as enumerate_flats
+    makes it: sorted 4-tuples of distinct points XOR-ing to zero, in
+    increasing order, with no duplicate. It stores them unchecked."""
 
     __slots__ = ("field", "blocks")
-
-    def __init__(self, field, blocks):
-        blocks = sorted(canonical_block(b) for b in blocks)
-        if len(set(blocks)) != len(blocks):
-            raise ValueError("duplicate blocks")
-        super().__init__(field, blocks)
 
     def __len__(self):
         return len(self.blocks)
@@ -119,9 +105,7 @@ def enumerate_flats(f, limit=None):
             raise ValueError(f"{count_via_spectrum(f)} vanishing flats, "
                              f"more than the limit of {limit}")
     blocks.sort()
-    pqs = PartialQuadrupleSystem(f.field, [])  # blocks are canonical and sorted
-    pqs.blocks = blocks
-    return pqs
+    return PartialQuadrupleSystem(f.field, blocks)
 
 
 def count_via_spectrum(f):
@@ -157,16 +141,24 @@ def flats_through_pair(f, x, a):
 def bounds(f):
     """(lower, upper) bounds on the block count.
 
-    A non-APN PowerFunction x^d needs at least ceil((2^n - 1)/3) flats, i.e.
-    (2^n + 1)/3 for odd n; for any other table the lower bound is 0. The
-    upper bound is the total number of 2-flats, attained by x^1.
+    The lower bound is 0 except for a non-APN PowerFunction x^d, which has
+    a flat (two pairs {x, x+a} with one derivative value). Scaling x -> cx,
+    c != 0, maps the flats of x^d onto flats of x^d, as (cx)^d = c^d x^d.
+    A c != 1 that fixes a block permutes its points and fixes none but 0.
+    c has odd order (it divides 2^n - 1), which rules out swaps and
+    4-cycles, so the block holds 0 and c is a 3-cycle on the other three:
+    c has order 3, and that needs 3 | 2^n - 1, i.e. n even. So every
+    scaling orbit has at least
+    (2^n - 1)/gcd(3, 2^n - 1) blocks: (2^n - 1)/3 at even n, which the
+    inverse reaches, and 2^n - 1 at odd n, where every count is a multiple
+    of 2^n - 1. The upper bound is the total number of 2-flats, attained
+    by x^1.
     """
-    n = f.field.n
     q = f.field.order
     upper = (q // 4) * ((q // 2) - 1) * (q - 1) // 3
     lower = 0
     if isinstance(f, PowerFunction) and f.spectrum().uniformity > 2:
-        lower = (q + 1) // 3 if n % 2 else (q - 1) // 3
+        lower = (q - 1) // math.gcd(3, q - 1)
     return lower, upper
 
 

@@ -13,7 +13,9 @@ spectrum must report, and the direct slow paths that only tests call: the
 range-checked field sum, the pointwise derivative table, the columns of
 L_{f,a} read off a value table, the b-by-b derivative histogram of one
 direction, the linear part of a flat and membership by elimination, the
-blocks through given points, block maps and isomorphism witnesses, the primitive cube root of unity, the twin-odd-t
+block validator and the checked partial quadruple system that
+enumerate_flats skips, the blocks through given points, block maps and
+isomorphism witnesses, the primitive cube root of unity, the twin-odd-t
 exponents, the skew test of one flat image, the permutation test of a table,
 and the pointwise image of a cover under a value table, the oracle for the
 Gold image kernel, with the recovery of a flat from its points."""
@@ -417,6 +419,26 @@ def walsh_flat_count(values):
     return count
 
 
+def canonical_block(points):
+    """Sorted 4-tuple form of a block; validates the 2-flat conditions."""
+    pts = tuple(sorted(points))
+    if len(set(pts)) != 4:
+        raise ValueError(f"block points must be distinct: {points}")
+    if pts[0] ^ pts[1] ^ pts[2] ^ pts[3] != 0:
+        raise ValueError(f"points do not form a 2-dimensional flat: {points}")
+    return pts
+
+
+def checked_pqs(field, blocks):
+    """The PartialQuadrupleSystem of the blocks, each made canonical, in
+    sorted order; a block that is not a 2-flat or a repeated block raises a
+    ValueError. enumerate_flats emits its blocks in that form unchecked."""
+    blocks = sorted(canonical_block(b) for b in blocks)
+    if len(set(blocks)) != len(blocks):
+        raise ValueError("duplicate blocks")
+    return PartialQuadrupleSystem(field, blocks)
+
+
 def blocks_through(pqs, *points):
     want = set(points)
     return [b for b in pqs.blocks if want <= set(b)]
@@ -431,8 +453,7 @@ def map_blocks(pqs, point_map):
         perm = list(point_map)
     if sorted(perm) != list(range(q)):
         raise ValueError("point map is not a bijection on the field")
-    return PartialQuadrupleSystem(
-        pqs.field, [tuple(perm[x] for x in b) for b in pqs.blocks])
+    return checked_pqs(pqs.field, [tuple(perm[x] for x in b) for b in pqs.blocks])
 
 
 def isomorphism_witness_check(p, q, point_map):

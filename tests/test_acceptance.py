@@ -12,7 +12,6 @@ from vanishingflats import (
     FunctionTable,
     DOPolynomial,
     ParityCheckSpec,
-    canonical_block,
     enumerate_flats,
     count_via_spectrum,
     bounds,
@@ -29,6 +28,7 @@ from vanishingflats import (
 )
 
 from helpers import (
+    canonical_block,
     cube_root_of_unity,
     cyclotomic_class_reps,
     generalized_spec,

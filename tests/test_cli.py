@@ -1,8 +1,10 @@
 import ast
 import dataclasses
+import hashlib
 import json
 import random
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,8 @@ from vanishingflats import (
     vflats, weight_counts_from_flats,
 )
 from vanishingflats.cli import main, parse_do_terms, parse_univariate_terms
+
+from test_cli_golden import CASES
 
 
 def run(capsys, *argv):
@@ -550,7 +554,7 @@ def test_cli_import_leaves_out_unused_stdlib():
 # Two argument lists per class, each valid and already canonical, that differ
 # in the last field; and the dataclass options the class used to be made with.
 PLAIN_CLASSES = [
-    (AffineSubspace, [(5, (1, 2)), (5, (1, 6))], {"frozen": True}),
+    (AffineSubspace, [(5, (1, 2)), (5, (1, 6))], {}),
     (Cover, [(GF(2), 1, [AffineSubspace(0, (1,)), AffineSubspace(2, (1,))]),
              (GF(2), 1, [AffineSubspace(0, (1,)), AffineSubspace(3, (1,))])], {}),
     (PartialQuadrupleSystem, [(GF(3), [(0, 1, 2, 3)]), (GF(3), [(0, 1, 4, 5)])], {}),
@@ -772,3 +776,92 @@ def test_every_export_is_called_outside_tests():
         if not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts):
             unused.append(name)
     assert sorted(unused) == sorted(EXPORT_KEEP)
+
+
+# Functions in src/ that no command or demo runs, each with the reason it stays.
+REACH_KEEP = {
+    "boolfunc.FunctionTable.delta": "delta_f(a, b) point by point, the check on "
+                                    "half_derivatives that shares no code with it",
+    "dopoly.QuadraticFunction.__init__": "the checked public constructor: without it "
+                                         "QuadraticFunction(gf, values) would skip the "
+                                         "degree test and store no polar matrix",
+    "vflats.flats_through_pair": EXPORT_KEEP["flats_through_pair"],
+    **dict.fromkeys(["gf2n.Record.__eq__", "gf2n.Record.__repr__", "gf2n.GF.__eq__",
+                     "gf2n.GF.__hash__", "gf2n.GF.__repr__", "boolfunc.FunctionTable.__eq__",
+                     "boolfunc.FunctionTable.__repr__", "boolfunc.DifferentialSpectrum.__eq__",
+                     "boolfunc.DifferentialSpectrum.__repr__", "dopoly.DOPolynomial.__repr__"],
+                    "equality, hash and repr for users and tests"),
+}
+
+# The runs that reach what the golden cases miss: a table file, the direct
+# and the compared code weights, a CSV cover, and one bad input (x^4 + x^2 + 1
+# is reducible).
+REACH_EXTRA = [
+    ["vflats", "count", "--n", "4", "--table-file", "TABLE"],
+    ["codeweights", "--n", "6", "--d", "7", "--method", "both"],
+    ["codeweights", "--n", "6", "--d", "7", "--method", "direct"],
+    ["cover", "build", "gold2", "--n", "6", "--t", "2", "--format", "csv"],
+    ["vflats", "count", "--n", "4", "--modulus", "21", "--monomial", "3"],
+]
+
+# sha256 of the stdout of each demo: the demos print the same bytes.
+DEMO_STDOUT = {
+    "cover_gallery.py": "feca96aafb3ce572af39038856901a4a2783f6dd66d70c80504fc87bf6de8d5e",
+    "do_search.py": "8c415498d7a3e28565257a0f2b086147aa26439b46d650df5bf574057e4bbfcb",
+    "spectrum_tour.py": "fa6e9e328513c77426da8dab8d884aff7c32642b99203235ed1d22853b70856c",
+    "vanishing_flats_tour.py": "7a4d1d129e837c9cee673a175ce8150d08bf596524c2e15716ad94636698b59a",
+}
+
+
+def _defs(path):
+    """{first line: qualified name} of every def in a module, nested ones
+    included; a decorated def starts at its first decorator, as its code does."""
+    found = {}
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                found[min([child.lineno] + [d.lineno for d in child.decorator_list])] = name
+                walk(child, name + ".")
+            else:
+                walk(child, prefix + child.name + "." if isinstance(child, ast.ClassDef)
+                     else prefix)
+    walk(ast.parse(path.read_text()), f"{path.stem}.")
+    return found
+
+
+def test_every_src_function_is_reached(capsys, tmp_path, monkeypatch):
+    """Every def in the package runs in a golden CLI case, an extra run or a
+    demo, or is listed in REACH_KEEP: the public API is what the CLI and the
+    demos call, and a member that only tests call belongs in tests/helpers.py.
+    The demos print the bytes DEMO_STDOUT pins."""
+    package = Path(cli.__file__).resolve().parent
+    demos = package.parents[1] / "demos"
+    table = tmp_path / "table.txt"
+    table.write_text("\n".join(str(GF(4).pow(x, 14)) for x in range(16)))
+    cli.build_parser.cache_clear()  # cached bodies run once more
+    kloosterman.cache_clear()
+    codes, printed = set(), {}
+
+    def called(frame, event, arg):
+        if event == "call":  # c_call and the returns add nothing
+            codes.add(frame.f_code)
+    sys.setprofile(called)
+    try:
+        for case in sorted(CASES):  # the cover-file cases write their input by the CLI too
+            main([str(a(capsys, tmp_path)) if callable(a) else a for a in CASES[case]])
+        for argv in REACH_EXTRA:
+            main([str(table) if a == "TABLE" else a for a in argv])
+        capsys.readouterr()
+        for name in sorted(DEMO_STDOUT):
+            monkeypatch.setattr(sys, "argv", [str(demos / name)])
+            runpy.run_path(str(demos / name), run_name="__main__")
+            printed[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    finally:
+        sys.setprofile(None)
+    assert printed == DEMO_STDOUT
+    ran = {(Path(c.co_filename).resolve(), c.co_firstlineno) for c in codes}
+    unreached = {name for path in package.glob("*.py")
+                 for line, name in _defs(path).items() if (path, line) not in ran}
+    assert unreached == set(REACH_KEEP)

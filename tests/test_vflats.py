@@ -7,8 +7,6 @@ import pytest
 from vanishingflats import (
     GF,
     FunctionTable,
-    PartialQuadrupleSystem,
-    canonical_block,
     enumerate_flats,
     count_via_spectrum,
     count_from_spectrum,
@@ -24,6 +22,8 @@ from vanishingflats.dopoly import random_do_polynomial
 from helpers import (
     blocks_through,
     brute_force_flats,
+    canonical_block,
+    checked_pqs,
     cube_root_of_unity,
     direction_emits,
     format_blocks,
@@ -124,6 +124,16 @@ def test_enumeration_matches_brute_force(n):
         assert all(b < c for b, c in zip(blocks, blocks[1:]))
     if n >= 3:  # at n = 2 a half holds two points
         assert max(map(_largest_bucket, functions)) >= 3
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_enumerated_blocks_pass_the_validator(n):
+    # enumerate_flats builds its system from its blocks unchecked: they must
+    # be canonical, sorted and free of duplicates as they stand
+    gf = GF(n)
+    for f in _oracle_functions(gf, random.Random(900 + n)):
+        pqs = enumerate_flats(f)
+        assert checked_pqs(gf, pqs.blocks) == pqs
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -250,10 +260,26 @@ def test_bounds():
     gf5 = GF(5)
     non_apn = FunctionTable.from_monomial(gf5, 1)
     lo5, _ = bounds(non_apn)
-    assert lo5 == 11
+    assert lo5 == 31
+
+    seven = FunctionTable.from_monomial(GF(3), 7)
+    assert bounds(seven)[0] == len(enumerate_flats(seven)) == 7
 
     rnd = random_table(gf4, random.Random(1))
     assert bounds(rnd)[0] == 0
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_odd_n_counts_are_whole_scaling_orbits(n):
+    """At odd n no scaling x -> cx, c != 1, fixes a block (bounds), so the
+    count of every non-APN x^d is a multiple of 2^n - 1, the lower bound."""
+    gf = GF(n)
+    q1 = gf.order - 1
+    for d in range(1, gf.order):
+        f = FunctionTable.from_monomial(gf, d)
+        if f.spectrum().uniformity > 2:
+            count = count_via_spectrum(f)
+            assert count % q1 == 0 and count >= bounds(f)[0] == q1
 
 
 def test_affine_addition_preserves_blocks():
@@ -421,4 +447,4 @@ def test_block_entries_share_the_point_objects():
 
 def test_duplicate_blocks_rejected():
     with pytest.raises(ValueError):
-        PartialQuadrupleSystem(GF(2), [(0, 1, 2, 3), (3, 2, 1, 0)])
+        checked_pqs(GF(2), [(0, 1, 2, 3), (3, 2, 1, 0)])
