@@ -5,8 +5,9 @@ trivial cover contained in the vanishing flats of a permutation is again a
 cover, and for suitable parameters the result is nonparallel or totally skew.
 """
 
-from itertools import combinations
+from itertools import combinations, repeat
 import math
+import struct
 
 from .gf2n import (GF, Record, as_int, as_int_list, as_list, echelon, linear_map_tables,
                    require, span)
@@ -15,17 +16,81 @@ from .gf2n import (GF, Record, as_int, as_int_list, as_list, echelon, linear_map
 def rref_basis(vectors):
     """Reduced row-echelon basis of the span, as a descending tuple of ints.
 
-    Canonical: two subspaces are equal iff their rref bases are equal.
+    Canonical: two subspaces are equal iff their rref bases are equal. The
+    one-flat call of _rref_lanes, so vectors may be any non-negative ints.
     """
-    basis = echelon(vectors)
-    # back-substitute so each pivot bit appears in exactly one basis vector
-    basis.sort(reverse=True)
-    for i in range(len(basis)):
-        top = basis[i].bit_length() - 1
-        for j in range(i):
-            if basis[j] >> top & 1:
-                basis[j] ^= basis[i]
-    return tuple(basis)
+    slots, _ = _rref_lanes(1, [(v,) for v in vectors])
+    return tuple(v for (v,) in slots if v)
+
+
+def _pack(values, size):
+    """values as one int of little-endian lanes of size bytes: one
+    struct.pack for 2-byte lanes, which hold every element of GF(2^n),
+    n <= 16; a join of to_bytes for the wider vectors of rref_basis."""
+    if size == 2:
+        return int.from_bytes(struct.pack(f"<{len(values)}H", *values), "little")
+    return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
+
+
+def _unpack(packed, count, size):
+    """The count lanes of size bytes of packed, as a tuple of ints."""
+    raw = packed.to_bytes(count * size, "little")
+    if size == 2:
+        return struct.unpack(f"<{count}H", raw)
+    return tuple(int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size))
+
+
+def _rref_lanes(count, columns, extras=()):
+    """The reduced row-echelon bases of count flats at once, and extras
+    reduced by them. columns[m] holds vector m of every flat (the layout of
+    _columns); extras[e] holds one more value per flat, such as a base.
+
+    Returns (slots, reduced). slots[k][j] is the k-th largest rref vector of
+    flat j, or 0 past its rank, so zip(*slots) lists the rref bases as
+    descending tuples, padded with zeros. reduced[e][j] is extras[e][j]
+    with every pivot bit of flat j cleared: the least point of
+    extras[e][j] + span(flat j).
+
+    Gauss-Jordan elimination in lanes: each column is one int with lane j
+    holding the vector of flat j, w = 16 bits wide unless a vector is
+    wider. For each bit p, from the top down, the first row with bit p in a
+    lane becomes that lane's pivot and leaves the rows; it is XORed into
+    every row, earlier pivot and extra with bit p in that lane, and then
+    fills the lane's next slot. Lane masks are ((x >> p) & ones) * (2^w - 1),
+    ones holding bit 0 of every lane, which sets whole lanes with no carry.
+    O(n d^2) big-int operations on count * w-bit ints for d columns, in
+    place of count eliminations in Python."""
+    top = max(map(max, [*columns, *extras]), default=0).bit_length()
+    size = max(2, -(-top // 8))
+    lane = (1 << 8 * size) - 1
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * count, "little")
+    full = ones * lane
+    rows = [_pack(c, size) for c in columns]
+    reduced = [_pack(e, size) for e in extras]
+    slots = [0] * len(rows)
+    at = [full] + [0] * (len(rows) - 1)  # at[k]: the lanes with k pivots so far
+    for p in reversed(range(top)):
+        free = full  # the lanes with no pivot at bit p yet
+        pivot = 0
+        for i, row in enumerate(rows):
+            sel = (row >> p & ones) * lane & free
+            if sel:
+                free ^= sel
+                pivot |= row & sel
+                rows[i] = row & ~sel
+        if free == full:
+            continue
+        for values in (rows, slots, reduced):
+            for i, v in enumerate(values):
+                hit = (v >> p & ones) * lane
+                if hit:
+                    values[i] = v ^ pivot & hit
+        for k, lanes in enumerate(at):
+            slots[k] |= pivot & lanes
+        found = full ^ free
+        at = [lanes & free | below & found for lanes, below in zip(at, [0, *at])]
+    return ([_unpack(s, count, size) for s in slots],
+            [_unpack(e, count, size) for e in reduced])
 
 
 class AffineSubspace(Record):
@@ -42,8 +107,8 @@ class AffineSubspace(Record):
 
     @classmethod
     def _independent(cls, base, basis):
-        """base + span(basis) with no echelon check, for a basis that
-        rref_basis has just made independent."""
+        """base + span(basis) with no echelon check, for a full-rank basis
+        that rref_basis or _rref_lanes has just reduced."""
         flat = object.__new__(cls)
         flat.base, flat.basis = base, basis
         return flat
@@ -183,13 +248,13 @@ def cover_properties(cover):
 
 def _nonparallel(cover):
     """Equal basis tuples span equal linear parts, so a repeated tuple means
-    parallel flats at once; only when every tuple differs is each basis
-    reduced to its rref to compare the spans."""
+    parallel flats at once; only when every tuple differs are the bases
+    reduced to their rref, all at once, to compare the spans."""
     bases = [f.basis for f in cover.flats]
     if len(set(bases)) != len(bases):
         return False
-    parts = set(map(rref_basis, bases))
-    return len(parts) == len(bases)
+    slots, _ = _rref_lanes(len(bases), _columns(cover.flats))
+    return len(set(zip(*slots))) == len(bases)
 
 
 def _totally_skew(cover):
@@ -206,9 +271,11 @@ def parallel_decomposition(cover):
     """Group flats by equal linear part; groups are sorted deterministically."""
     if not verify_cover(cover):
         raise ValueError("not a valid cover")
+    slots, _ = _rref_lanes(len(cover.flats), _columns(cover.flats))
     groups = {}
-    for flat in cover.flats:
-        groups.setdefault(rref_basis(flat.basis), []).append(flat)
+    # at d = 0 there are no slots, and every linear part is ()
+    for part, flat in zip(zip(*slots) if slots else repeat(()), cover.flats):
+        groups.setdefault(part, []).append(flat)
     return [groups[k] for k in sorted(groups)]
 
 
@@ -246,7 +313,8 @@ def gold_image(gf, t, basis):
     one pair per w. So each D_v f over all leaders is one span of the
     B(w, v) from f(v), and f over the leaders doubles as
     f(c + w) = f(c) + f(w) + B(c, w): O(2^(n-s) * s) table reads and XORs,
-    and O(n^2) products.
+    and O(n^2) products. One reduction of every image at once, _rref_lanes,
+    then gives each image's rref basis, its rank and its least point.
 
     Raises ValueError if V is not totally isotropic, or if an image flat has
     dimension below s (f is not injective on that coset).
@@ -276,17 +344,14 @@ def gold_image(gf, t, basis):
                        for c, fc in zip(leaders, at_leaders)]
     derivatives = [span([fv], zip([wlo[v & 255] ^ whi[v >> 8] for wlo, whi in polar]))
                    for v, fv in zip(basis, at_basis)]
-    flats = []
-    for c, base, *image in zip(leaders, at_leaders, *derivatives):
-        image = rref_basis(image)
-        if len(image) != len(basis):
-            raise ValueError(f"the image of the coset of {c} has dimension {len(image)}, "
-                             f"not {len(basis)}")
-        # the least point of the image: f(c) with every pivot bit of image cleared
-        for b in image:
-            if base >> (b.bit_length() - 1) & 1:
-                base ^= b
-        flats.append(AffineSubspace._independent(base, image))
+    # the rref of every image, its rank, and its least point (f(c) with
+    # every pivot bit of the image cleared) from one reduction in lanes
+    slots, (bases,) = _rref_lanes(len(leaders), derivatives, [at_leaders])
+    if slots and 0 in slots[-1]:
+        j = slots[-1].index(0)  # leaders ascend: the least deficient coset
+        raise ValueError(f"the image of the coset of {leaders[j]} has dimension "
+                         f"{sum(1 for s in slots if s[j])}, not {len(basis)}")
+    flats = list(map(AffineSubspace._independent, bases, zip(*slots) if slots else repeat(())))
     return Cover(gf, len(basis), flats)
 
 

@@ -9,7 +9,8 @@ the Walsh fourth moment), the str.format text of a block list that
 PartialQuadrupleSystem.text_chunks replaced, the O(m^3) weight-3/4 codeword
 enumerator that the pair-sum kernel of cycliccode replaced, the cyclotomic
 class representatives, the pointwise per-direction uniformities that a
-spectrum must report, and the direct slow paths that only tests call: the
+spectrum must report, the one-flat rref that the lane-parallel reduction
+of covers replaced, and the direct slow paths that only tests call: the
 range-checked field sum, the pointwise derivative table, the columns of
 L_{f,a} read off a value table, the b-by-b derivative histogram of one
 direction, the linear part of a flat and membership by elimination, the
@@ -25,7 +26,7 @@ from itertools import combinations, starmap
 import random
 
 from vanishingflats import (
-    AffineSubspace, Cover, FunctionTable, ParityCheckSpec, PartialQuadrupleSystem, rref_basis,
+    AffineSubspace, Cover, FunctionTable, ParityCheckSpec, PartialQuadrupleSystem,
 )
 from vanishingflats.gf2n import echelon, span
 
@@ -224,6 +225,21 @@ def oracle_totally_skew(cover):
                for f, g in combinations(cover.flats, 2))
 
 
+def oracle_rref(vectors):
+    """Reduced row-echelon basis of the span, as a descending tuple of ints,
+    one flat at a time: echelon, then back-substitution. The oracle of the
+    lane-parallel reduction in covers."""
+    basis = echelon(vectors)
+    # back-substitute so each pivot bit appears in exactly one basis vector
+    basis.sort(reverse=True)
+    for i in range(len(basis)):
+        top = basis[i].bit_length() - 1
+        for j in range(i):
+            if basis[j] >> top & 1:
+                basis[j] ^= basis[i]
+    return tuple(basis)
+
+
 def span_closure(vectors):
     """The F_2-span of vectors as a set, by closing {0} under adding each one."""
     span = {0}
@@ -250,7 +266,7 @@ def oracle_is_affine(pts):
 def oracle_trivial_cover(gf, basis):
     """The cosets of span(basis), each given by its least point: the least
     point not yet covered, ascending."""
-    basis, linear = rref_basis(basis), span_closure(basis)
+    basis, linear = oracle_rref(basis), span_closure(basis)
     flats, covered = [], set()
     for x in gf.elements():
         if x not in covered:
@@ -510,7 +526,7 @@ def from_points(pts):
                 break
     if len(span) != len(pts):
         raise ValueError("point set is not an affine subspace")
-    return AffineSubspace(base, rref_basis(basis))
+    return AffineSubspace(base, oracle_rref(basis))
 
 
 def is_permutation(f):

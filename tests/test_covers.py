@@ -7,8 +7,9 @@ import pytest
 
 from helpers import (contains, corrupt_cover, count_table_builds, from_points, image_cover,
                      linear_part, oracle_is_affine, oracle_is_cover, oracle_nonparallel,
-                     oracle_overlapping_pairs, oracle_totally_skew, oracle_trivial_cover,
-                     random_basis, random_cover, skew_condition_check, span_closure)
+                     oracle_overlapping_pairs, oracle_rref, oracle_totally_skew,
+                     oracle_trivial_cover, random_basis, random_cover, skew_condition_check,
+                     span_closure)
 
 from vanishingflats import (
     GF,
@@ -25,7 +26,7 @@ from vanishingflats import (
     theorem8_cover,
     enumerate_flats,
 )
-from vanishingflats.covers import gold_image
+from vanishingflats.covers import _rref_lanes, gold_image
 
 
 def test_rref_basis_canonical():
@@ -37,6 +38,63 @@ def test_rref_basis_canonical():
     for v in basis:
         top = v.bit_length() - 1
         assert sum((w >> top) & 1 for w in basis) == 1
+    # vectors wider than a 16-bit lane: the lanes widen to the widest one
+    wide = [1 << 40 | 5, 1 << 40 | 3, 6, 1 << 17, (1 << 17) ^ 6]
+    assert rref_basis(wide) == oracle_rref(wide) == (1 << 40 | 3, 1 << 17, 6)
+    rng = random.Random(17)
+    for bits in (17, 24, 33, 64, 65, 200):
+        for d in range(7):
+            vectors = [rng.randrange(1 << bits) for _ in range(d)]
+            vectors += [vectors[0] ^ vectors[-1]] if vectors else []
+            assert rref_basis(vectors) == oracle_rref(vectors)
+
+
+def rref_family(n, d, count, rng):
+    """count lists of d vectors of n bits: random vectors with zero, repeated
+    and dependent ones mixed in, so that many ranks fall below d."""
+    family = []
+    for _ in range(count):
+        vectors = []
+        for _ in range(d):
+            kind = rng.randrange(8) if vectors else rng.choice([0, 4, 7])
+            if kind < 4:
+                vectors.append(rng.randrange(1 << n))
+            elif kind == 4:
+                vectors.append(0)
+            elif kind == 5:
+                vectors.append(rng.choice(vectors))
+            elif kind == 6:
+                vectors.append(rng.choice(vectors) ^ rng.choice(vectors))
+            else:
+                vectors.append(1 << rng.randrange(n))
+        family.append(vectors)
+    return family
+
+
+@pytest.mark.parametrize("count", [1, 2, 63, 1024])
+@pytest.mark.parametrize("n", [2, 8, 9, 15, 16])
+def test_rref_lanes_match_the_oracle(n, count):
+    """The lane-parallel reduction of count flats gives, flat by flat, the
+    rref of the one-flat oracle, padded with zeros past its rank, and
+    reduces each extra to the least point of its flat's span through it."""
+    rng = random.Random(1000 * n + count)
+    ranks = set()
+    for d in range(min(n, 6) + 1):
+        family = rref_family(n, d, count, rng)
+        extras = [[rng.randrange(1 << n) for _ in range(count)] for _ in range(2)]
+        slots, reduced = _rref_lanes(count, list(zip(*family)), extras)
+        assert len(slots) == d and all(len(s) == count for s in slots)
+        assert len(reduced) == 2
+        for j, vectors in enumerate(family):
+            want = oracle_rref(vectors)
+            ranks.add((d, len(want)))
+            assert tuple(s[j] for s in slots) == want + (0,) * (d - len(want))
+            linear = span_closure(vectors)
+            for extra, out in zip(extras, reduced):
+                assert out[j] == min(extra[j] ^ v for v in linear)
+    if count >= 63:  # full and deficient ranks both occur
+        assert {(d, d) for d in range(min(n, 6) + 1)} <= ranks
+        assert any(r < d for d, r in ranks)
 
 
 def test_affine_subspace_points_and_contains():
@@ -305,6 +363,25 @@ def test_gold_image_rejects_a_span_that_is_not_isotropic():
         gold_image(gf, 3, gf.subfield(3))
 
 
+def test_gold_image_rank_error_names_the_least_deficient_coset():
+    """The rank error names the least coset leader whose image under x^9
+    falls short of dimension 3, as the pointwise image finds it."""
+    gf = GF(6)
+    sub = gf.subfield(3)
+    f = [gf.pow(x, 9) for x in gf.elements()]
+    short = []
+    for flat in oracle_trivial_cover(gf, sub).flats:  # least points, ascending
+        image = {f[flat.base ^ v] for v in span_closure(flat.basis)}
+        rank = len(oracle_rref([y ^ f[flat.base] for y in image]))
+        if rank < 3:
+            short.append((flat.base, rank))
+    c, rank = short[0]
+    assert rank == 2 and c > 0
+    with pytest.raises(ValueError) as err:
+        gold_image(gf, 3, sub)
+    assert str(err.value) == f"the image of the coset of {c} has dimension 2, not 3"
+
+
 def test_skew_condition_check_matches_cover_predicate():
     gf6 = GF(6)
     f6 = FunctionTable.from_monomial(gf6, 5)
@@ -360,10 +437,12 @@ def test_cover_properties_at_dimension_zero_and_n():
     assert (points.dimension, len(points.flats)) == (0, 8)
     assert cover_properties(points) == {"valid": True, "nonparallel": False,
                                         "totally_skew": True}
+    assert parallel_decomposition(points) == [points.flats]  # no slots to reduce
     whole = trivial_cover(GF(3), [1, 2, 4])
     assert (whole.dimension, len(whole.flats)) == (3, 1)
     assert cover_properties(whole) == {"valid": True, "nonparallel": True,
                                        "totally_skew": True}
+    assert parallel_decomposition(whole) == [whole.flats]
     # a skew cover of dimension >= 1 is nonparallel; a parallel one is neither
     assert cover_properties(trivial_cover(GF(3), [1])) == {"valid": True, "nonparallel": False,
                                                           "totally_skew": False}
