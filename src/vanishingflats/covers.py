@@ -1,16 +1,20 @@
 """Covers of GF(2^n): partitions into disjoint equidimensional affine subspaces.
 
-Constructions here follow the Gold permutations x^(2^t + 1): the image of a
-trivial cover contained in the vanishing flats of a permutation is again a
-cover, and for suitable parameters the result is nonparallel or totally skew.
+The image of a trivial cover contained in the vanishing flats of a
+permutation is again a cover. quadratic_image builds it for any quadratic f,
+from f at the unit vectors and its polar matrix, and a trivial cover on a
+totally isotropic V. The Gold permutations x^(2^t + 1) are one caller:
+_gold_form gives their f(e_k) and polar matrix, and for suitable parameters
+the image is nonparallel or totally skew.
 """
 
+from functools import reduce
 from itertools import combinations, repeat
 import math
+from operator import xor
 import struct
 
-from .gf2n import (GF, Record, as_int, as_int_list, as_list, echelon, linear_map_tables,
-                   require, span)
+from .gf2n import GF, Record, as_int, as_int_list, as_list, echelon, require, span
 
 
 def rref_basis(vectors):
@@ -300,50 +304,45 @@ def _gold_preconditions(gf, t):
     return s
 
 
-def gold_image(gf, t, basis):
-    """The image of trivial_cover(gf, basis) under the Gold function
-    f(x) = x^(2^t + 1), flat by flat in the same order, with no value table.
+def quadratic_image(gf, at_units, polar, basis):
+    """The image of trivial_cover(gf, basis) under a quadratic f with f(0) = 0,
+    flat by flat in the same order, with no value table. f is given by
+    at_units[k] = f(e_k) and the polar matrix polar[k][m] = B(e_m, e_k) of
+    its bilinear form B, so B(u, v) is the XOR of polar[k][m] over the bits
+    m of u and k of v.
 
-    f is quadratic: f(c + v) = f(c) + f(v) + B(c, v) with B bilinear. On a
-    totally isotropic V = span(basis), one with B = 0 on V x V, the
-    derivative D_v f(c) = f(v) + B(c, v) is linear in v, so f(c + V) is
-    f(c) + span{D_v f(c) : v in rref(V)}, fixed by s + 1 values for
-    s = dim V. The coset leaders c are the span of the n - s free unit
-    vectors w, and B(c, w) is read from the linear_map_tables of c -> B(c, w),
-    one pair per w. So each D_v f over all leaders is one span of the
-    B(w, v) from f(v), and f over the leaders doubles as
-    f(c + w) = f(c) + f(w) + B(c, w): O(2^(n-s) * s) table reads and XORs,
-    and O(n^2) products. One reduction of every image at once, _rref_lanes,
+    f(c + v) = f(c) + f(v) + B(c, v). On a totally isotropic V = span(basis),
+    one with B = 0 on V x V, the derivative D_v f(c) = f(v) + B(c, v) is
+    linear in v, so f(c + V) is f(c) + span{D_v f(c) : v in rref(V)}, fixed
+    by s + 1 values for s = dim V. The coset leaders c are the span of the
+    n - s free unit vectors e_k, so f over them doubles as
+    f(c + e_k) = f(c) + f(e_k) + B(c, e_k), the last term one span of row k
+    of polar over the free units, and each D_v f over all leaders is one
+    span of the B(e_k, v) from f(v): O(2^(n-s) * s) XORs, and O(n^2 s)
+    reads of polar. One reduction of every image at once, _rref_lanes,
     then gives each image's rref basis, its rank and its least point.
 
     Raises ValueError if V is not totally isotropic, or if an image flat has
     dimension below s (f is not injective on that coset).
     """
-    n = gf.n
     basis = rref_basis(basis)
-    lo, hi = linear_map_tables([gf.pow(1 << k, 1 << t) for k in range(n)])
-
-    def f(x):
-        return gf.mul(lo[x & 255] ^ hi[x >> 8], x)
-
-    at_basis = [f(v) for v in basis]
-    # B is bilinear, so B = 0 on V x V iff f is additive on each pair of basis vectors
-    for (u, fu), (v, fv) in combinations(zip(basis, at_basis), 2):
-        if f(u ^ v) != fu ^ fv:
-            raise ValueError(f"span{{{u}, {v}}} is not totally isotropic for x^{(1 << t) + 1}")
-    at_units = [f(1 << k) for k in range(n)]
-    free = _free_units(n, basis)
-    at_free = [at_units[w.bit_length() - 1] for w in free]
-    # tables of c -> B(c, w) for each free w, with B(e_k, w) = f(e_k + w) + f(e_k) + f(w)
-    polar = [linear_map_tables([f((1 << k) ^ w) ^ fe ^ fw for k, fe in enumerate(at_units)])
-             for w, fw in zip(free, at_free)]
-    leaders = span([0], zip(free))
-    at_leaders = [0]
-    for fw, (wlo, whi) in zip(at_free, polar):
-        at_leaders += [fc ^ fw ^ wlo[c & 255] ^ whi[c >> 8]
-                       for c, fc in zip(leaders, at_leaders)]
-    derivatives = [span([fv], zip([wlo[v & 255] ^ whi[v >> 8] for wlo, whi in polar]))
-                   for v, fv in zip(basis, at_basis)]
+    bits = [[k for k in range(gf.n) if v >> k & 1] for v in basis]
+    # B is bilinear, so B = 0 on V x V iff it vanishes on each pair of basis vectors
+    for (u, ub), (v, vb) in combinations(zip(basis, bits), 2):
+        if reduce(xor, [polar[k][m] for k in vb for m in ub]):
+            raise ValueError(f"span{{{u}, {v}}} is not totally isotropic")
+    # f(v) as the sum of f(e_k) + B(y, e_k) over the bits k of v, y its bits below k
+    at_basis = [reduce(xor, [at_units[k] for k in vb] +
+                       [polar[k][m] for i, k in enumerate(vb) for m in vb[:i]]) for vb in bits]
+    units = _free_units(gf.n, basis)
+    free = [w.bit_length() - 1 for w in units]
+    leaders, at_leaders = span([0], zip(units)), [0]
+    for i, k in enumerate(free):
+        # f(c + e_k) = f(c) + f(e_k) + B(c, e_k) over the 2^i leaders c so far
+        shift = span([at_units[k]], zip([polar[k][m] for m in free[:i]]))
+        at_leaders += map(xor, at_leaders, shift)
+    derivatives = [span([fv], zip([reduce(xor, [polar[j][k] for j in vb]) for k in free]))
+                   for vb, fv in zip(bits, at_basis)]
     # the rref of every image, its rank, and its least point (f(c) with
     # every pivot bit of the image cleared) from one reduction in lanes
     slots, (bases,) = _rref_lanes(len(leaders), derivatives, [at_leaders])
@@ -353,6 +352,15 @@ def gold_image(gf, t, basis):
                          f"{sum(1 for s in slots if s[j])}, not {len(basis)}")
     flats = list(map(AffineSubspace._independent, bases, zip(*slots) if slots else repeat(())))
     return Cover(gf, len(basis), flats)
+
+
+def _gold_form(gf, t):
+    """(at_units, polar) of x^(2^t + 1), as quadratic_image takes them:
+    B(x, y) = x^(2^t) y + x y^(2^t), and e_m^(2^t) e_k is entry k of the
+    chain of e_m^(2^t). No permutation check: callers make their own."""
+    chains = [gf.chain(gf.pow(1 << m, 1 << t), gf.n) for m in range(gf.n)]
+    return ([chain[k] for k, chain in enumerate(chains)],
+            [[chains[m][k] ^ chains[k][m] for m in range(gf.n)] for k in range(gf.n)])
 
 
 def gold_cover(n, t, x=None, y=None, modulus=None):
@@ -371,7 +379,7 @@ def gold_cover(n, t, x=None, y=None, modulus=None):
     ratio = gf.div(x, y)
     if ratio not in sub[2:]:  # sub is sorted: 0, 1, then the rest
         raise ValueError(f"x/y = {ratio} must lie in GF(2^{s}) minus {{0, 1}}")
-    return gold_image(gf, t, (x, y))
+    return quadratic_image(gf, *_gold_form(gf, t), (x, y))
 
 
 def theorem8_cover(n, t, alpha=1, modulus=None):
@@ -382,4 +390,4 @@ def theorem8_cover(n, t, alpha=1, modulus=None):
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     _element(gf, "alpha", alpha)
-    return gold_image(gf, t, [gf.mul(alpha, z) for z in gf.subfield(s)])
+    return quadratic_image(gf, *_gold_form(gf, t), [gf.mul(alpha, z) for z in gf.subfield(s)])

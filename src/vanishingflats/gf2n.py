@@ -259,19 +259,24 @@ class GF:
             x = self.mul(x, beta)
         return sorted(elements)
 
-    def mul_tables(self, c):
-        """(lo, hi), two 256-entry tables with c * x = lo[x & 255] ^ hi[x >> 8]
-        for every x in the field: the linear_map_tables of x -> c * x, whose
-        columns are the products c * x^k, k < 16."""
+    def chain(self, c, count):
+        """[c * x^k for k < count], by shift and reduce: entry k is c times
+        the unit vector e_k, for k < n."""
         self._check(c)
         n, mod = self.n, self.modulus
-        columns = []
-        for _ in range(16):
-            columns.append(c)
+        products = []
+        for _ in range(count):
+            products.append(c)
             c <<= 1
             if c >> n & 1:
                 c ^= mod
-        return linear_map_tables(columns)
+        return products
+
+    def mul_tables(self, c):
+        """(lo, hi), two 256-entry tables with c * x = lo[x & 255] ^ hi[x >> 8]
+        for every x in the field: the linear_map_tables of x -> c * x, whose
+        columns are the chain c * x^k, k < 16."""
+        return linear_map_tables(self.chain(c, 16))
 
     def exp_log(self):
         """(exp, log) for alpha = primitive_element(): exp[i] = alpha^i for

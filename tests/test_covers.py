@@ -13,6 +13,7 @@ from helpers import (contains, corrupt_cover, count_table_builds, from_points, i
 
 from vanishingflats import (
     GF,
+    DOPolynomial,
     FunctionTable,
     AffineSubspace,
     Cover,
@@ -26,7 +27,8 @@ from vanishingflats import (
     theorem8_cover,
     enumerate_flats,
 )
-from vanishingflats.covers import _rref_lanes, gold_image
+from vanishingflats.covers import _gold_form, _rref_lanes, quadratic_image
+from vanishingflats.dopoly import _polar_of, random_do_polynomial
 
 
 def test_rref_basis_canonical():
@@ -329,7 +331,7 @@ def assert_constructions_match_the_pointwise_image(n, t, modulus=None):
 
 
 def test_constructed_flats_equal_checked_flats():
-    """trivial_cover and gold_image build their flats past the echelon
+    """trivial_cover and quadratic_image build their flats past the echelon
     check; each must compare equal to the checked flat with the same base
     and basis, and Cover.from_json must still refuse a dependent basis."""
     covers = [trivial_cover(GF(6), (3, 5, 6, 12)), theorem8_cover(9, 3, alpha=7),
@@ -346,21 +348,75 @@ def test_constructed_flats_equal_checked_flats():
 
 
 def test_constructions_build_no_value_table(monkeypatch):
+    """Neither a value table nor the field's exp and log lists: the Gold
+    form comes from shift-and-reduce chains, and GF(2^15).exp_log alone
+    costs about as much as a whole thm8 build at n = 15."""
     builds = count_table_builds(monkeypatch)
+    walks = []
+    exp_log = GF.exp_log
+    monkeypatch.setattr(GF, "exp_log", lambda gf: walks.append(gf) or exp_log(gf))
     theorem8_cover(12, 4, alpha=5)
     gold_cover(12, 4)
+    gold_cover(9, 3, modulus=0x203)
     assert builds == []
+    assert walks == []
+
+
+@pytest.mark.parametrize("n,t,modulus", [*[(n, t, None) for n, t in GOLD_PAIRS], (6, 3, None),
+                                         (15, 5, None), (6, 2, 0x49), (9, 3, 0x203)])
+def test_gold_form_matches_the_exp_log_builder(n, t, modulus):
+    """_gold_form against the independent route through the exp and log
+    lists: its polar matrix is DOPolynomial._polar of x^(2^0 + 2^t), and
+    f(e_k) is the value table of that polynomial at e_k. x^9 on GF(2^6) is
+    no permutation, and the form is still that of x^9."""
+    gf = GF(n, modulus)
+    at_units, polar = _gold_form(gf, t)
+    gold = DOPolynomial(gf, {(0, t): 1})
+    assert polar == gold._polar()
+    values = gold.to_table().values
+    assert at_units == [values[1 << k] for k in range(n)]
+
+
+@pytest.mark.parametrize("n", [6, 9])
+def test_quadratic_image_matches_the_pointwise_image_of_do_permutations(n):
+    """The kernel on quadratics that are not Gold: seeded DO permutations
+    with two or three terms, at the least isotropic plane through each of
+    1, 2 and q - 1, found from the table's own B(a, b) = f(a + b) + f(a) +
+    f(b) + f(0). Fed f(e_k) and the polar matrix _polar_of stores for a
+    QuadraticFunction, the kernel must give the pointwise image of the
+    trivial cover flat for flat, and reject the least plane through 1 that
+    is not isotropic."""
+    gf = GF(n)
+    q, checked = gf.order, 0
+    for size in (2, 3):
+        for seed in range(200):
+            f = random_do_polynomial(gf, size, seed).to_table()
+            t = f.values
+            if len(set(t)) != q:
+                continue
+            at_units, polar = [t[1 << k] for k in range(n)], _polar_of(t)
+            for a in (1, 2, q - 1):
+                b = next((b for b in range(1, q)
+                          if b != a and t[a ^ b] ^ t[a] ^ t[b] ^ t[0] == 0), None)
+                if b is not None:
+                    img = quadratic_image(gf, at_units, polar, (a, b))
+                    assert img.to_json() == image_cover(f, trivial_cover(gf, (a, b))).to_json()
+                    checked += 1
+            b = next(b for b in range(2, q) if t[1 ^ b] ^ t[1] ^ t[b] ^ t[0])
+            with pytest.raises(ValueError, match="totally isotropic"):
+                quadratic_image(gf, at_units, polar, (1, b))
+    assert checked >= 9
 
 
 def test_gold_image_rejects_a_span_that_is_not_isotropic():
     gf = GF(6)
     assert 2 not in gf.subfield(2)
     with pytest.raises(ValueError, match="totally isotropic"):
-        gold_image(gf, 2, (1, 2))
+        quadratic_image(gf, *_gold_form(gf, 2), (1, 2))
     # x^9 is additive on GF(8), but not injective on the cosets of GF(8)
     # outside it: there D_v f(c) = v^2 + (c^8 + c) v vanishes at v = c^8 + c
     with pytest.raises(ValueError, match="dimension 2, not 3"):
-        gold_image(gf, 3, gf.subfield(3))
+        quadratic_image(gf, *_gold_form(gf, 3), gf.subfield(3))
 
 
 def test_gold_image_rank_error_names_the_least_deficient_coset():
@@ -378,7 +434,7 @@ def test_gold_image_rank_error_names_the_least_deficient_coset():
     c, rank = short[0]
     assert rank == 2 and c > 0
     with pytest.raises(ValueError) as err:
-        gold_image(gf, 3, sub)
+        quadratic_image(gf, *_gold_form(gf, 3), sub)
     assert str(err.value) == f"the image of the coset of {c} has dimension 2, not 3"
 
 
