@@ -301,7 +301,7 @@ def build_parser():
     p = _leaf(sub, "codeweights", cmd_codeweights, "low-weight codeword counts for x^d",
               _add_field_args, _add_format_arg)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--method", choices=("flats", "direct", "both"), default="flats")
+    p.add_argument("--method", choices=("flats", "both"), default="flats")
 
     p = _leaf(sub, "kloosterman", cmd_kloosterman, "Kloosterman sum values", _add_format_arg)
     p.add_argument("--n", type=int, default=None)

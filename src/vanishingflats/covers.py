@@ -21,33 +21,34 @@ def rref_basis(vectors):
     """Reduced row-echelon basis of the span, as a descending tuple of ints.
 
     Canonical: two subspaces are equal iff their rref bases are equal. The
-    one-flat call of _rref_lanes, so vectors may be any non-negative ints.
+    one-flat call of _rref_lanes, so each vector must fit a 16-bit lane, as
+    every element of GF(2^n), n <= 16, does; raises ValueError naming the
+    first one that does not.
     """
-    slots, _ = _rref_lanes(1, [(v,) for v in vectors])
+    columns = [(v,) for v in vectors]
+    for i, (v,) in enumerate(columns):
+        if not 0 <= v < 1 << 16:
+            raise ValueError(f"vectors[{i}] = {v} out of range [0, 2^16)")
+    slots, _ = _rref_lanes(1, columns)
     return tuple(v for (v,) in slots if v)
 
 
-def _pack(values, size):
-    """values as one int of little-endian lanes of size bytes: one
-    struct.pack for 2-byte lanes, which hold every element of GF(2^n),
-    n <= 16; a join of to_bytes for the wider vectors of rref_basis."""
-    if size == 2:
-        return int.from_bytes(struct.pack(f"<{len(values)}H", *values), "little")
-    return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
+def _pack(values):
+    """values as one int of 16-bit little-endian lanes, by one struct.pack:
+    a lane holds every element of GF(2^n), n <= 16."""
+    return int.from_bytes(struct.pack(f"<{len(values)}H", *values), "little")
 
 
-def _unpack(packed, count, size):
-    """The count lanes of size bytes of packed, as a tuple of ints."""
-    raw = packed.to_bytes(count * size, "little")
-    if size == 2:
-        return struct.unpack(f"<{count}H", raw)
-    return tuple(int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size))
+def _unpack(packed, count):
+    """The count 16-bit lanes of packed, as a tuple of ints."""
+    return struct.unpack(f"<{count}H", packed.to_bytes(2 * count, "little"))
 
 
 def _rref_lanes(count, columns, extras=()):
     """The reduced row-echelon bases of count flats at once, and extras
     reduced by them. columns[m] holds vector m of every flat (the layout of
     _columns); extras[e] holds one more value per flat, such as a base.
+    Every value must lie in [0, 2^16).
 
     Returns (slots, reduced). slots[k][j] is the k-th largest rref vector of
     flat j, or 0 past its rank, so zip(*slots) lists the rref bases as
@@ -55,29 +56,27 @@ def _rref_lanes(count, columns, extras=()):
     with every pivot bit of flat j cleared: the least point of
     extras[e][j] + span(flat j).
 
-    Gauss-Jordan elimination in lanes: each column is one int with lane j
-    holding the vector of flat j, w = 16 bits wide unless a vector is
-    wider. For each bit p, from the top down, the first row with bit p in a
-    lane becomes that lane's pivot and leaves the rows; it is XORed into
-    every row, earlier pivot and extra with bit p in that lane, and then
-    fills the lane's next slot. Lane masks are ((x >> p) & ones) * (2^w - 1),
-    ones holding bit 0 of every lane, which sets whole lanes with no carry.
-    O(n d^2) big-int operations on count * w-bit ints for d columns, in
-    place of count eliminations in Python."""
+    Gauss-Jordan elimination in lanes: each column is one int with the
+    16-bit lane j holding the vector of flat j. For each bit p below the
+    top bit of the widest value, from the top down, the first row with bit
+    p in a lane becomes that lane's pivot and leaves the rows; it is XORed
+    into every row, earlier pivot and extra with bit p in that lane, and
+    then fills the lane's next slot. Lane masks are ((x >> p) & ones) *
+    0xFFFF, ones holding bit 0 of every lane, which sets whole lanes with
+    no carry. O(n d^2) big-int operations on 16 * count-bit ints for d
+    columns, in place of count eliminations in Python."""
     top = max(map(max, [*columns, *extras]), default=0).bit_length()
-    size = max(2, -(-top // 8))
-    lane = (1 << 8 * size) - 1
-    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * count, "little")
-    full = ones * lane
-    rows = [_pack(c, size) for c in columns]
-    reduced = [_pack(e, size) for e in extras]
+    ones = int.from_bytes(b"\x01\x00" * count, "little")
+    full = ones * 0xFFFF
+    rows = [_pack(c) for c in columns]
+    reduced = [_pack(e) for e in extras]
     slots = [0] * len(rows)
     at = [full] + [0] * (len(rows) - 1)  # at[k]: the lanes with k pivots so far
     for p in reversed(range(top)):
         free = full  # the lanes with no pivot at bit p yet
         pivot = 0
         for i, row in enumerate(rows):
-            sel = (row >> p & ones) * lane & free
+            sel = (row >> p & ones) * 0xFFFF & free
             if sel:
                 free ^= sel
                 pivot |= row & sel
@@ -86,15 +85,14 @@ def _rref_lanes(count, columns, extras=()):
             continue
         for values in (rows, slots, reduced):
             for i, v in enumerate(values):
-                hit = (v >> p & ones) * lane
+                hit = (v >> p & ones) * 0xFFFF
                 if hit:
                     values[i] = v ^ pivot & hit
         for k, lanes in enumerate(at):
             slots[k] |= pivot & lanes
         found = full ^ free
         at = [lanes & free | below & found for lanes, below in zip(at, [0, *at])]
-    return ([_unpack(s, count, size) for s in slots],
-            [_unpack(e, count, size) for e in reduced])
+    return [_unpack(s, count) for s in slots], [_unpack(e, count) for e in reduced]
 
 
 class AffineSubspace(Record):
@@ -174,9 +172,10 @@ def trivial_cover(gf, basis):
 
     Each coset is given by its least point, ascending: in the rref basis each
     pivot bit lies in one vector, so that point is the one with every pivot
-    bit clear.
+    bit clear. Raises ValueError naming the first basis vector that is no
+    element of gf.
     """
-    basis = rref_basis(basis)
+    basis = rref_basis([_element(gf, f"basis[{i}]", v) for i, v in enumerate(basis)])
     return Cover(gf, len(basis),
                  [AffineSubspace._independent(x, basis)
                   for x in span([0], zip(_free_units(gf.n, basis)))])
@@ -322,10 +321,11 @@ def quadratic_image(gf, at_units, polar, basis):
     reads of polar. One reduction of every image at once, _rref_lanes,
     then gives each image's rref basis, its rank and its least point.
 
-    Raises ValueError if V is not totally isotropic, or if an image flat has
-    dimension below s (f is not injective on that coset).
+    Raises ValueError if a basis vector is no element of gf, if V is not
+    totally isotropic, or if an image flat has dimension below s (f is not
+    injective on that coset).
     """
-    basis = rref_basis(basis)
+    basis = rref_basis([_element(gf, f"basis[{i}]", v) for i, v in enumerate(basis)])
     bits = [[k for k in range(gf.n) if v >> k & 1] for v in basis]
     # B is bilinear, so B = 0 on V x V iff it vanishes on each pair of basis vectors
     for (u, ub), (v, vb) in combinations(zip(basis, bits), 2):

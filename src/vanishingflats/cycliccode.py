@@ -90,15 +90,14 @@ def direct_low_weight_counts(spec):
 
 
 def report(gf, d, method="flats"):
-    """JSON-ready weight report for the cyclic code of x^d."""
+    """JSON-ready weight report for the cyclic code of x^d: the flat counts,
+    and with method="both" the direct counts and whether they agree."""
+    if method not in ("flats", "both"):
+        raise ValueError(f"method must be 'flats' or 'both', got {method!r}")
     out = {"n": gf.n, "d": d, "method": method}
-    if method in ("flats", "both"):
-        out["N3"], out["N4"] = weight_counts_from_flats(FunctionTable.from_monomial(gf, d))
-    if method in ("direct", "both"):
+    out["N3"], out["N4"] = weight_counts_from_flats(FunctionTable.from_monomial(gf, d))
+    if method == "both":
         direct = direct_low_weight_counts(ParityCheckSpec.cyclic(gf, d))
-        if method == "direct":
-            out["N3"], out["N4"] = direct[3], direct[4]
-        else:
-            out["direct_N3"], out["direct_N4"] = direct[3], direct[4]
-            out["agree"] = (out["N3"], out["N4"]) == (direct[3], direct[4])
+        out["direct_N3"], out["direct_N4"] = direct[3], direct[4]
+        out["agree"] = (out["N3"], out["N4"]) == (direct[3], direct[4])
     return out

@@ -71,16 +71,6 @@ def span(bases, columns):
     return points
 
 
-def linear_map_tables(columns):
-    """(lo, hi), two 256-entry tables with L(x) = lo[x & 255] ^ hi[x >> 8] for
-    every x < 2^16, where L is the F_2-linear map taking e_k to columns[k]
-    (and e_k to 0 for k >= len(columns), at most 16): each table is the
-    span of its eight columns, and one span over the two lists both."""
-    columns = [*columns, *[0] * (16 - len(columns))]
-    both = span([0, 0], zip(columns[:8], columns[8:]))
-    return both[::2], both[1::2]
-
-
 def require(obj, key, kind=None):
     """obj[key] of a parsed JSON object, or a ValueError naming the missing field;
     kind(key, value), such as as_int, checks the value's type."""
@@ -272,21 +262,19 @@ class GF:
                 c ^= mod
         return products
 
-    def mul_tables(self, c):
-        """(lo, hi), two 256-entry tables with c * x = lo[x & 255] ^ hi[x >> 8]
-        for every x in the field: the linear_map_tables of x -> c * x, whose
-        columns are the chain c * x^k, k < 16."""
-        return linear_map_tables(self.chain(c, 16))
-
     def exp_log(self):
         """(exp, log) for alpha = primitive_element(): exp[i] = alpha^i for
         0 <= i < 2^n - 1, and log[exp[i]] = i (log[0] = 0 is a placeholder).
-        Both come from one walk of products by alpha, read from
-        mul_tables(alpha), made once per field and shared, not copied:
-        callers must not modify them."""
+        Both come from one walk of products by alpha, each read off two
+        256-entry tables as alpha * x = lo[x & 255] ^ hi[x >> 8]: lo is the
+        span of the chain alpha * x^k for k < 8, hi for 8 <= k < 16, and one
+        span over the two lists builds both. Made once per field and
+        shared, not copied: callers must not modify them."""
         if self._exp_log is None:
             q1 = self.order - 1
-            lo, hi = self.mul_tables(self.primitive_element())
+            chain = self.chain(self.primitive_element(), 16)
+            both = span([0, 0], zip(chain[:8], chain[8:]))
+            lo, hi = both[::2], both[1::2]
             exp, log = [0] * q1, [0] * self.order
             x = 1
             for i in range(q1):

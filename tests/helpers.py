@@ -9,12 +9,13 @@ the Walsh fourth moment), the str.format text of a block list that
 PartialQuadrupleSystem.text_chunks replaced, the O(m^3) weight-3/4 codeword
 enumerator that the pair-sum kernel of cycliccode replaced, the cyclotomic
 class representatives, the pointwise per-direction uniformities that a
-spectrum must report, the one-flat rref that the lane-parallel reduction
-of covers replaced, and the direct slow paths that only tests call: the
-range-checked field sum, the pointwise derivative table, the columns of
-L_{f,a} read off a value table, the b-by-b derivative histogram of one
-direction, the linear part of a flat and membership by elimination, the
-block validator and the checked partial quadruple system that
+spectrum must report, the check of sampled directions against the plain pass
+at sizes no full oracle reaches, the one-flat rref that the lane-parallel
+reduction of covers replaced, and the direct slow paths that only tests
+call: the range-checked field sum, the pointwise derivative table, the
+columns of L_{f,a} read off a value table, the b-by-b derivative histogram
+of one direction, the linear part of a flat and membership by elimination,
+the block validator and the checked partial quadruple system that
 enumerate_flats skips, the blocks through given points, block maps and
 isomorphism witnesses, the primitive cube root of unity, the twin-odd-t
 exponents, the skew test of one flat image, the permutation test of a table,
@@ -390,6 +391,30 @@ def assert_per_direction_pointwise(f):
     assert sorted(a for directions, _ in spec.classes for a in directions) == list(want)
     assert {u for _, u in spec.classes} == set(want.values())
     assert f.critical_directions() == {a for a, u in want.items() if u >= 4}
+
+
+def assert_sampled_directions(f, k, rng):
+    """For k directions a sampled by rng, the class that f's own kernel puts
+    a in (f._direction_classes) against the plain pass over a copy of its
+    table, FunctionTable(gf, f.values), which assumes no class structure:
+    a must lie in exactly one class, with the shape (each nonzero value of
+    delta_f(a, .) -> the number of b taking it) and the at_zero
+    (delta_f(a, f(a) + f(0))) of the plain histogram. f.delta(a, b) at the
+    most frequent b of the last sampled a must match too. Each direction
+    costs O(2^n), so this reaches n = 13-16, where no full pass fits a test."""
+    gf, t = f.field, f.values
+    sample = sorted(rng.sample(range(1, gf.order), k))
+    found = {}
+    for directions, shape, at_zero in f._direction_classes():
+        for a in set(sample).intersection(directions):
+            assert a not in found, f"direction {a} lies in two classes"
+            found[a] = shape, at_zero
+    assert sorted(found) == sample
+    for a, _, values in FunctionTable(gf, t).half_derivatives(sample):
+        hist = {b: 2 * c for b, c in Counter(values).items()}
+        assert found[a] == (dict(Counter(hist.values())), hist[t[a] ^ t[0]]), f"direction {a}"
+    b = max(hist, key=hist.get)
+    assert f.delta(a, b) == hist[b]
 
 
 def direction_emits(f):

@@ -313,9 +313,13 @@ def test_codeweights_examples(capsys):
     code, out = run(capsys, "codeweights", "--n", "8", "--d", "7", "--method", "both")
     assert (code, out) == (0, "n=8 d=7 method=both N3=85 N4=3570 direct_N3=85 direct_N4=3570 "
                               "agree=True\n")
-    code, out = run(capsys, "codeweights", "--n", "7", "--d", "7", "--method", "direct")
-    assert (code, out) == (0, "n=7 d=7 method=direct N3=0 N4=889\n")
-    code = main(["codeweights", "--n", "9", "--d", "7", "--method", "direct"])
+    # the direct counts run only beside the flat counts
+    with pytest.raises(SystemExit) as exc:
+        main(["codeweights", "--n", "7", "--d", "7", "--method", "direct"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "invalid choice: 'direct'" in captured.err
+    code = main(["codeweights", "--n", "9", "--d", "7", "--method", "both"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert "capped at n <= 8" in captured.err
@@ -793,13 +797,11 @@ REACH_KEEP = {
                     "equality, hash and repr for users and tests"),
 }
 
-# The runs that reach what the golden cases miss: a table file, the direct
-# and the compared code weights, a CSV cover, and one bad input (x^4 + x^2 + 1
-# is reducible).
+# The runs that reach what the golden cases miss: a table file, the compared
+# code weights, a CSV cover, and one bad input (x^4 + x^2 + 1 is reducible).
 REACH_EXTRA = [
     ["vflats", "count", "--n", "4", "--table-file", "TABLE"],
     ["codeweights", "--n", "6", "--d", "7", "--method", "both"],
-    ["codeweights", "--n", "6", "--d", "7", "--method", "direct"],
     ["cover", "build", "gold2", "--n", "6", "--t", "2", "--format", "csv"],
     ["vflats", "count", "--n", "4", "--modulus", "21", "--monomial", "3"],
 ]

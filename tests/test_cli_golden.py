@@ -36,6 +36,18 @@ def _overlapping_cover(capsys, tmp_path):
     return path
 
 
+def _parallel_cover(capsys, tmp_path):
+    """The trivial cover of span{1, 2} at n = 4, its four flats given four
+    different ordered bases of that plane: valid, and parallel only after
+    every basis is reduced to its rref."""
+    path = tmp_path / "parallel.json"
+    bases = [[1, 2], [2, 1], [1, 3], [3, 2]]
+    path.write_text(json.dumps({"field": {"n": 4, "modulus": 19}, "dimension": 2,
+                                "flats": [{"base": 4 * i, "basis": b}
+                                          for i, b in enumerate(bases)]}))
+    return path
+
+
 CASES = {
     "thm8-12-4-json": ["cover", "build", "thm8", "--n", "12", "--t", "4", "--format", "json"],
     "thm8-15-5-alpha-json": ["cover", "build", "thm8", "--n", "15", "--t", "5",
@@ -43,6 +55,7 @@ CASES = {
     "gold2-9-3": ["cover", "build", "gold2", "--n", "9", "--t", "3"],
     "verify-built": ["cover", "verify", "--input", _built_cover],
     "verify-overlapping": ["cover", "verify", "--input", _overlapping_cover],
+    "verify-parallel": ["cover", "verify", "--input", _parallel_cover],
     "spectrum-10-7-json": ["spectrum", "--n", "10", "--monomial", "7", "--format", "json"],
     "vflats-list-7-7": ["vflats", "list", "--n", "7", "--monomial", "7"],
     "vflats-count-8-univariate": ["vflats", "count", "--n", "8", "--univariate", "1:7,3:11"],
@@ -88,6 +101,7 @@ GOLDEN = {
     "gold2-9-3": "d801ad098a70195e9afe66136acd5e99b3e9f5c25aa1f073c2322c2b864680f8",
     "verify-built": "de50b4dfaf5514aa0563c0362d9b5c79d001343725995ec610bdcb59834e5a2f",
     "verify-overlapping": "3aa3c45d6dfaf515f5500f9705fdaec51b5ec2a96242148e1c7cb98174e425fc",
+    "verify-parallel": "4b764a1f067eae8c4d8ce9cc586dfbb4531f2c260345c276a75fee445e47de32",
     "spectrum-10-7-json": "94f452ed86215bd8100dc587f555147122939b2171c962ef7bf0143c77341fc3",
     "vflats-list-7-7": "0bbad5b3e9da44f215473ae0ffb1e5139a963ed2be611981082f37946d7d5221",
     "vflats-count-8-univariate": "5e4d888a844cdde40bee4c109f3890130e787c006a092154df02f0627d979cd4",
@@ -132,6 +146,11 @@ def test_univariate_count_golden_value(capsys):
 
 def test_do_count_golden_value(capsys):
     assert _stdout(capsys, CASES["vflats-count-12-do"]) == "714752\n"
+
+
+def test_parallel_cover_golden_value(capsys, tmp_path):
+    argv = [str(a(capsys, tmp_path)) if callable(a) else a for a in CASES["verify-parallel"]]
+    assert _stdout(capsys, argv) == '{"valid": true, "nonparallel": false, "totally_skew": false}\n'
 
 
 def test_apn_listing_is_header_only(capsys):

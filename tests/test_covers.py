@@ -40,15 +40,14 @@ def test_rref_basis_canonical():
     for v in basis:
         top = v.bit_length() - 1
         assert sum((w >> top) & 1 for w in basis) == 1
-    # vectors wider than a 16-bit lane: the lanes widen to the widest one
-    wide = [1 << 40 | 5, 1 << 40 | 3, 6, 1 << 17, (1 << 17) ^ 6]
-    assert rref_basis(wide) == oracle_rref(wide) == (1 << 40 | 3, 1 << 17, 6)
-    rng = random.Random(17)
-    for bits in (17, 24, 33, 64, 65, 200):
-        for d in range(7):
-            vectors = [rng.randrange(1 << bits) for _ in range(d)]
-            vectors += [vectors[0] ^ vectors[-1]] if vectors else []
-            assert rref_basis(vectors) == oracle_rref(vectors)
+    # the widest 16-bit vectors still reduce; one past a 16-bit lane, or a
+    # negative one, is rejected by name
+    top = [0xFFFF, 0x8001, 0x7FFE]
+    assert rref_basis(top) == oracle_rref(top) == (0x8001, 0x7FFE)
+    with pytest.raises(ValueError, match=r"vectors\[1\] = 65536 out of range"):
+        rref_basis([5, 1 << 16, 3])
+    with pytest.raises(ValueError, match=r"vectors\[0\] = -1 out of range"):
+        rref_basis([-1])
 
 
 def rref_family(n, d, count, rng):
@@ -174,6 +173,23 @@ def test_trivial_cover():
     assert not cover_properties(cover)["nonparallel"]
     assert [f.base for f in cover.flats] == [0, 4, 8, 12]
     assert len(parallel_decomposition(cover)) == 1
+
+
+def test_trivial_cover_rejects_a_vector_past_the_field():
+    # 16 has no place in GF(16): it would span 16 flats of GF(2^5)
+    with pytest.raises(ValueError, match=r"basis\[0\] = 16 out of range for GF\(2\^4"):
+        trivial_cover(GF(4), [16])
+
+
+def test_trivial_cover_rejects_a_negative_vector():
+    with pytest.raises(ValueError, match=r"basis\[0\] = -1 out of range for GF\(2\^4"):
+        trivial_cover(GF(4), [-1])
+
+
+def test_quadratic_image_rejects_a_vector_past_the_field():
+    gf = GF(6)
+    with pytest.raises(ValueError, match=r"basis\[1\] = 64 out of range for GF\(2\^6"):
+        quadratic_image(gf, *_gold_form(gf, 2), [1, 64])
 
 
 def test_parallel_flats_with_different_bases_are_not_nonparallel():

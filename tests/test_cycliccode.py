@@ -178,8 +178,9 @@ def test_report_both_methods_agree():
     assert out["N4"] == out["direct_N4"]
     flats_only = report(gf, 15, method="flats")
     assert (flats_only["N3"], flats_only["N4"]) == (out["N3"], out["N4"])
-    direct_only = report(gf, 15, method="direct")
-    assert (direct_only["N3"], direct_only["N4"]) == (out["N3"], out["N4"])
+    # the direct counts come only beside the flat counts
+    with pytest.raises(ValueError, match="'flats' or 'both'"):
+        report(gf, 15, method="direct")
 
 
 def test_apn_code_has_no_low_weights():

@@ -10,7 +10,7 @@ import re
 from helpers import apply, cube_root_of_unity, gf_add, random_basis, span_closure
 
 from vanishingflats import GF, AffineSubspace, Cover, kloosterman
-from vanishingflats.gf2n import DEFAULT_MODULI, echelon, linear_map_tables, span
+from vanishingflats.gf2n import DEFAULT_MODULI, echelon, span
 
 
 GF8 = GF(3, 0b1011)
@@ -164,14 +164,29 @@ def test_irreducible_count_degree_8():
     assert accepted == 30
 
 
+# every default field, and non-primitive moduli, where alpha = x does not
+# generate the multiplicative group
+WALKED_FIELDS = [(n, None) for n in range(2, 17)] + \
+    [(4, 0x1F), (6, 0x57), (8, 0x11B), (15, 0x806F), (16, 0x1002B)]
+
+
 def test_alpha_powers():
-    gf = GF(6)
-    alpha = gf.primitive_element()
-    acc = 1
-    for p in gf.exp_log()[0]:
-        assert p == acc
-        acc = gf.mul(acc, alpha)
-    assert acc == 1
+    """The exp/log walk of every field in WALKED_FIELDS: exp[i+1] = alpha *
+    exp[i] by the shift-and-XOR product, at every i up to n = 12 and at
+    sampled ones above, the walk closes at 1, and log inverts exp."""
+    for n, modulus in WALKED_FIELDS:
+        gf = GF(n, modulus)
+        alpha = gf.primitive_element()
+        assert modulus is None or alpha != 2
+        exp, log = gf.exp_log()
+        q1 = gf.order - 1
+        assert len(exp) == q1 and len(log) == gf.order and exp[0] == 1
+        rng = random.Random(400 + n)
+        steps = range(q1) if n <= 12 else [0, q1 - 1] + rng.sample(range(q1), 3000)
+        for i in steps:
+            assert gf.mul(exp[i], alpha) == exp[(i + 1) % q1]
+        assert sorted(exp) == list(range(1, gf.order))
+        assert all(log[x] == i for i, x in enumerate(exp))
 
 
 @pytest.mark.parametrize("n", range(2, 17))
@@ -213,11 +228,21 @@ def test_cube_root_of_unity():
         cube_root_of_unity(GF(5))
 
 
+def lookup_tables(columns):
+    """(lo, hi), the two 256-entry tables of the F_2-linear map taking e_k to
+    columns[k], k < 16, built as GF.exp_log builds the tables of its walk:
+    one span over the two lists, split by parity."""
+    both = span([0, 0], zip(columns[:8], columns[8:]))
+    return both[::2], both[1::2]
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_mul_tables_every_constant(n):
+    """The chain c x^k of GF.chain as the columns of lookup_tables gives the
+    product by c, for every constant c: the tables exp_log reads at c = alpha."""
     gf = GF(n)
     for c in gf.elements():
-        lo, hi = gf.mul_tables(c)
+        lo, hi = lookup_tables(gf.chain(c, 16))
         assert len(lo) == len(hi) == 256
         assert [lo[x & 255] ^ hi[x >> 8] for x in gf.elements()] == \
             [gf.mul(c, x) for x in gf.elements()]
@@ -228,11 +253,11 @@ def test_mul_tables_sampled_at_n16():
     rng = random.Random(16)
     alpha = gf.primitive_element()
     for c in [0, 1, alpha, gf.order - 1] + [rng.randrange(gf.order) for _ in range(8)]:
-        lo, hi = gf.mul_tables(c)
+        lo, hi = lookup_tables(gf.chain(c, 16))
         for x in [0, 1, 255, 256, gf.order - 1] + [rng.randrange(gf.order) for _ in range(1500)]:
             assert lo[x & 255] ^ hi[x >> 8] == gf.mul(c, x)
     with pytest.raises(ValueError):
-        gf.mul_tables(gf.order)
+        gf.chain(gf.order, 16)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -258,11 +283,11 @@ def test_span_lists_each_point_once(n):
 
 @pytest.mark.parametrize("n", range(2, 17))
 def test_linear_map_tables_match_apply(n):
-    """Seeded random images of e_0..e_(n-1); every x below 2^n for n <= 12,
-    sampled ones above. Units past the given columns map to 0."""
+    """lookup_tables of seeded random images of e_0..e_(n-1), padded with
+    zeros to 16 columns; every x below 2^n for n <= 12, sampled ones above."""
     rng = random.Random(300 + n)
     columns = [rng.randrange(1 << n) for _ in range(n)]
-    lo, hi = linear_map_tables(columns)
+    lo, hi = lookup_tables(columns + [0] * (16 - n))
     assert len(lo) == len(hi) == 256
     xs = range(1 << n) if n <= 12 else [0, 1, 255, 256, (1 << n) - 1] + \
         [rng.randrange(1 << n) for _ in range(2000)]

@@ -19,7 +19,8 @@ from vanishingflats import (
 )
 from vanishingflats import vflats
 from vanishingflats.cli import build_parser, load_function, main
-from helpers import assert_per_direction_pointwise, count_table_builds, histogram
+from helpers import (assert_per_direction_pointwise, assert_sampled_directions,
+                     count_table_builds, histogram)
 
 
 def assert_matches_generic(f, rng, samples=200):
@@ -177,6 +178,19 @@ def test_non_primitive_modulus(n):
         assert f.values == [gf.pow(x, d) for x in gf.elements()]
         assert_kernel_matches_generic(f)
         assert_per_direction_pointwise(f)
+
+
+# x^7 at every n = 13..16; beside it an exponent sharing a factor with
+# 2^n - 1 (3 | 2^n - 1 at even n, 31 | 2^15 - 1), none at n = 13 as 2^13 - 1
+# is prime; and x^7 under a non-primitive modulus at n = 16
+@pytest.mark.parametrize("n, d, modulus", [(13, 7, None), (14, 7, None), (14, 3, None),
+                                           (15, 7, None), (15, 31, None), (16, 7, None),
+                                           (16, 3, None), (16, 7, 0x1002B)])
+def test_sampled_directions_at_large_n(n, d, modulus):
+    gf = GF(n, modulus)
+    assert math.gcd(d, gf.order - 1) > 1 or d == 7
+    assert modulus is None or gf.primitive_element() != 2
+    assert_sampled_directions(PowerFunction(gf, d), 8, random.Random(1000 * n + d))
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 15])

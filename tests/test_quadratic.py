@@ -21,10 +21,11 @@ from vanishingflats import (
     weight_counts_from_flats,
 )
 from vanishingflats.cli import build_parser, load_function
-from vanishingflats.dopoly import _polar_of
+from vanishingflats.dopoly import _polar_of, _polar_ranks
 from vanishingflats.gf2n import echelon
-from helpers import (algebraic_degree, assert_per_direction_pointwise, direct_rank_multiset,
-                     moebius, random_affine_permutation, read_columns, walsh_flat_count)
+from helpers import (algebraic_degree, assert_per_direction_pointwise, assert_sampled_directions,
+                     direct_rank_multiset, moebius, random_affine_permutation, read_columns,
+                     walsh_flat_count)
 
 
 def quadratic(poly):
@@ -295,3 +296,26 @@ def test_do_terms_load_as_quadratic_function():
     # x^7 has degree 3; --monomial keeps the power-function path
     assert type(load(6, "--univariate", "1:7")) is FunctionTable
     assert type(load(6, "--monomial", "9")).__name__ == "PowerFunction"
+
+
+# the DO polynomial of the CI smoke test at n = 16, and the same plus x + 5
+# as a univariate: its table takes the rank route
+CI_DO = {(0, 1): 3, (2, 5): 7, (1, 9): 11, (4, 13): 5}
+CI_UNIVARIATE = [(3, 3), (7, 36), (11, 514), (5, 8208), (1, 1), (5, 0)]
+
+
+def test_sampled_directions_of_the_ci_univariate_at_n16():
+    gf = GF(16)
+    f = QuadraticFunction.promote(FunctionTable.from_univariate(gf, CI_UNIVARIATE))
+    assert type(f) is QuadraticFunction
+    assert_sampled_directions(f, 8, random.Random(1616))
+
+
+def test_do_ranks_at_sampled_directions_at_n16():
+    """The ranks from the coefficients' polar matrix against one elimination
+    of the columns B(a, e_k) read off the value table, at sampled a."""
+    gf = GF(16)
+    poly = DOPolynomial(gf, CI_DO)
+    ranks, table = _polar_ranks(16, poly._polar()), poly.to_table()
+    for a in random.Random(1617).sample(range(1, gf.order), 32):
+        assert ranks[a] == len(echelon(read_columns(table, a)))
