@@ -19,7 +19,6 @@ from .dopoly import DOPolynomial, QuadraticFunction, random_do_polynomial
 from .covers import (
     AffineSubspace,
     Cover,
-    rref_basis,
     trivial_cover,
     overlapping_flats,
     verify_cover,

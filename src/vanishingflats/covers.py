@@ -3,7 +3,8 @@
 The image of a trivial cover contained in the vanishing flats of a
 permutation is again a cover. quadratic_image builds it for any quadratic f,
 from f at the unit vectors and its polar matrix, and a trivial cover on a
-totally isotropic V. The Gold permutations x^(2^t + 1) are one caller:
+totally isotropic V; it is the one cover builder, and trivial_cover is its
+identity case. The Gold permutations x^(2^t + 1) are one caller:
 _gold_form gives their f(e_k) and polar matrix, and for suitable parameters
 the image is nonparallel or totally skew.
 """
@@ -15,22 +16,6 @@ from operator import xor
 import struct
 
 from .gf2n import GF, Record, as_int, as_int_list, as_list, echelon, require, span
-
-
-def rref_basis(vectors):
-    """Reduced row-echelon basis of the span, as a descending tuple of ints.
-
-    Canonical: two subspaces are equal iff their rref bases are equal. The
-    one-flat call of _rref_lanes, so each vector must fit a 16-bit lane, as
-    every element of GF(2^n), n <= 16, does; raises ValueError naming the
-    first one that does not.
-    """
-    columns = [(v,) for v in vectors]
-    for i, (v,) in enumerate(columns):
-        if not 0 <= v < 1 << 16:
-            raise ValueError(f"vectors[{i}] = {v} out of range [0, 2^16)")
-    slots, _ = _rref_lanes(1, columns)
-    return tuple(v for (v,) in slots if v)
 
 
 def _pack(values):
@@ -96,28 +81,27 @@ def _rref_lanes(count, columns, extras=()):
 
 
 class AffineSubspace(Record):
-    """base + span(basis); basis vectors must be linearly independent.
-    Both constructors store the fields directly, not through Record's
-    __init__, as each runs once per flat of a cover."""
+    """base + span(basis); basis vectors must be linearly independent. The
+    basis is stored as a tuple, so equal flats compare equal and hash alike
+    whatever sequence it came in. Both constructors store the fields
+    directly, not through Record's __init__, as each runs once per flat of
+    a cover."""
 
     __slots__ = ("base", "basis")
 
     def __init__(self, base, basis):
+        basis = tuple(basis)
         if len(echelon(basis)) != len(basis):
             raise ValueError(f"basis vectors are not linearly independent: {basis}")
         self.base, self.basis = base, basis
 
     @classmethod
     def _independent(cls, base, basis):
-        """base + span(basis) with no echelon check, for a full-rank basis
-        that rref_basis or _rref_lanes has just reduced."""
+        """base + span(basis) with no echelon check, for a basis tuple that
+        _rref_lanes has just given as the rref of a full-rank image."""
         flat = object.__new__(cls)
         flat.base, flat.basis = base, basis
         return flat
-
-    @property
-    def dimension(self):
-        return len(self.basis)
 
     def points(self):
         return sorted(span([self.base], zip(self.basis)))
@@ -127,7 +111,7 @@ class AffineSubspace(Record):
 
     @classmethod
     def from_json(cls, obj):
-        return cls(require(obj, "base", as_int), tuple(require(obj, "basis", as_int_list)))
+        return cls(require(obj, "base", as_int), require(obj, "basis", as_int_list))
 
 
 class Cover(Record):
@@ -149,13 +133,17 @@ class Cover(Record):
         dimension = require(obj, "dimension", as_int)
         if not 0 <= dimension <= gf.n:
             raise ValueError(f"JSON field 'dimension' must be in [0, {gf.n}], got {dimension}")
-        flats = [AffineSubspace.from_json(f) for f in require(obj, "flats", as_list)]
-        for i, flat in enumerate(flats):
-            # more than n independent vectors cannot lie in GF(2^n), and the
-            # 2^dimension points of such a flat would be listed by diagnostics
-            if flat.dimension > gf.n:
-                raise ValueError(f"JSON field 'flats[{i}]' has {flat.dimension} independent "
-                                 f"basis vectors, more than n = {gf.n}")
+        flats = []
+        for i, flat in enumerate(require(obj, "flats", as_list)):
+            try:
+                # more than n vectors cannot be independent in GF(2^n): refused
+                # by their count, before echelon runs over all of them
+                size = len(require(flat, "basis", as_list))
+                if size > gf.n:
+                    raise ValueError(f"has {size} basis vectors, more than n = {gf.n}")
+                flats.append(AffineSubspace.from_json(flat))
+            except ValueError as err:
+                raise ValueError(f"JSON field 'flats[{i}]': {err}") from None
         return cls(gf, dimension, flats)
 
     def describe(self):
@@ -168,25 +156,13 @@ class Cover(Record):
 
 
 def trivial_cover(gf, basis):
-    """The subspace spanned by basis together with all its cosets.
-
-    Each coset is given by its least point, ascending: in the rref basis each
-    pivot bit lies in one vector, so that point is the one with every pivot
-    bit clear. Raises ValueError naming the first basis vector that is no
-    element of gf.
+    """The subspace spanned by basis together with all its cosets, each given
+    by its least point, ascending: the image of itself under the identity,
+    which quadratic_image builds from f(e_k) = e_k and the polar matrix 0.
+    Raises ValueError naming the first basis vector that is no element of gf.
     """
-    basis = rref_basis([_element(gf, f"basis[{i}]", v) for i, v in enumerate(basis)])
-    return Cover(gf, len(basis),
-                 [AffineSubspace._independent(x, basis)
-                  for x in span([0], zip(_free_units(gf.n, basis)))])
-
-
-def _free_units(n, rref):
-    """The unit vectors e_k, k < n, at the bits that are no pivot of rref,
-    ascending. Their span, listed by span([0], ...), is the points with every
-    pivot bit clear, ascending: the least point of each coset of span(rref)."""
-    pivots = {b.bit_length() - 1 for b in rref}
-    return [1 << k for k in range(n) if k not in pivots]
+    n = gf.n
+    return quadratic_image(gf, [1 << k for k in range(n)], [[0] * n] * n, basis)
 
 
 def _columns(flats):
@@ -319,13 +295,14 @@ def quadratic_image(gf, at_units, polar, basis):
     of polar over the free units, and each D_v f over all leaders is one
     span of the B(e_k, v) from f(v): O(2^(n-s) * s) XORs, and O(n^2 s)
     reads of polar. One reduction of every image at once, _rref_lanes,
-    then gives each image's rref basis, its rank and its least point.
+    then gives each image's rref basis, its rank and its least point. Any
+    list that spans V gives the same cover.
 
     Raises ValueError if a basis vector is no element of gf, if V is not
     totally isotropic, or if an image flat has dimension below s (f is not
     injective on that coset).
     """
-    basis = rref_basis([_element(gf, f"basis[{i}]", v) for i, v in enumerate(basis)])
+    basis = echelon([_element(gf, f"basis[{i}]", v) for i, v in enumerate(basis)])
     bits = [[k for k in range(gf.n) if v >> k & 1] for v in basis]
     # B is bilinear, so B = 0 on V x V iff it vanishes on each pair of basis vectors
     for (u, ub), (v, vb) in combinations(zip(basis, bits), 2):
@@ -334,9 +311,9 @@ def quadratic_image(gf, at_units, polar, basis):
     # f(v) as the sum of f(e_k) + B(y, e_k) over the bits k of v, y its bits below k
     at_basis = [reduce(xor, [at_units[k] for k in vb] +
                        [polar[k][m] for i, k in enumerate(vb) for m in vb[:i]]) for vb in bits]
-    units = _free_units(gf.n, basis)
-    free = [w.bit_length() - 1 for w in units]
-    leaders, at_leaders = span([0], zip(units)), [0]
+    pivots = {v.bit_length() - 1 for v in basis}
+    free = [k for k in range(gf.n) if k not in pivots]
+    leaders, at_leaders = span([0], zip([1 << k for k in free])), [0]
     for i, k in enumerate(free):
         # f(c + e_k) = f(c) + f(e_k) + B(c, e_k) over the 2^i leaders c so far
         shift = span([at_units[k]], zip([polar[k][m] for m in free[:i]]))

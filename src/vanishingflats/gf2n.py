@@ -45,7 +45,10 @@ def _poly_gcd(a, b):
 
 def echelon(vectors):
     """F_2 elimination: the nonzero reductions of vectors against the earlier
-    ones, as a list of linearly independent ints spanning the same space."""
+    ones, as a list of linearly independent ints spanning the same space.
+    Each has every earlier one's top bit clear, so their top bits are
+    distinct: they are the pivots of the space's reduced row-echelon basis,
+    which covers.quadratic_image reads its coset leaders off."""
     basis = []
     for v in vectors:
         for b in basis:

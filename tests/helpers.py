@@ -169,11 +169,11 @@ def corrupt_cover(cover, rng):
     flat = flats[i]
     kinds = ["move", "outside"]
     kinds += ["drop"] if flat.basis else []
-    kinds += ["extra"] if flat.dimension < cover.field.n else []
+    kinds += ["extra"] if len(flat.basis) < cover.field.n else []
     kind = rng.choice(kinds)
     if kind == "extra":
         extra = rng.choice([x for x in cover.field.elements()
-                            if len(echelon([*flat.basis, x])) > flat.dimension])
+                            if len(echelon([*flat.basis, x])) > len(flat.basis)])
         flats[i] = AffineSubspace(flat.base, (*flat.basis, extra))
     elif kind == "move":
         flats[i] = AffineSubspace(rng.randrange(cover.field.order), flat.basis)
@@ -200,7 +200,7 @@ def oracle_is_cover(cover):
     and together they hold every point."""
     q = cover.field.order
     sets = _point_sets(cover)
-    return (all(f.dimension == cover.dimension for f in cover.flats)
+    return (all(len(f.basis) == cover.dimension for f in cover.flats)
             and all(0 <= p < q for s in sets for p in s)
             and not oracle_overlapping_pairs(cover)
             and len(set().union(*sets)) == q)

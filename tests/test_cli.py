@@ -409,6 +409,19 @@ def test_cover_verify_flat_wider_than_field_exit_2(capsys, tmp_path):
     assert "'flats[1]'" in captured.err
 
 
+@pytest.mark.parametrize("basis", [[1, 1], [1, 2, 4, 3]], ids=["repeat", "n-plus-1"])
+def test_cover_verify_dependent_basis_names_the_flat_exit_2(capsys, tmp_path, basis):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"field": {"n": 3, "modulus": 11}, "dimension": 1,
+                                "flats": [{"base": 0, "basis": [1]},
+                                          {"base": 2, "basis": basis}]}))
+    code = main(["cover", "verify", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'flats[1]'" in captured.err
+
+
 @pytest.mark.parametrize("dimension", [-1, 64])
 def test_cover_verify_dimension_out_of_range_exit_2(capsys, tmp_path, dimension):
     path = tmp_path / "cover.json"

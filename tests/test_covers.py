@@ -18,7 +18,6 @@ from vanishingflats import (
     AffineSubspace,
     Cover,
     cover_properties,
-    rref_basis,
     trivial_cover,
     verify_cover,
     overlapping_flats,
@@ -27,27 +26,29 @@ from vanishingflats import (
     theorem8_cover,
     enumerate_flats,
 )
+from vanishingflats import covers
 from vanishingflats.covers import _gold_form, _rref_lanes, quadratic_image
 from vanishingflats.dopoly import _polar_of, random_do_polynomial
 
 
-def test_rref_basis_canonical():
-    assert rref_basis([1, 2, 3]) == (2, 1)
-    assert rref_basis([3, 5]) == rref_basis([5, 6])
-    assert rref_basis([0, 0]) == ()
-    # pivot bits appear in exactly one vector
-    basis = rref_basis([7, 5, 13])
+def test_rref_lanes_canonical_in_one_lane():
+    """The canonical cases of one flat in one lane, against the one-flat
+    oracle: equal spans give equal rref bases, each pivot bit lies in one
+    vector, and the widest 16-bit vectors still reduce."""
+    def rref(vectors):
+        slots, _ = _rref_lanes(1, [(v,) for v in vectors])
+        return tuple(v for (v,) in slots if v)
+
+    for vectors in ([1, 2, 3], [3, 5], [5, 6], [0, 0], [7, 5, 13], [0xFFFF, 0x8001, 0x7FFE]):
+        assert rref(vectors) == oracle_rref(vectors)
+    assert rref([1, 2, 3]) == (2, 1)
+    assert rref([3, 5]) == rref([5, 6])
+    assert rref([0, 0]) == ()
+    basis = rref([7, 5, 13])
     for v in basis:
         top = v.bit_length() - 1
         assert sum((w >> top) & 1 for w in basis) == 1
-    # the widest 16-bit vectors still reduce; one past a 16-bit lane, or a
-    # negative one, is rejected by name
-    top = [0xFFFF, 0x8001, 0x7FFE]
-    assert rref_basis(top) == oracle_rref(top) == (0x8001, 0x7FFE)
-    with pytest.raises(ValueError, match=r"vectors\[1\] = 65536 out of range"):
-        rref_basis([5, 1 << 16, 3])
-    with pytest.raises(ValueError, match=r"vectors\[0\] = -1 out of range"):
-        rref_basis([-1])
+    assert rref([0xFFFF, 0x8001, 0x7FFE]) == (0x8001, 0x7FFE)
 
 
 def rref_family(n, d, count, rng):
@@ -100,13 +101,23 @@ def test_rref_lanes_match_the_oracle(n, count):
 
 def test_affine_subspace_points_and_contains():
     flat = AffineSubspace(5, (2, 8))
-    assert flat.dimension == 2
+    assert len(flat.basis) == 2
     assert flat.points() == [5, 7, 13, 15]
     assert contains(flat, 13)
     assert not contains(flat, 6)
     assert linear_part(flat) == frozenset({0, 2, 8, 10})
     with pytest.raises(ValueError):
         AffineSubspace(0, (3, 5, 6))  # dependent
+
+
+def test_affine_subspace_stores_a_list_basis_as_a_tuple():
+    """A list basis compares equal to the same tuple, and the cover checks,
+    which set and hash the bases, take it."""
+    assert AffineSubspace(0, [1]) == AffineSubspace(0, (1,))
+    assert AffineSubspace(5, [2, 8]).basis == (2, 8)
+    cover = Cover(GF(3), 2, [AffineSubspace(0, [1, 2]), AffineSubspace(4, [2, 1])])
+    assert cover_properties(cover) == {"valid": True, "nonparallel": False,
+                                       "totally_skew": False}
 
 
 def test_from_points_roundtrip():
@@ -132,7 +143,7 @@ def test_from_points_against_basis_and_near_misses(n):
         pts = [base ^ v for v in span_closure(basis)]
         rng.shuffle(pts)
         flat = from_points(pts)
-        assert (flat.base, flat.basis) == (min(pts), rref_basis(basis))
+        assert (flat.base, flat.basis) == (min(pts), oracle_rref(basis))
 
         inside = set(pts)
         outside = [x for x in range(1 << n) if x not in inside]
@@ -154,6 +165,39 @@ def test_from_points_against_basis_and_near_misses(n):
             assert not oracle_is_affine(miss)
             with pytest.raises(ValueError):
                 from_points(miss)
+
+
+def spanning_lists(basis, rng):
+    """Three other lists that span what basis spans: shuffled, recombined by
+    XOR, and padded with 0 and a repeat. basis has at least two vectors."""
+    mixed = list(basis)
+    for _ in range(3 * len(mixed)):
+        i, j = rng.sample(range(len(mixed)), 2)
+        mixed[i] ^= mixed[j]
+    padded = [*basis, 0, rng.choice(basis)]
+    rng.shuffle(padded)
+    return rng.sample(basis, len(basis)), mixed, padded
+
+
+@pytest.mark.parametrize("n,t", [(6, 2), (9, 3), (12, 4), (15, 5)])
+def test_a_cover_depends_only_on_the_span(n, t):
+    """quadratic_image and trivial_cover reduce their input by echelon, so
+    every list that spans V must give the same Cover as a basis of V: the
+    Gold image on a * GF(2^s), and the trivial cover on it and on a random
+    (s + 1)-dimensional V."""
+    gf, s = GF(n), math.gcd(n, t)
+    form = _gold_form(gf, t)
+    rng = random.Random(300 + n)
+    for alpha in (1, rng.randrange(2, gf.order)):
+        basis = [gf.mul(alpha, z) for z in oracle_rref(gf.subfield(s))]
+        image, triv = quadratic_image(gf, *form, basis), trivial_cover(gf, basis)
+        for vectors in spanning_lists(basis, rng):
+            assert quadratic_image(gf, *form, vectors) == image
+            assert trivial_cover(gf, vectors) == triv
+    basis = random_basis(n, s + 1, rng)
+    triv = trivial_cover(gf, basis)
+    for vectors in spanning_lists(basis, rng):
+        assert trivial_cover(gf, vectors) == triv
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -568,6 +612,26 @@ def test_cover_checks_on_negative_and_overlapping_points():
     assert not assert_matches_oracles(wide)
     assert not verify_cover(Cover(gf, -1, []))
     assert not verify_cover(Cover(gf, 4, []))
+
+
+def test_cover_from_json_names_the_flat_of_every_error(monkeypatch):
+    """Every per-flat error names flats[i], and a basis longer than n is
+    refused by its count before echelon sees it."""
+    seen = []
+    echelon = covers.echelon
+    monkeypatch.setattr(covers, "echelon", lambda vectors: seen.append(len(vectors))
+                        or echelon(vectors))
+    for basis, message in (([1, 1], "basis vectors are not linearly independent: (1, 1)"),
+                           ([1, 2, 4, 3], "has 4 basis vectors, more than n = 3"),
+                           (list(range(1, 6001)), "has 6000 basis vectors, more than n = 3"),
+                           ([1, "2"], "JSON field 'basis[1]' must be an integer, got '2'")):
+        blob = trivial_cover(GF(3), (1,)).to_json()
+        blob["flats"][2]["basis"] = basis
+        seen.clear()
+        with pytest.raises(ValueError) as err:
+            Cover.from_json(blob)
+        assert str(err.value) == f"JSON field 'flats[2]': {message}"
+        assert max(seen, default=0) <= 3
 
 
 @pytest.mark.parametrize("path", [("field",), ("dimension",), ("flats",),
