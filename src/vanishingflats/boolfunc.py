@@ -16,6 +16,32 @@ def pack_lanes(values):
     return struct.pack(f"<{len(values)}H", *values)
 
 
+def univariate_values(gf, terms, points):
+    """[f(0)] + [f(x) for x in points], for the sum f of the monomials
+    c * x^e over (c, e) in terms and nonzero elements x of gf, from the
+    field's exp and log lists: at x = alpha^k, c * x^e = alpha^(log c +
+    k * e), an index taken mod 2^n - 1. At x = 0 only the terms with e = 0
+    count (0^0 = 1). A coefficient outside gf or a negative exponent raises
+    ValueError naming its term."""
+    exp, log = gf.exp_log()
+    q1 = len(exp)
+    logs = [log[x] for x in points]
+    at_zero = 0
+    acc = [0] * len(logs)
+    for c, e in terms:
+        if not 0 <= c < gf.order:
+            raise ValueError(f"term {c}:{e}: coefficient {c} out of range for {gf!r}")
+        if e < 0:
+            raise ValueError(f"term {c}:{e}: exponent must be non-negative")
+        if c == 0:
+            continue
+        if e == 0:
+            at_zero ^= c
+        log_c, step = log[c], e % q1
+        acc = [v ^ exp[(log_c + k * step) % q1] for v, k in zip(acc, logs)]
+    return [at_zero, *acc]
+
+
 class FunctionTable:
     """A function f: GF(2^n) -> GF(2^n) stored as a full value table."""
 
@@ -49,28 +75,9 @@ class FunctionTable:
     @staticmethod
     def from_univariate(gf, terms):
         """A plain FunctionTable on any subclass: the pointwise sum of
-        monomials c * x^e for (c, e) in terms, from the field's exp and log
-        lists: at x = alpha^k, c * x^e = alpha^(log c + k * e), an index
-        taken mod 2^n - 1. At x = 0 only the terms with e = 0 count (0^0 = 1)."""
-        exp, log = gf.exp_log()
-        q1 = len(exp)
-        at_zero = 0
-        acc = [0] * q1
-        for c, e in terms:
-            if not 0 <= c < gf.order:
-                raise ValueError(f"term {c}:{e}: coefficient {c} out of range for {gf!r}")
-            if e < 0:
-                raise ValueError(f"term {c}:{e}: exponent must be non-negative")
-            if c == 0:
-                continue
-            if e == 0:
-                at_zero ^= c
-            log_c, step = log[c], e % q1
-            acc = [v ^ exp[(log_c + k * step) % q1] for k, v in enumerate(acc)]
-        values = [at_zero] * gf.order
-        for x, v in zip(exp, acc):
-            values[x] = v
-        return FunctionTable(gf, values)
+        monomials c * x^e for (c, e) in terms, f(0) and then univariate_values
+        over the nonzero points in natural order."""
+        return FunctionTable(gf, univariate_values(gf, terms, range(1, gf.order)))
 
     def _check_direction(self, a):
         if not 0 < a < self.field.order:

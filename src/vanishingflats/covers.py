@@ -82,10 +82,11 @@ def _rref_lanes(count, columns, extras=()):
 
 class AffineSubspace(Record):
     """base + span(basis); basis vectors must be linearly independent. The
-    basis is stored as a tuple, so equal flats compare equal and hash alike
-    whatever sequence it came in. Both constructors store the fields
-    directly, not through Record's __init__, as each runs once per flat of
-    a cover."""
+    basis is stored as a tuple, so equal flats compare equal whatever
+    sequence it came in. A flat is not hashable: Record defines __eq__ and
+    no __hash__, and no caller hashes a flat. Both constructors store the
+    fields directly, not through Record's __init__, as each runs once per
+    flat of a cover."""
 
     __slots__ = ("base", "basis")
 

@@ -4,8 +4,9 @@ A DO polynomial is f = sum over 0 <= i < j < n of c_ij * x^(2^i + 2^j). Its
 derivative along a is the affine map L_{f,a}(x) + f(a), where
 L_{f,a}(x) = sum c_ij (a^(2^i) x^(2^j) + a^(2^j) x^(2^i)) is F_2-linear.
 
-L_{f,a}(x) = B(a, x) for the polar form B(x, y) = f(x + y) + f(x) + f(y),
-which is symmetric and F_2-bilinear since f(0) = 0. So column k of the matrix
+L_{f,a}(x) = B(a, x) for the polar form B(x, y) = f(x + y) + f(x) + f(y) +
+f(0), which is symmetric and F_2-bilinear, and unchanged when an affine
+map is added to f (f(0) = 0 for a DO polynomial). So column k of the matrix
 of L_{f,a} is B(a, e_k), the XOR of B(e_m, e_k) over the bits m of a: every
 rank(L_{f,a}) is fixed by the n x n polar matrix B(e_m, e_k).
 
@@ -15,21 +16,24 @@ and one bitsliced elimination, `_family_ranks`, acts on all 2^n matrices
 with each big-int AND, OR or XOR: about 2n^3 such operations in all, instead
 of one elimination per direction.
 
-Both routes to the ranks feed it a polar matrix. DOPolynomial computes its
-own from the coefficients and the field's exp and log lists, in O(s n^2)
-lookups for s terms, so count_vanishing_flats builds no value table.
-QuadraticFunction is any value table of algebraic degree <= 2, however it
-was given. The O(2^n) degree test, `_polar_of`, admits it and returns its
-polar matrix, read off the table in n^2 reads on the way, or None at a
-higher degree. Its spectrum and count come from the ranks, against O(4^n)
-for the generic pass.
+Both routes to the ranks feed it a polar matrix, and one reader,
+`_polar_read`, gives it from f at 0, the e_k and the e_m + e_k as
+B(e_m, e_k) = f(e_m + e_k) + f(e_m) + f(e_k) + f(0), from anything indexable
+at those points. DOPolynomial passes the values of the one univariate
+evaluator, boolfunc.univariate_values, at those 1 + n(n+1)/2 points alone,
+O(s n^2) lookups for s terms, so count_vanishing_flats builds no value
+table. QuadraticFunction is any value table of algebraic degree <= 2,
+however it was given. The O(2^n) degree test, `_polar_of`, admits it and
+returns the matrix the reader gives off the table, or None at a higher
+degree. Its spectrum and count come from the ranks, against O(4^n) for the
+generic pass.
 """
 
 from itertools import compress
 from operator import xor
 
 from .gf2n import span
-from .boolfunc import FunctionTable
+from .boolfunc import FunctionTable, univariate_values
 from . import vflats
 
 _ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
@@ -126,34 +130,22 @@ class DOPolynomial:
         terms = " + ".join(f"{c}*x^(2^{i}+2^{j})" for (i, j), c in sorted(self.coeffs.items()))
         return f"DOPolynomial({self.field!r}, {terms or '0'})"
 
+    def _terms(self):
+        """The univariate terms (c, 2^i + 2^j) of f."""
+        return [(c, (1 << i) + (1 << j)) for (i, j), c in self.coeffs.items()]
+
     def to_table(self):
-        """Value table of the univariate expansion, built from the exp table."""
-        return FunctionTable.from_univariate(
-            self.field, [(c, (1 << i) + (1 << j)) for (i, j), c in self.coeffs.items()])
+        """Value table of the univariate expansion, by from_univariate."""
+        return FunctionTable.from_univariate(self.field, self._terms())
 
     def _polar(self):
-        """[[B(e_m, e_k) for m < n] for k < n] for the polar form B, from the
-        exp and log lists with no value table: B(e_m, e_k) is the sum over
-        the terms of c * (e_m^(2^i) * e_k^(2^j) + e_m^(2^j) * e_k^(2^i)), each
-        product alpha to the power log c + 2^i log e_m + 2^j log e_k. B is
-        symmetric with zero diagonal, so only m < k is computed."""
-        gf = self.field
-        n, q1 = gf.n, gf.order - 1
-        exp, log = gf.exp_log()
-        units = [log[1 << m] for m in range(n)]
-        polar = [[0] * n for _ in range(n)]
-        for (i, j), c in self.coeffs.items():
-            lc = log[c]
-            at_i = [(u << i) % q1 for u in units]  # log of e_m^(2^i)
-            at_j = [(u << j) % q1 for u in units]
-            for k in range(n):
-                row, ik, jk = polar[k], lc + at_i[k], lc + at_j[k]
-                for m in range(k):
-                    row[m] ^= exp[(at_i[m] + jk) % q1] ^ exp[(at_j[m] + ik) % q1]
-        for k in range(n):
-            for m in range(k):
-                polar[m][k] = polar[k][m]
-        return polar
+        """[[B(e_m, e_k) for m < n] for k < n] for the polar form B, with no
+        value table: _polar_read of f at 0, the e_k and the e_m + e_k, the
+        1 + n(n+1)/2 values univariate_values gives."""
+        n = self.field.n
+        points = [1 << k | 1 << m for k in range(n) for m in range(k + 1)]
+        values = univariate_values(self.field, self._terms(), points)
+        return _polar_read(n, dict(zip([0, *points], values)))
 
     def count_vanishing_flats(self):
         """Block count from the ranks h = rank(L_{f,a}) of the polar matrix,
@@ -165,20 +157,29 @@ class DOPolynomial:
         return vflats.count_from_spectrum({1 << (n - h): ranks.count(h) << h for h in set(ranks)})
 
 
-def _polar_of(t):
-    """The polar matrix [[B(e_m, e_k) for m < n] for k < n] of the value
-    table t, or None if t has algebraic degree > 2, in O(2^n): at degree
-    <= 2, f(x + e_k) + f(x) = f(e_k) + f(0) + B(x, e_k), with B(x, e_k) the
-    XOR of B(e_m, e_k) = f(e_m + e_k) + f(e_m) + f(e_k) + f(0) over the bits
-    m of x. Spanning over each top bit k rebuilds from f on 0, the e_k and
-    the e_m + e_k the one table of degree <= 2 they fix, and f must equal
-    it. B is symmetric with zero diagonal, so each m < k is read once."""
-    n = (len(t) - 1).bit_length()
+def _polar_read(n, f):
+    """[[B(e_m, e_k) for m < n] for k < n] for the polar form B(x, y) =
+    f(x + y) + f(x) + f(y) + f(0), from any f indexable at 0, the e_k and
+    the e_m + e_k: a value table or a map of those values alone. B is
+    symmetric with zero diagonal, so each m < k is read once."""
     polar = [[0] * n for _ in range(n)]
     for k in range(n):
         h, row = 1 << k, polar[k]
         for m in range(k):
-            row[m] = polar[m][k] = t[h | 1 << m] ^ t[h] ^ t[1 << m] ^ t[0]
+            row[m] = polar[m][k] = f[h | 1 << m] ^ f[h] ^ f[1 << m] ^ f[0]
+    return polar
+
+
+def _polar_of(t):
+    """The polar matrix _polar_read of the value table t, or None if t has
+    algebraic degree > 2, in O(2^n): at degree <= 2, f(x + e_k) + f(x) =
+    f(e_k) + f(0) + B(x, e_k), with B(x, e_k) the XOR of B(e_m, e_k) over
+    the bits m of x. Spanning over each top bit k rebuilds from f on 0, the
+    e_k and the e_m + e_k the one table of degree <= 2 they fix, and f must
+    equal it."""
+    polar = _polar_read((len(t) - 1).bit_length(), t)
+    for k, row in enumerate(polar):
+        h = 1 << k
         # f(x + e_k) + f(x) for x < 2^k
         shift = span([t[h] ^ t[0]], zip(row[:k]))
         if list(map(xor, t, shift)) != t[h:2 * h]:

@@ -11,6 +11,11 @@ from operator import xor
 
 MIN_DEGREE = 2
 MAX_DEGREE = 16
+# The largest n at which kloosterman and vflats.closed_form evaluate their
+# formulas: K(4096) takes about 0.4 s, and the counts at n = 4096 print in
+# at most about 3,100 digits, within CPython's 4,300-digit limit on
+# converting an int to a string.
+MAX_FORMULA_DEGREE = 4096
 
 # One primitive polynomial per degree: lowest weight first, then smallest
 # integer encoding. Users may override via GF(n, modulus=...).
@@ -301,9 +306,12 @@ def kloosterman(n):
 
     K = 1 + ((-1)^(n-1) / 2^(n-1)) * sum_{i=0}^{floor(n/2)} (-1)^i C(n, 2i) 7^i.
     Integer arithmetic throughout; the division must leave no remainder.
+    n outside [2, MAX_FORMULA_DEGREE] raises ValueError.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    if n > MAX_FORMULA_DEGREE:
+        raise ValueError(f"n = {n}: Kloosterman sums are evaluated for n <= {MAX_FORMULA_DEGREE}")
     total = sum((-1) ** i * math.comb(n, 2 * i) * 7 ** i for i in range(n // 2 + 1))
     k, rest = divmod((-1) ** (n - 1) * total, 1 << (n - 1))
     if rest:

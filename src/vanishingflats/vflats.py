@@ -12,7 +12,7 @@ from enum import Enum
 from itertools import chain, cycle
 import math
 
-from .gf2n import Record, kloosterman
+from .gf2n import MAX_FORMULA_DEGREE, Record, kloosterman
 from .boolfunc import FunctionTable, PowerFunction
 
 # Blocks per chunk of PartialQuadrupleSystem.text_chunks: a listing's text
@@ -215,13 +215,15 @@ def closed_form(family, n, t=None):
     exact closed-form number of vanishing flats of x^d over GF(2^n).
 
     Only gold, kasami and niho take t; t given to any other family, n < 2,
-    or a violated side condition raises a ValueError. The count is
-    num * (2^n - 1) / den, den 3 or 24, in integers; a remainder signals a
-    transcription bug and raises.
+    n > MAX_FORMULA_DEGREE (4096) or a violated side condition raises a
+    ValueError. The count is num * (2^n - 1) / den, den 3 or 24, in
+    integers; a remainder signals a transcription bug and raises.
     """
     family = MonomialFamily(family)
     if n < 2:
         raise ValueError(f"n = {n}: the closed forms need n >= 2")
+    if n > MAX_FORMULA_DEGREE:
+        raise ValueError(f"n = {n}: the closed forms are evaluated for n <= {MAX_FORMULA_DEGREE}")
     if t is not None and family not in _TAKES_T:
         raise ValueError(f"the {family.value} family takes no t, got t = {t}")
     q1 = (1 << n) - 1

@@ -27,7 +27,7 @@ from itertools import combinations, starmap
 import random
 
 from vanishingflats import (
-    AffineSubspace, Cover, FunctionTable, ParityCheckSpec, PartialQuadrupleSystem,
+    GF, AffineSubspace, Cover, FunctionTable, ParityCheckSpec, PartialQuadrupleSystem,
 )
 from vanishingflats.gf2n import echelon, span
 
@@ -574,3 +574,16 @@ def image_cover(f, cover):
             raise ValueError(f"image of flat #{idx} (base {flat.base}) "
                              "is not an affine subspace") from None
     return Cover(cover.field, cover.dimension, flats)
+
+
+def non_primitive_moduli(n):
+    """The irreducible moduli of degree n under which x = 2 is not primitive."""
+    out = []
+    for m in range(1 << n, 1 << (n + 1)):
+        try:
+            gf = GF(n, m)
+        except ValueError:
+            continue
+        if gf.primitive_element() != 2:
+            out.append(m)
+    return out

@@ -7,7 +7,7 @@ import pytest
 from vanishingflats import GF, FunctionTable, PowerFunction, QuadraticFunction
 
 from helpers import (assert_per_direction_pointwise, derivative, histogram, is_permutation,
-                     random_table)
+                     non_primitive_moduli, random_table)
 
 
 def test_from_monomial_identity_and_inverse():
@@ -49,25 +49,35 @@ def test_from_univariate_on_a_subclass_returns_a_plain_table(cls):
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_from_univariate_matches_pointwise_pow(n):
-    gf = GF(n)
-    q = gf.order
+    """Against gf.pow and gf.mul point by point, under the default modulus
+    (alpha = x) and, at n = 4, 6, 8 and 9, also under the first modulus
+    whose root x is not primitive, where the log list is not the walk of x."""
+    fields = [GF(n)] + [GF(n, m) for m in non_primitive_moduli(n)[:1]]
+    q = 1 << n
     rng = random.Random(n)
     exponents = [0, 1, q - 2, q - 1, q, 2 * q + 3, 5 * (q - 1)]
-    for _ in range(4):
-        terms = [(rng.choice([0, 1, rng.randrange(q)]),
-                  rng.choice(exponents + [rng.randrange(3 * q)]))
-                 for _ in range(rng.randrange(1, 5))]
-        terms.append(terms[0])  # a repeated term cancels itself
-        expected = [0] * q
-        for c, e in terms:
-            for x in gf.elements():
-                expected[x] ^= gf.mul(c, gf.pow(x, e))
+    for gf in fields:
+        for _ in range(4):
+            terms = [(rng.choice([0, 1, rng.randrange(q)]),
+                      rng.choice(exponents + [rng.randrange(3 * q)]))
+                     for _ in range(rng.randrange(1, 5))]
+            terms.append(terms[0])  # a repeated term cancels itself
+            expected = [0] * q
+            for c, e in terms:
+                for x in gf.elements():
+                    expected[x] ^= gf.mul(c, gf.pow(x, e))
+            assert FunctionTable.from_univariate(gf, terms).values == expected
+        # a constant term and terms with c != 1 at once, under every field
+        terms = [(3 % q, 0), (q - 1, 3), (2, q + 1)]
+        expected = [3 % q ^ gf.mul(q - 1, gf.pow(x, 3)) ^ gf.mul(2, gf.pow(x, q + 1))
+                    for x in gf.elements()]
         assert FunctionTable.from_univariate(gf, terms).values == expected
-    assert FunctionTable.from_univariate(gf, [(3 % q, 0)]).values == [3 % q] * q  # 0^0 = 1
-    with pytest.raises(ValueError):
-        FunctionTable.from_univariate(gf, [(1, -1)])
-    with pytest.raises(ValueError):
-        FunctionTable.from_univariate(gf, [(q, 1)])
+        assert FunctionTable.from_univariate(gf, [(3 % q, 0)]).values == [3 % q] * q  # 0^0 = 1
+        with pytest.raises(ValueError):
+            FunctionTable.from_univariate(gf, [(1, -1)])
+        with pytest.raises(ValueError):
+            FunctionTable.from_univariate(gf, [(q, 1)])
+    assert len(fields) == (2 if n in (4, 6, 8, 9) else 1)
 
 
 def test_delta_identity_function():

@@ -17,6 +17,7 @@ from vanishingflats import (
     vflats, weight_counts_from_flats,
 )
 from vanishingflats.cli import main, parse_do_terms, parse_univariate_terms
+from vanishingflats.gf2n import MAX_FORMULA_DEGREE
 
 from test_cli_golden import CASES
 
@@ -361,6 +362,28 @@ def test_kloosterman_json_is_indented(capsys):
     code, out = run(capsys, "kloosterman", "--n", "6", "--format", "json")
     assert code == 0
     assert out == '{\n  "6": -8\n}\n'
+
+
+@pytest.mark.parametrize("argv, printed", [
+    (["kloosterman", "--n"], lambda n: f"K({n}) = {kloosterman(n)}\n"),
+    (["table", "table1", "--family", "d7", "--n"],
+     lambda n: f"d7 n={n}: {vflats.closed_form('d7', n)[1]}\n"),
+    # the largest count at the bound, 3,082 digits
+    (["table", "table1", "--family", "gold", "--t", "2048", "--n"],
+     lambda n: f"gold n={n} t=2048: {vflats.closed_form('gold', n, 2048)[1]}\n"),
+], ids=["kloosterman", "table1-d7", "table1-gold"])
+def test_formula_leaves_stop_at_the_degree_bound(capsys, argv, printed):
+    """The formulas print up to n = MAX_FORMULA_DEGREE and refuse one past
+    it with exit 2, naming n, before any work. Without the bound K(20000)
+    ran for about 30 s, and past about n = 7,150 the table1 counts broke
+    CPython's limit on printing an int."""
+    n = MAX_FORMULA_DEGREE
+    assert run(capsys, *argv, str(n)) == (0, printed(n))
+    code = main([*argv, str(n + 1)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert f"error: n = {n + 1}: " in captured.err
+    assert f"n <= {n}" in captured.err
 
 
 def test_reducible_modulus_exit_2(capsys):

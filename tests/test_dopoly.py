@@ -187,13 +187,17 @@ def polar_cases(n):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_polar_matches_table_columns(n):
-    """DOPolynomial._polar, from the coefficients and the exp and log lists,
-    against the polar matrix the degree test stores, and both against the
-    columns read off the value table."""
+    """DOPolynomial._polar, read off f at 0, the e_k and the e_m + e_k,
+    against the matrix of L_{f,e_m}(e_k) by gf.pow and gf.mul, which shares
+    neither the evaluator nor the polar reader; then against the polar
+    matrix the degree test stores and the columns read off the value table."""
     for f in polar_cases(n):
         table = f.to_table()
-        assert f._polar() == QuadraticFunction.promote(table)._polar, f
-        assert f._polar() == [read_columns(table, 1 << k) for k in range(n)], f
+        polar = f._polar()
+        assert polar == [[linearized_at(f, 1 << m, 1 << k) for m in range(n)]
+                         for k in range(n)], f
+        assert polar == QuadraticFunction.promote(table)._polar, f
+        assert polar == [read_columns(table, 1 << k) for k in range(n)], f
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -20,7 +20,7 @@ from vanishingflats import (
 from vanishingflats import vflats
 from vanishingflats.cli import build_parser, load_function, main
 from helpers import (assert_per_direction_pointwise, assert_sampled_directions,
-                     count_table_builds, histogram)
+                     count_table_builds, histogram, non_primitive_moduli)
 
 
 def assert_matches_generic(f, rng, samples=200):
@@ -110,19 +110,6 @@ def class_leaders(q1):
                 seen.add(d)
                 d = 2 * d % q1
     return leaders
-
-
-def non_primitive_moduli(n):
-    """The irreducible moduli of degree n under which x = 2 is not primitive."""
-    out = []
-    for m in range(1 << n, 1 << (n + 1)):
-        try:
-            gf = GF(n, m)
-        except ValueError:
-            continue
-        if gf.primitive_element() != 2:
-            out.append(m)
-    return out
 
 
 def assert_kernel_matches_generic(f):
