@@ -81,13 +81,16 @@ def read_table_file(gf, path):
 
 
 def load_function(args):
-    """x^d, or the source's table: a QuadraticFunction if its degree is <= 2."""
+    """x^d and a DO polynomial as what they are by construction, a
+    PowerFunction and a QuadraticFunction, neither building its value table
+    until values is read; any other source as its table, a QuadraticFunction
+    if the degree test admits it."""
     gf = GF(args.n, args.modulus)
     if args.monomial is not None:
         return FunctionTable.from_monomial(gf, args.monomial)
     if args.do is not None:
-        table = parse_do_terms(gf, args.do).to_table()
-    elif args.univariate is not None:
+        return QuadraticFunction.from_do(parse_do_terms(gf, args.do))
+    if args.univariate is not None:
         table = FunctionTable.from_univariate(gf, parse_univariate_terms(args.univariate))
     else:
         table = read_table_file(gf, args.table_file)

@@ -19,14 +19,16 @@ of one elimination per direction.
 Both routes to the ranks feed it a polar matrix, and one reader,
 `_polar_read`, gives it from f at 0, the e_k and the e_m + e_k as
 B(e_m, e_k) = f(e_m + e_k) + f(e_m) + f(e_k) + f(0), from anything indexable
-at those points. DOPolynomial passes the values of the one univariate
-evaluator, boolfunc.univariate_values, at those 1 + n(n+1)/2 points alone,
-O(s n^2) lookups for s terms, so count_vanishing_flats builds no value
-table. QuadraticFunction is any value table of algebraic degree <= 2,
-however it was given. The O(2^n) degree test, `_polar_of`, admits it and
-returns the matrix the reader gives off the table, or None at a higher
-degree. Its spectrum and count come from the ranks, against O(4^n) for the
-generic pass.
+at those points. DOPolynomial._polar passes the values of the one
+univariate evaluator, boolfunc.univariate_values, at those 1 + n(n+1)/2
+points alone, O(s n^2) lookups for s terms, with no value table: both
+count_vanishing_flats and QuadraticFunction.from_do, the form the CLI loads
+for --do, read it. A QuadraticFunction is any function of algebraic degree
+<= 2. From a DOPolynomial it needs no test and builds its value table only
+when values is first read; a value table, however it was given, is
+admitted by the O(2^n) degree test `_polar_of`, which returns the matrix
+the reader gives off the table, or None at a higher degree. Its spectrum and
+count come from the ranks, against O(4^n) for the generic pass.
 """
 
 from itertools import compress
@@ -44,36 +46,48 @@ def _family_ranks(planes):
     planes[k][i] is the 2^n-bit int whose bit a is bit i of column k of the
     n x n matrix M_a.
 
-    Gaussian elimination on all 2^n matrices at once. For each row i, the
-    first unused column with bit i becomes the pivot of that direction; the
-    pivot is XORed into every other unused column with bit i. The pivots
-    found for row i are the "used" plane of row i, and the rank of M_a is the
-    number of used planes with bit a set. The planes are reduced in place."""
+    Gaussian elimination on all 2^n matrices at once, one pass over the
+    columns per row i. Where an unused column has bit i, the directions
+    whose pivot for row i an earlier column already holds XOR that pivot
+    into it, and the others make it their pivot. The pivots found for row i
+    are the "used" plane of row i, and the rank of M_a is the number of used
+    planes with bit a set, summed as a bitsliced counter: count[p] holds bit
+    p of each running rank, and each used plane is one ripple-carry add. The
+    planes are reduced in place."""
     n = len(planes)
     q = 1 << n
     full = (1 << q) - 1
     unused = [full] * n
-    used = []
+    count = []
     for i in range(n):
         free = full  # directions with no pivot for row i yet
         pivot = [0] * n
         for k, column in enumerate(planes):
-            sel = column[i] & unused[k] & free
+            hit = column[i] & unused[k]
+            if not hit:
+                continue
+            # pivot is 0 on the free lanes, so only the lanes with a pivot change
+            for j in range(i + 1, n):
+                column[j] ^= pivot[j] & hit
+            sel = hit & free
             if sel:
                 free ^= sel
                 unused[k] ^= sel
                 for j in range(i + 1, n):
                     pivot[j] |= column[j] & sel
-        for k, column in enumerate(planes):
-            hit = column[i] & unused[k]
-            if hit:
-                for j in range(i + 1, n):
-                    column[j] ^= pivot[j] & hit
-        used.append(full ^ free)
-    # one byte per direction per used plane, summed lane by lane: a lane
-    # reaches at most n <= 16, so no carry crosses into the next direction
-    total = sum(int.from_bytes(format(u, f"0{q}b")[::-1].encode().translate(_ZERO_ONE),
-                               "little") for u in used)
+        carry = full ^ free
+        for p, c in enumerate(count):
+            if not carry:
+                break
+            count[p], carry = c ^ carry, c & carry
+        if carry:
+            count.append(carry)
+    # each count plane as one byte per direction holding 0 or 2^p: at most
+    # ceil(log2(n + 1)) <= 5 planes, their bytes ORed lane by lane
+    total = 0
+    for p, c in enumerate(count):
+        total |= int.from_bytes(format(c, f"0{q}b")[::-1].encode().translate(_ZERO_ONE),
+                                "little") << p
     return total.to_bytes(q, "little")
 
 
@@ -188,29 +202,36 @@ def _polar_of(t):
 
 
 class QuadraticFunction(FunctionTable):
-    """A table of algebraic degree <= 2 (a DO polynomial plus affine terms)
-    whose statistics come from ranks; a higher degree raises ValueError.
+    """A function of algebraic degree <= 2 (a DO polynomial plus affine
+    terms) whose statistics come from ranks; a table of higher degree raises
+    ValueError.
 
     D_a f(x) = L_{f,a}(x) + D_a f(0) is affine, so if h = rank(L_{f,a}) the
     derivative along a takes 2^h values, each 2^(n-h) times, and
     delta_f(a, b) = 2^(n-h) exactly when b + D_a f(0) lies in im(L_{f,a}).
-    The degree test _polar_of gives the polar matrix B(e_m, e_k) as it
-    admits the table, and _polar_ranks gives every rank from it by one
-    bitsliced elimination of about 2n^3 operations on 2^n-bit ints.
-    spectrum(), count_via_spectrum and the cyclic-code weights inherit that
-    through _direction_classes, against O(4^n) for a generic table.
+    _polar_ranks gives every rank from the polar matrix B(e_m, e_k) by one
+    bitsliced elimination of about 2n^3 operations on 2^n-bit ints. A table
+    gets that matrix from the degree test _polar_of as it is admitted; a
+    DOPolynomial (from_do) from its coefficients, with the value table built
+    only when values is first read (delta, enumerate_flats, ==) and kept.
+    spectrum(), count_via_spectrum and the cyclic-code weights inherit the
+    ranks through _direction_classes, against O(4^n) for a generic table.
     delta(a, b) is the inherited kernel.
     FunctionTable(gf, f.values) stays the generic oracle.
     """
 
-    __slots__ = ("_polar", "_ranks")
+    __slots__ = ("_polar", "_ranks", "_values", "_poly")
 
     def __init__(self, gf, values):
-        super().__init__(gf, values)
-        self._polar = _polar_of(self.values)
-        if self._polar is None:
+        values = FunctionTable(gf, values).values
+        polar = _polar_of(values)
+        if polar is None:
             raise ValueError("table has algebraic degree > 2")
-        self._ranks = None
+        self._fill(gf, polar, values, None)
+
+    def _fill(self, gf, polar, values, poly):
+        self.field, self._polar, self._ranks, self._values, self._poly = gf, polar, None, values, poly
+        return self
 
     @classmethod
     def promote(cls, table):
@@ -218,13 +239,27 @@ class QuadraticFunction(FunctionTable):
         polar = _polar_of(table.values)
         if polar is None:
             return table
-        f = object.__new__(cls)  # table's values are already checked: no copy
-        f.field, f.values, f._polar, f._ranks = table.field, table.values, polar, None
-        return f
+        # table's values are already checked: no copy
+        return object.__new__(cls)._fill(table.field, polar, table.values, None)
+
+    @classmethod
+    def from_do(cls, poly):
+        """The DOPolynomial poly, quadratic by construction, so no degree
+        test: its polar matrix is poly._polar(), and its value table waits
+        for the first read of values."""
+        return object.__new__(cls)._fill(poly.field, poly._polar(), None, poly)
+
+    @property
+    def values(self):
+        """The value table: given, or poly.to_table() built on the first
+        read and kept in _values (the FunctionTable slot stays unset)."""
+        if self._values is None:
+            self._values = self._poly.to_table().values
+        return self._values
 
     def ranks(self):
         """bytes: entry a - 1 is rank(L_{f,a}) for each nonzero a, from the
-        polar matrix the degree test read."""
+        polar matrix."""
         if self._ranks is None:
             self._ranks = _polar_ranks(self.field.n, self._polar)[1:]
         return self._ranks

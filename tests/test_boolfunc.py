@@ -344,6 +344,18 @@ def test_is_permutation_against_sorted_values(n):
         assert sorted(f.values) != list(gf.elements())
 
 
+@pytest.mark.parametrize("values,bad", [
+    ([0, 1, 9, 3, -1, 5, 6, 7], 9),     # the first bad entry, not the least
+    ([0, -2, 2, 3, 4, 12, 6, 7], -2),   # nor the greatest
+    ([0, 1, 2, 3, 4, 5, 6, 8], 8),
+    ([0, 1, 2, 3, 4, 5, -1, 7], -1),
+])
+def test_table_range_error_names_the_first_bad_entry(values, bad):
+    with pytest.raises(ValueError) as err:
+        FunctionTable(GF(3), values)
+    assert str(err.value) == f"table entry {bad} out of range for GF(2^3, modulus=0xb)"
+
+
 def test_table_validation_and_serialization():
     gf = GF(3)
     with pytest.raises(ValueError):

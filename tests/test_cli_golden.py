@@ -89,6 +89,9 @@ CASES = {
     "kloosterman": ["kloosterman"],
     "vflats-list-5-3-apn-csv": ["vflats", "list", "--n", "5", "--monomial", "3",
                                 "--format", "csv"],
+    # x^9 as a DO polynomial: 1008 blocks, the bytes of the --monomial 9
+    # listing, from the value table QuadraticFunction.from_do builds on demand
+    "vflats-list-6-do": ["vflats", "list", "--n", "6", "--do", "0,3:1"],
     # x^3 + 7x^36 + x + 5: degree 2 with affine terms, so it takes the rank
     # route; recorded when every univariate ran the generic kernel
     "spectrum-10-univariate-affine-json": ["spectrum", "--n", "10", "--univariate",
@@ -128,6 +131,7 @@ GOLDEN = {
         "683662f7a48c12d100c10cf45c1c43cffdf23464c452aed68cee64358000bf8c",
     "kloosterman": "2a644a5bcc304a75444a902e7e9a887fd0178bdaaa1c136791cb833ade723501",
     "vflats-list-5-3-apn-csv": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "vflats-list-6-do": "706f1690c5113f71398695021fe730f077ccdb6f1998d629152f5c4351a599af",
     "spectrum-10-univariate-affine-json":
         "4683abc7eacc2b0d8aff562140003929d46e33d2503c8d6e2134df94a8b2286c",
 }

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import random
 from contextlib import redirect_stdout
@@ -267,20 +268,47 @@ def test_count_formula_matches_enumeration():
         assert f.count_vanishing_flats() == len(enumerate_flats(f.to_table()))
 
 
-def test_count_builds_one_table(monkeypatch):
-    """The library count reads the polar matrix and builds no value table;
-    vflats count --do builds exactly one, which the degree test promotes
-    with no copy."""
-    f = random_do_polynomial(GF(10), 12, seed=5)
+def do_argv(leaf, f, *extra):
+    """The CLI argv of leaf for the DO polynomial f, its field's modulus given."""
     terms = ",".join(f"{i},{j}:{c}" for (i, j), c in sorted(f.coeffs.items()))
-    builds = count_table_builds(monkeypatch)
-    count = f.count_vanishing_flats()
-    assert builds == []
+    return [*leaf, "--n", str(f.field.n), "--modulus", str(f.field.modulus), "--do", terms,
+            *extra]
+
+
+def cli_stdout(argv):
     out = io.StringIO()
     with redirect_stdout(out):
-        assert main(["vflats", "count", "--n", "10", "--do", terms]) == 0
-    assert builds == [f.field]
-    assert out.getvalue() == f"{count}\n"
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def test_do_source_builds_a_table_only_to_list(monkeypatch):
+    """The library count, vflats count --do and spectrum --do read the polar
+    matrix off the coefficients and build no value table; vflats list --do
+    builds exactly one, when the listing first reads the values."""
+    f = random_do_polynomial(GF(10), 12, seed=5)
+    builds = count_table_builds(monkeypatch)
+    count = f.count_vanishing_flats()
+    assert cli_stdout(do_argv(["vflats", "count"], f)) == f"{count}\n"
+    cli_stdout(do_argv(["spectrum"], f))
+    assert builds == []
+    g = DOPolynomial(GF(6), {(0, 3): 1})
+    assert cli_stdout(do_argv(["vflats", "list"], g)).startswith("1008 blocks\n")
+    assert builds == [g.field]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_do_commands_match_the_generic_pass(n):
+    """vflats count --do and spectrum --do --format json, which take the rank
+    route off DOPolynomial._polar, against the O(4^n) pass over a plain
+    FunctionTable of the same values, which shares neither _polar nor
+    _polar_ranks: for every polar_cases(n), the non-primitive fields
+    included."""
+    for f in polar_cases(n):
+        table = FunctionTable(f.field, f.to_table().values)
+        assert cli_stdout(do_argv(["vflats", "count"], f)) == f"{count_via_spectrum(table)}\n", f
+        spectrum = cli_stdout(do_argv(["spectrum"], f, "--format", "json"))
+        assert json.loads(spectrum) == json.loads(json.dumps(table.spectrum().to_json())), f
 
 
 def test_derivative_identity():

@@ -208,7 +208,9 @@ def test_spectra_compare_by_content_not_partition():
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_every_do_table_loads_as_quadratic(n):
-    """--do needs no branch of its own: every DO table passes the degree test."""
+    """--do loads as a QuadraticFunction read off the coefficients, with no
+    degree test; every DO table would pass that test too, and the value
+    table built on the first read of values is to_table()'s."""
     gf = GF(n)
     max_support = n * (n - 1) // 2
     rng = random.Random(1000 + n)
