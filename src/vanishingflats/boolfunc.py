@@ -45,7 +45,7 @@ def univariate_values(gf, terms, points):
 class FunctionTable:
     """A function f: GF(2^n) -> GF(2^n) stored as a full value table."""
 
-    __slots__ = ("field", "values")
+    __slots__ = ("field", "_values")
 
     def __init__(self, gf, values):
         values = list(values)
@@ -58,7 +58,16 @@ class FunctionTable:
             if not 0 <= v < q:
                 raise ValueError(f"table entry {v} out of range for {gf!r}")
         self.field = gf
-        self.values = values
+        self._values = values
+
+    @property
+    def values(self):
+        """The value table: given, or, for a function given by a formula (a
+        subclass with to_table, whose constructor leaves _values None), built
+        by to_table on the first read and kept."""
+        if self._values is None:
+            self._values = self.to_table().values
+        return self._values
 
     def __getitem__(self, x):
         return self.values[x]
@@ -183,13 +192,13 @@ class PowerFunction(FunctionTable):
     "Differential properties of power functions", 2010). spectrum() therefore
     costs O(2^n) once, against O(4^n) for a generic table; count_via_spectrum,
     bounds, critical_directions and the cyclic-code weights inherit that
-    through _direction_classes, none of them building the value table: it is
-    made on the first read of values (delta, enumerate_flats,
-    ParityCheckSpec.cyclic) and kept. delta(a, b) is the inherited kernel,
-    and FunctionTable(gf, f.values) stays the generic oracle.
+    through _direction_classes, none of them building the value table:
+    to_table makes it on the first read of values (delta, enumerate_flats,
+    ParityCheckSpec.cyclic), and it is kept. delta(a, b) is the inherited
+    kernel, and FunctionTable(gf, f.values) stays the generic oracle.
     """
 
-    __slots__ = ("d", "_hist1", "_values")
+    __slots__ = ("d", "_hist1")
 
     def __init__(self, gf, d):
         if d < 1:
@@ -199,13 +208,9 @@ class PowerFunction(FunctionTable):
         self._hist1 = None
         self._values = None
 
-    @property
-    def values(self):
-        """The value table of from_univariate, built on the first read and
-        kept in _values (the FunctionTable slot of the same name stays unset)."""
-        if self._values is None:
-            self._values = FunctionTable.from_univariate(self.field, [(1, self.d)]).values
-        return self._values
+    def to_table(self):
+        """The value table of x^d, by from_univariate."""
+        return FunctionTable.from_univariate(self.field, [(1, self.d)])
 
     def _histogram1(self):
         """b -> delta_f(1, b)/2, from the field's exp and log lists. The pairs

@@ -82,14 +82,14 @@ def read_table_file(gf, path):
 
 def load_function(args):
     """x^d and a DO polynomial as what they are by construction, a
-    PowerFunction and a QuadraticFunction, neither building its value table
-    until values is read; any other source as its table, a QuadraticFunction
-    if the degree test admits it."""
+    PowerFunction and a DOPolynomial (a QuadraticFunction), neither building
+    its value table until values is read; any other source as its table, a
+    QuadraticFunction if the degree test admits it."""
     gf = GF(args.n, args.modulus)
     if args.monomial is not None:
         return FunctionTable.from_monomial(gf, args.monomial)
     if args.do is not None:
-        return QuadraticFunction.from_do(parse_do_terms(gf, args.do))
+        return parse_do_terms(gf, args.do)
     if args.univariate is not None:
         table = FunctionTable.from_univariate(gf, parse_univariate_terms(args.univariate))
     else:

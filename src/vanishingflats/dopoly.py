@@ -16,19 +16,18 @@ and one bitsliced elimination, `_family_ranks`, acts on all 2^n matrices
 with each big-int AND, OR or XOR: about 2n^3 such operations in all, instead
 of one elimination per direction.
 
-Both routes to the ranks feed it a polar matrix, and one reader,
-`_polar_read`, gives it from f at 0, the e_k and the e_m + e_k as
-B(e_m, e_k) = f(e_m + e_k) + f(e_m) + f(e_k) + f(0), from anything indexable
-at those points. DOPolynomial._polar passes the values of the one
-univariate evaluator, boolfunc.univariate_values, at those 1 + n(n+1)/2
-points alone, O(s n^2) lookups for s terms, with no value table: both
-count_vanishing_flats and QuadraticFunction.from_do, the form the CLI loads
-for --do, read it. A QuadraticFunction is any function of algebraic degree
-<= 2. From a DOPolynomial it needs no test and builds its value table only
-when values is first read; a value table, however it was given, is
-admitted by the O(2^n) degree test `_polar_of`, which returns the matrix
-the reader gives off the table, or None at a higher degree. Its spectrum and
-count come from the ranks, against O(4^n) for the generic pass.
+A QuadraticFunction is any function of algebraic degree <= 2, and its
+ranks come from its polar matrix. One reader, `_polar_read`, gives that
+matrix from f at 0, the e_k and the e_m + e_k as B(e_m, e_k) =
+f(e_m + e_k) + f(e_m) + f(e_k) + f(0), from anything indexable at those
+points. A value table, however it was given, is admitted by the O(2^n)
+degree test `_polar_of`, which returns the matrix the reader gives off the
+table, or None at a higher degree. A DOPolynomial is a QuadraticFunction by
+construction and needs no test: its constructor passes the reader the values
+of the one univariate evaluator, boolfunc.univariate_values, at those
+1 + n(n+1)/2 points alone, O(s n^2) lookups for s terms, and to_table builds
+its value table only when values is first read. Its spectrum and count come
+from the ranks, against O(4^n) for the generic pass.
 """
 
 from itertools import compress
@@ -123,54 +122,6 @@ def _polar_ranks(n, polar):
     return _family_ranks(planes)
 
 
-class DOPolynomial:
-    """Sparse coefficient map (i, j) -> c_ij with 0 <= i < j < n, c_ij != 0.
-
-    coeffs is a mapping or an iterable of ((i, j), c) terms; the coefficients
-    of a repeated (i, j) add, i.e. XOR."""
-
-    def __init__(self, gf, coeffs):
-        self.field = gf
-        total = {}
-        for (i, j), c in coeffs.items() if hasattr(coeffs, "items") else coeffs:
-            if not 0 <= i < j < gf.n:
-                raise ValueError(f"term key ({i}, {j}) must satisfy 0 <= i < j < {gf.n}")
-            if not 0 <= c < gf.order:
-                raise ValueError(f"term {i},{j}:{c}: coefficient {c} out of range for {gf!r}")
-            total[(i, j)] = total.get((i, j), 0) ^ c
-        self.coeffs = {key: c for key, c in total.items() if c}
-
-    def __repr__(self):
-        terms = " + ".join(f"{c}*x^(2^{i}+2^{j})" for (i, j), c in sorted(self.coeffs.items()))
-        return f"DOPolynomial({self.field!r}, {terms or '0'})"
-
-    def _terms(self):
-        """The univariate terms (c, 2^i + 2^j) of f."""
-        return [(c, (1 << i) + (1 << j)) for (i, j), c in self.coeffs.items()]
-
-    def to_table(self):
-        """Value table of the univariate expansion, by from_univariate."""
-        return FunctionTable.from_univariate(self.field, self._terms())
-
-    def _polar(self):
-        """[[B(e_m, e_k) for m < n] for k < n] for the polar form B, with no
-        value table: _polar_read of f at 0, the e_k and the e_m + e_k, the
-        1 + n(n+1)/2 values univariate_values gives."""
-        n = self.field.n
-        points = [1 << k | 1 << m for k in range(n) for m in range(k + 1)]
-        values = univariate_values(self.field, self._terms(), points)
-        return _polar_read(n, dict(zip([0, *points], values)))
-
-    def count_vanishing_flats(self):
-        """Block count from the ranks h = rank(L_{f,a}) of the polar matrix,
-        with no value table: along a of rank h, delta_f(a, b) = 2^(n-h) for
-        2^h values of b, so the spectrum counts are l_{2^(n-h)} = 2^h times
-        the number of a != 0 of rank h, read by vflats.count_from_spectrum."""
-        n = self.field.n
-        ranks = _polar_ranks(n, self._polar())[1:]
-        return vflats.count_from_spectrum({1 << (n - h): ranks.count(h) << h for h in set(ranks)})
-
-
 def _polar_read(n, f):
     """[[B(e_m, e_k) for m < n] for k < n] for the polar form B(x, y) =
     f(x + y) + f(x) + f(y) + f(0), from any f indexable at 0, the e_k and
@@ -209,28 +160,27 @@ class QuadraticFunction(FunctionTable):
     D_a f(x) = L_{f,a}(x) + D_a f(0) is affine, so if h = rank(L_{f,a}) the
     derivative along a takes 2^h values, each 2^(n-h) times, and
     delta_f(a, b) = 2^(n-h) exactly when b + D_a f(0) lies in im(L_{f,a}).
-    _polar_ranks gives every rank from the polar matrix B(e_m, e_k) by one
-    bitsliced elimination of about 2n^3 operations on 2^n-bit ints. A table
-    gets that matrix from the degree test _polar_of as it is admitted; a
-    DOPolynomial (from_do) from its coefficients, with the value table built
-    only when values is first read (delta, enumerate_flats, ==) and kept.
+    _polar_ranks gives every rank from the polar matrix _polar, B(e_m, e_k),
+    by one bitsliced elimination of about 2n^3 operations on 2^n-bit ints.
+    A table gets that matrix from the degree test _polar_of as it is
+    admitted; the subclass DOPolynomial from its coefficients.
     spectrum(), count_via_spectrum and the cyclic-code weights inherit the
     ranks through _direction_classes, against O(4^n) for a generic table.
     delta(a, b) is the inherited kernel.
     FunctionTable(gf, f.values) stays the generic oracle.
     """
 
-    __slots__ = ("_polar", "_ranks", "_values", "_poly")
+    __slots__ = ("_polar", "_ranks")
 
     def __init__(self, gf, values):
         values = FunctionTable(gf, values).values
         polar = _polar_of(values)
         if polar is None:
             raise ValueError("table has algebraic degree > 2")
-        self._fill(gf, polar, values, None)
+        self._fill(gf, values, polar)
 
-    def _fill(self, gf, polar, values, poly):
-        self.field, self._polar, self._ranks, self._values, self._poly = gf, polar, None, values, poly
+    def _fill(self, gf, values, polar):
+        self.field, self._values, self._polar, self._ranks = gf, values, polar, None
         return self
 
     @classmethod
@@ -240,22 +190,7 @@ class QuadraticFunction(FunctionTable):
         if polar is None:
             return table
         # table's values are already checked: no copy
-        return object.__new__(cls)._fill(table.field, polar, table.values, None)
-
-    @classmethod
-    def from_do(cls, poly):
-        """The DOPolynomial poly, quadratic by construction, so no degree
-        test: its polar matrix is poly._polar(), and its value table waits
-        for the first read of values."""
-        return object.__new__(cls)._fill(poly.field, poly._polar(), None, poly)
-
-    @property
-    def values(self):
-        """The value table: given, or poly.to_table() built on the first
-        read and kept in _values (the FunctionTable slot stays unset)."""
-        if self._values is None:
-            self._values = self._poly.to_table().values
-        return self._values
+        return object.__new__(cls)._fill(table.field, table.values, polar)
 
     def ranks(self):
         """bytes: entry a - 1 is rank(L_{f,a}) for each nonzero a, from the
@@ -275,6 +210,55 @@ class QuadraticFunction(FunctionTable):
             if h in ranks:
                 is_h = ranks.translate(bytes(h) + b"\1" + bytes(255 - h))
                 yield list(compress(directions, is_h)), {1 << (n - h): 1 << h}, 1 << (n - h)
+
+
+class DOPolynomial(QuadraticFunction):
+    """Sparse coefficient map (i, j) -> c_ij with 0 <= i < j < n, c_ij != 0:
+    a QuadraticFunction by construction, so it needs no degree test.
+
+    coeffs is a mapping or an iterable of ((i, j), c) terms; the coefficients
+    of a repeated (i, j) add, i.e. XOR. The polar matrix is read as it is
+    made, with no value table; to_table builds that table on the first read
+    of values (delta, enumerate_flats, ==), and it is kept. Like every
+    FunctionTable it is equal to any function of the same field and values,
+    and so it is not hashable."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, gf, coeffs):
+        total = {}
+        for (i, j), c in coeffs.items() if hasattr(coeffs, "items") else coeffs:
+            if not 0 <= i < j < gf.n:
+                raise ValueError(f"term key ({i}, {j}) must satisfy 0 <= i < j < {gf.n}")
+            if not 0 <= c < gf.order:
+                raise ValueError(f"term {i},{j}:{c}: coefficient {c} out of range for {gf!r}")
+            total[(i, j)] = total.get((i, j), 0) ^ c
+        self.coeffs = {key: c for key, c in total.items() if c}
+        # f at 0, the e_k and the e_m + e_k alone: no value table
+        n = gf.n
+        points = [1 << k | 1 << m for k in range(n) for m in range(k + 1)]
+        values = univariate_values(gf, self._terms(), points)
+        self._fill(gf, None, _polar_read(n, dict(zip([0, *points], values))))
+
+    def __repr__(self):
+        terms = " + ".join(f"{c}*x^(2^{i}+2^{j})" for (i, j), c in sorted(self.coeffs.items()))
+        return f"DOPolynomial({self.field!r}, {terms or '0'})"
+
+    def _terms(self):
+        """The univariate terms (c, 2^i + 2^j) of f."""
+        return [(c, (1 << i) + (1 << j)) for (i, j), c in self.coeffs.items()]
+
+    def to_table(self):
+        """Value table of the univariate expansion, by from_univariate."""
+        return FunctionTable.from_univariate(self.field, self._terms())
+
+    def count_vanishing_flats(self):
+        """Block count from the ranks h = rank(L_{f,a}), with no value table:
+        along a of rank h, delta_f(a, b) = 2^(n-h) for 2^h values of b, so
+        the spectrum counts are l_{2^(n-h)} = 2^h times the number of a != 0
+        of rank h, read by vflats.count_from_spectrum."""
+        n, ranks = self.field.n, self.ranks()
+        return vflats.count_from_spectrum({1 << (n - h): ranks.count(h) << h for h in set(ranks)})
 
 
 def random_do_polynomial(gf, support_size, seed):

@@ -90,7 +90,7 @@ CASES = {
     "vflats-list-5-3-apn-csv": ["vflats", "list", "--n", "5", "--monomial", "3",
                                 "--format", "csv"],
     # x^9 as a DO polynomial: 1008 blocks, the bytes of the --monomial 9
-    # listing, from the value table QuadraticFunction.from_do builds on demand
+    # listing, from the value table the DOPolynomial builds on demand
     "vflats-list-6-do": ["vflats", "list", "--n", "6", "--do", "0,3:1"],
     # x^3 + 7x^36 + x + 5: degree 2 with affine terms, so it takes the rank
     # route; recorded when every univariate ran the generic kernel

@@ -426,13 +426,13 @@ def test_constructions_build_no_value_table(monkeypatch):
                                          (15, 5, None), (6, 2, 0x49), (9, 3, 0x203)])
 def test_gold_form_matches_the_exp_log_builder(n, t, modulus):
     """_gold_form against the independent route through the exp and log
-    lists: its polar matrix is DOPolynomial._polar of x^(2^0 + 2^t), and
+    lists: its polar matrix is the _polar of DOPolynomial x^(2^0 + 2^t), and
     f(e_k) is the value table of that polynomial at e_k. x^9 on GF(2^6) is
     no permutation, and the form is still that of x^9."""
     gf = GF(n, modulus)
     at_units, polar = _gold_form(gf, t)
     gold = DOPolynomial(gf, {(0, t): 1})
-    assert polar == gold._polar()
+    assert polar == gold._polar
     values = gold.to_table().values
     assert at_units == [values[1 << k] for k in range(n)]
 

@@ -9,13 +9,16 @@ import pytest
 from vanishingflats import (
     GF,
     FunctionTable,
+    PowerFunction,
     DOPolynomial,
     QuadraticFunction,
     random_do_polynomial,
     enumerate_flats,
     count_via_spectrum,
+    weight_counts_from_flats,
 )
 from vanishingflats.cli import main
+from vanishingflats import dopoly
 from vanishingflats.dopoly import _family_ranks, _polar_ranks
 from vanishingflats.gf2n import echelon
 from helpers import (apply, count_table_builds, derivative, direct_rank_multiset, do_value,
@@ -188,13 +191,13 @@ def polar_cases(n):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_polar_matches_table_columns(n):
-    """DOPolynomial._polar, read off f at 0, the e_k and the e_m + e_k,
+    """The _polar a DOPolynomial reads off f at 0, the e_k and the e_m + e_k,
     against the matrix of L_{f,e_m}(e_k) by gf.pow and gf.mul, which shares
     neither the evaluator nor the polar reader; then against the polar
     matrix the degree test stores and the columns read off the value table."""
     for f in polar_cases(n):
         table = f.to_table()
-        polar = f._polar()
+        polar = f._polar
         assert polar == [[linearized_at(f, 1 << m, 1 << k) for m in range(n)]
                          for k in range(n)], f
         assert polar == QuadraticFunction.promote(table)._polar, f
@@ -203,8 +206,8 @@ def test_polar_matches_table_columns(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_rank_multiset_matches_direct_formula(n):
-    """QuadraticFunction.ranks, and _polar_ranks fed the polar matrix of
-    DOPolynomial._polar or of the direct formula, against one elimination
+    """QuadraticFunction.ranks, and _polar_ranks fed a DOPolynomial's _polar
+    or the polar matrix of the direct formula, against one elimination
     per direction of the columns L_{f,a}(e_k) evaluated by gf.pow, which
     reads neither the exp and log lists nor the value table."""
     gf = GF(n)
@@ -215,7 +218,7 @@ def test_rank_multiset_matches_direct_formula(n):
         oracle = direct_rank_multiset(f)
         assert list(table_ranks(f)) == oracle, f
         direct = [[linearized_at(f, 1 << m, 1 << k) for m in range(n)] for k in range(n)]
-        assert _polar_ranks(n, direct) == _polar_ranks(n, f._polar()) == bytes([0] + oracle), f
+        assert _polar_ranks(n, direct) == _polar_ranks(n, f._polar) == bytes([0] + oracle), f
     assert table_ranks(DOPolynomial(gf, {})) == bytes(gf.order - 1)
 
 
@@ -300,7 +303,7 @@ def test_do_source_builds_a_table_only_to_list(monkeypatch):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_do_commands_match_the_generic_pass(n):
     """vflats count --do and spectrum --do --format json, which take the rank
-    route off DOPolynomial._polar, against the O(4^n) pass over a plain
+    route off a DOPolynomial's _polar, against the O(4^n) pass over a plain
     FunctionTable of the same values, which shares neither _polar nor
     _polar_ranks: for every polar_cases(n), the non-primitive fields
     included."""
@@ -309,6 +312,42 @@ def test_do_commands_match_the_generic_pass(n):
         assert cli_stdout(do_argv(["vflats", "count"], f)) == f"{count_via_spectrum(table)}\n", f
         spectrum = cli_stdout(do_argv(["spectrum"], f, "--format", "json"))
         assert json.loads(spectrum) == json.loads(json.dumps(table.spectrum().to_json())), f
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_a_do_polynomial_is_the_function_it_names(n):
+    """A DOPolynomial is a QuadraticFunction: equal to the plain
+    FunctionTable of its values both ways, with the spectrum, count,
+    critical directions, weights and (at n <= 6) flats of the O(4^n) pass
+    over that table, which shares neither _polar nor _polar_ranks."""
+    for f in polar_cases(n):
+        plain = FunctionTable(f.field, f.to_table().values)
+        assert isinstance(f, QuadraticFunction)
+        assert f.spectrum() == plain.spectrum(), f
+        assert count_via_spectrum(f) == f.count_vanishing_flats() == count_via_spectrum(plain), f
+        assert f.critical_directions() == plain.critical_directions(), f
+        assert weight_counts_from_flats(f) == weight_counts_from_flats(plain), f
+        if n <= 6:
+            assert enumerate_flats(f) == enumerate_flats(plain), f
+        assert f == plain and plain == f, f
+    assert DOPolynomial(GF(6), {(0, 3): 1}) == PowerFunction(GF(6), 9)
+
+
+def test_ranks_once_per_object(monkeypatch):
+    """The library count and the spectrum of one DOPolynomial share one
+    elimination: the ranks are kept on the object."""
+    calls = []
+
+    def counted(n, polar):
+        calls.append(n)
+        return _polar_ranks(n, polar)
+
+    monkeypatch.setattr(dopoly, "_polar_ranks", counted)
+    f = random_do_polynomial(GF(8), 6, seed=38)
+    count = f.count_vanishing_flats()
+    assert f.count_vanishing_flats() == count
+    f.spectrum()
+    assert len(calls) == 1
 
 
 def test_derivative_identity():

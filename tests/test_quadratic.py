@@ -208,9 +208,10 @@ def test_spectra_compare_by_content_not_partition():
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_every_do_table_loads_as_quadratic(n):
-    """--do loads as a QuadraticFunction read off the coefficients, with no
-    degree test; every DO table would pass that test too, and the value
-    table built on the first read of values is to_table()'s."""
+    """--do loads as a DOPolynomial, a QuadraticFunction read off the
+    coefficients with no degree test; every DO table would pass that test
+    too, and the value table built on the first read of values is
+    to_table()'s."""
     gf = GF(n)
     max_support = n * (n - 1) // 2
     rng = random.Random(1000 + n)
@@ -222,7 +223,7 @@ def test_every_do_table_loads_as_quadratic(n):
         assert _polar_of(poly.to_table().values) is not None
         terms = ",".join(f"{i},{j}:{c}" for (i, j), c in sorted(poly.coeffs.items()))
         f = load(n, "--do", terms)
-        assert type(f) is QuadraticFunction
+        assert type(f) is DOPolynomial
         assert f.values == poly.to_table().values
 
 
@@ -286,7 +287,7 @@ def test_delta_argument_checks():
 
 def test_do_terms_load_as_quadratic_function():
     f = load(6, "--do", "0,3:1")
-    assert type(f) is QuadraticFunction
+    assert type(f) is DOPolynomial
     assert f.values == DOPolynomial(GF(6), {(0, 3): 1}).to_table().values
     assert count_via_spectrum(f) == 1008
     # x^9 is Gold, so as a univariate it takes the rank route as well
@@ -318,6 +319,6 @@ def test_do_ranks_at_sampled_directions_at_n16():
     of the columns B(a, e_k) read off the value table, at sampled a."""
     gf = GF(16)
     poly = DOPolynomial(gf, CI_DO)
-    ranks, table = _polar_ranks(16, poly._polar()), poly.to_table()
+    ranks, table = _polar_ranks(16, poly._polar), poly.to_table()
     for a in random.Random(1617).sample(range(1, gf.order), 32):
         assert ranks[a] == len(echelon(read_columns(table, a)))
